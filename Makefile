@@ -3,7 +3,7 @@
 # scheduler (internal/exp/sched.go) — run it before touching anything
 # under internal/exp.
 
-.PHONY: tier1 vet lint cover race race-short fuzz bench-parallel bench-json smoke spec-smoke
+.PHONY: tier1 vet lint cover race race-short fuzz bench-parallel bench-json bench-test smoke spec-smoke
 
 # Build + full test suite (the tier-1 contract from ROADMAP.md).
 tier1:
@@ -14,8 +14,8 @@ vet:
 
 # Static analysis: go vet plus the repo's own analyzer suite
 # (internal/analysis, DESIGN.md §8 "Enforced invariants") — nopanic,
-# hotpathalloc, errwrap, determinism, servectx, specsync, lanepurity,
-# codecstrict and staleallow, type-aware over a module-local go/types
+# hotpathalloc, errwrap, determinism, servectx, specsync, codecstrict
+# and staleallow, type-aware over a module-local go/types
 # loading layer, with positioned file:line:col: [check] diagnostics.
 # CI additionally budgets this at 60s on one core (BenchmarkLintModule
 # measures the same pipeline).
@@ -82,6 +82,11 @@ bench-json:
 	  go test -run '^$$' -bench 'BenchmarkServe' \
 		-benchmem -benchtime 5x -count 1 ./internal/serve ) \
 		| go run ./cmd/benchjson -host-note "$(BENCH_HOST_NOTE)" -o BENCH_throughput.json
+
+# Vet and test the end-to-end benchmark (bench/, BENCHMARK.json). It is a
+# module of its own, so the root `go test ./...` does not reach it.
+bench-test:
+	cd bench && go vet ./... && go test ./...
 
 # Daemon smoke: boot ebcpd, POST an experiment and an inline
 # ebcp.spec/v1, assert valid reports, a cache hit on the identical

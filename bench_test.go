@@ -185,14 +185,13 @@ func BenchmarkAblations(b *testing.B) {
 	})
 }
 
-// BenchmarkCMPThroughput measures the goroutine-per-lane CMP engine's
-// aggregate simulation speed across lane counts (fixed total work: the
-// per-lane window shrinks as lanes grow). The Minsts/s curve is the
-// scale-out figure of merit; on a single-CPU host it stays roughly flat
-// (the engine adds no contention but has no cores to spread across), on
-// a multi-core host it rises until the shared-event coordinator
-// saturates. `lanes` rides along as a metric so BENCH_throughput.json
-// is self-describing.
+// BenchmarkCMPThroughput measures RunCMP's aggregate simulation speed
+// across lane counts (fixed total work: the per-lane window shrinks as
+// lanes grow). RunCMP interleaves the lanes on the calling goroutine, so
+// the Minsts/s curve is the per-record cost of the lowest-clock loop plus
+// the extra cache and table pressure of more threads; it does not scale
+// with host cores. `lanes` rides along as a metric so
+// BENCH_throughput.json is self-describing.
 func BenchmarkCMPThroughput(b *testing.B) {
 	bench := Database()
 	for _, lanes := range []int{1, 2, 4, 8, 16, 32, 64} {
@@ -216,7 +215,7 @@ func BenchmarkCMPThroughput(b *testing.B) {
 				}
 				pf := must(NewEBCP(ecfg))
 				b.StartTimer()
-				res := must(RunCMPOpts(srcs, pf, cfg, CMPOptions{Workers: lanes}))
+				res := must(RunCMP(srcs, pf, cfg))
 				insts += res.Instructions()
 			}
 			b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minsts/s")

@@ -159,23 +159,12 @@ func Run(src TraceSource, pf Prefetcher, cfg SystemConfig) (Result, error) {
 // EBCPConfig.Cores to the thread count so the prefetcher control tracks
 // each thread's epochs separately (the paper's Section 6 direction).
 // RunCMP's error contract matches Run: ErrInvalidConfig for bad
-// configurations, and a *CMPShortTraceError (wrapping ErrShortTrace,
+// configurations (including a prefetcher that tracks fewer threads than
+// there are traces), and a *CMPShortTraceError (wrapping ErrShortTrace,
 // carrying the partial CMPResult) when any thread's trace ends before
 // its warmup window completes.
 func RunCMP(sources []TraceSource, pf Prefetcher, cfg SystemConfig) (CMPResult, error) {
 	return sim.RunCMP(sources, pf, cfg)
-}
-
-// CMPOptions tune how RunCMPOpts executes a CMP run (goroutine-per-lane
-// parallelism, memory-arbitration tick period) without changing the
-// lowest-clock-first semantics: results are byte-identical for any
-// Workers value.
-type CMPOptions = sim.CMPOptions
-
-// RunCMPOpts is RunCMP with execution options. CMPOptions{} reproduces
-// RunCMP exactly.
-func RunCMPOpts(sources []TraceSource, pf Prefetcher, cfg SystemConfig, opt CMPOptions) (CMPResult, error) {
-	return sim.RunCMPOpts(sources, pf, cfg, opt)
 }
 
 // Correlation-table serialization (warm start): a trained EBCP table

@@ -124,7 +124,8 @@ func TestExperimentFacade(t *testing.T) {
 
 // TestPublicCorrtabWarmStart drives the warm-start surface the way a
 // downstream user would: train, serialize, restore into a fresh
-// prefetcher, and run the parallel CMP engine against the sequential one.
+// prefetcher, and check through RunCMP that the restored table predicts
+// more than a cold one on the same traces.
 func TestPublicCorrtabWarmStart(t *testing.T) {
 	bench := Database()
 	cfg := DefaultSystem(bench)
@@ -162,8 +163,8 @@ func TestPublicCorrtabWarmStart(t *testing.T) {
 		t.Error("restoring a 64K-entry table into a 1M-entry prefetcher must fail")
 	}
 
-	// The warm prefetcher drives a CMP run on the parallel engine; the
-	// sequential engine must agree exactly.
+	// On a CMP run over the same traces, the restored table must match
+	// more epoch triggers than a cold table that starts from nothing.
 	const lanes = 4
 	ecfg.Cores = lanes
 	newSources := func() []TraceSource {
@@ -176,18 +177,14 @@ func TestPublicCorrtabWarmStart(t *testing.T) {
 		return srcs
 	}
 	cfg.WarmInsts, cfg.MeasureInsts = 500e3, 500e3
-	newWarm := func() *EBCP {
-		pf := must(NewEBCP(ecfg))
-		if err := pf.RestoreTable(must(DecodeCorrtab(bytes.NewReader(buf.Bytes())))); err != nil {
-			t.Fatal(err)
-		}
-		return pf
+	warmCMP := must(NewEBCP(ecfg))
+	if err := warmCMP.RestoreTable(must(DecodeCorrtab(bytes.NewReader(buf.Bytes())))); err != nil {
+		t.Fatal(err)
 	}
-	seq := must(RunCMPOpts(newSources(), newWarm(), cfg, CMPOptions{Workers: 1}))
-	par := must(RunCMPOpts(newSources(), newWarm(), cfg, CMPOptions{Workers: lanes}))
-	for i := range seq.PerCore {
-		if seq.PerCore[i].Snapshot() != par.PerCore[i].Snapshot() {
-			t.Errorf("lane %d: parallel facade run diverges from sequential", i)
-		}
+	coldCMP := must(NewEBCP(ecfg))
+	must(RunCMP(newSources(), warmCMP, cfg))
+	must(RunCMP(newSources(), coldCMP, cfg))
+	if w, c := warmCMP.Stats().Matches, coldCMP.Stats().Matches; w <= c {
+		t.Errorf("warm-started table matched %d epoch triggers, cold table %d; warm start must help", w, c)
 	}
 }

@@ -32,10 +32,7 @@ const (
 // removed. Two addresses on the same 64B line have the same Line.
 type Line uint64
 
-// LineOf returns the cache line containing a. Pure arithmetic, so it
-// sits on the run-ahead lane path (//ebcp:lanelocal).
-//
-//ebcp:lanelocal
+// LineOf returns the cache line containing a.
 func LineOf(a Addr) Line { return Line(a >> LineShift) }
 
 // Addr returns the base byte address of the line.

@@ -2,8 +2,8 @@ package analysis
 
 // The go/types loading layer. PR 5's driver was purely syntactic
 // (go/parser over one directory at a time); the type-aware analyzers
-// (lanepurity, codecstrict, and the typed upgrades of nopanic, errwrap
-// and hotpathalloc) need resolved identifiers, receiver types and
+// (codecstrict and the typed upgrades of nopanic, errwrap and
+// hotpathalloc) need resolved identifiers, receiver types and
 // cross-package call targets. This file type-checks the already-parsed
 // ASTs in dependency order with a module-local importer: imports inside
 // the module resolve to the loaded packages themselves (checked
@@ -263,9 +263,9 @@ func (tc *TypeChecker) CheckModule(pkgs []*Pkg) []Diagnostic {
 // under a virtual Rel) against the module: its ebcp/... imports resolve
 // to the real module packages, loaded from disk on demand. The package
 // registers under a synthetic "fixture/<on-disk dir>" path — keyed by
-// directory, not Rel, because two fixtures may share a virtual Rel (two
-// lanepurity fixtures both posing as internal/sim) and must not clobber
-// each other — so it can never shadow a real module package either.
+// directory, not Rel, because two fixtures may share a virtual Rel and
+// must not clobber each other — so it can never shadow a real module
+// package either.
 // Returns the positioned [typecheck] diagnostics; empty means Info and
 // Types are filled. Re-checking the same fixture directory adopts the
 // first check's facts instead of minting a second generation of types.

@@ -52,27 +52,3 @@ func calleePkgFunc(info *types.Info, call *ast.CallExpr) (path, name string, ok 
 	}
 	return fn.Pkg().Path(), fn.Name(), true
 }
-
-// namedTypeKey returns "pkgpath.Name" for a (possibly pointer-wrapped)
-// named or aliased type, or "" for everything else.
-func namedTypeKey(t types.Type) string {
-	if t == nil {
-		return ""
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	var obj *types.TypeName
-	switch t := t.(type) {
-	case *types.Named:
-		obj = t.Obj()
-	case *types.Alias:
-		obj = t.Obj()
-	default:
-		return ""
-	}
-	if obj.Pkg() == nil {
-		return ""
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}

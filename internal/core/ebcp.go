@@ -213,6 +213,10 @@ func (e *EBCP) Name() string {
 // Config returns the prefetcher's configuration.
 func (e *EBCP) Config() Config { return e.cfg }
 
+// Cores returns how many hardware threads the prefetcher control
+// tracks; sim.RunCMP rejects runs with more lanes than this.
+func (e *EBCP) Cores() int { return len(e.cores) }
+
 // Stats returns a copy of the counters.
 func (e *EBCP) Stats() Stats { return e.stats }
 
@@ -230,8 +234,7 @@ func (e *EBCP) Table() *corrtab.Table { return e.table }
 // instead of an empty table. The restored table's serialized geometry
 // (entries, addresses per entry) must match this prefetcher's
 // configuration; a mismatch returns an error wrapping ErrInvalidConfig
-// and leaves the current table in place. Structural parameters such as
-// the shard count are not part of the wire form and need not match.
+// and leaves the current table in place.
 func (e *EBCP) RestoreTable(t *corrtab.Table) error {
 	got, want := t.Config(), e.table.Config()
 	if got.Entries != want.Entries || got.MaxAddrs != want.MaxAddrs {
@@ -324,7 +327,7 @@ func (e *EBCP) OnAccess(a prefetch.Access, ctx *prefetch.Context) {
 		if e.cfg.LRUWriteback && a.PBTableIndex >= 0 {
 			e.table.Touch(uint64(a.PBTableIndex), a.Line)
 			e.stats.LRUTouches++
-			ctx.TableWrite(a.Now, uint64(a.PBTableIndex))
+			ctx.TableWrite(a.Now)
 		}
 	}
 }
@@ -357,10 +360,9 @@ func (e *EBCP) train(cs *coreState, now uint64, ctx *prefetch.Context) {
 	// Read-modify-write of the 64B entry: the read is not timing critical
 	// and the write may be dropped under bandwidth pressure, losing the
 	// update.
-	idx := e.table.Index(key)
-	ctx.TableRead(now, idx)
+	ctx.TableRead(now)
 	e.stats.Trainings++
-	if !ctx.TableWrite(now, idx) {
+	if !ctx.TableWrite(now) {
 		e.stats.LostUpdates++
 		return
 	}
@@ -385,11 +387,11 @@ func (e *EBCP) lookup(a prefetch.Access, ctx *prefetch.Context) {
 	if len(addrs) == 0 {
 		// Still charge the (useless) table read: the control cannot know
 		// the entry is empty without reading it.
-		ctx.TableRead(a.Now, entry)
+		ctx.TableRead(a.Now)
 		return
 	}
 	e.stats.Matches++
-	completion, ok := ctx.TableRead(a.Now, entry)
+	completion, ok := ctx.TableRead(a.Now)
 	if !ok {
 		return // read dropped under extreme pressure: no prefetches
 	}

@@ -7,8 +7,8 @@
 //
 // Only architected state is serialized: the geometry (entries, max
 // addresses per entry) and the live rows with their MRU-first address
-// order. Structural knobs (shard count) and statistics are not part of
-// the document; a decoded table always starts with zeroed counters.
+// order. Statistics are not part of the document; a decoded table always
+// starts with zeroed counters.
 package corrtab
 
 import (

@@ -93,19 +93,6 @@ func TestGoldenCorrtab(t *testing.T) {
 	}
 }
 
-func TestCodecRoundTripShardInvariance(t *testing.T) {
-	// The wire form is canonical: re-training the same contents into a
-	// sharded table must serialize to identical bytes.
-	want := encodeTable(t, trainedTable())
-	sharded := must(New(Config{Entries: 64, MaxAddrs: 4, Shards: 8}))
-	for _, row := range must(Decode(bytes.NewReader(want))).Rows() {
-		sharded.Update(row.Tag, row.Addrs)
-	}
-	if got := encodeTable(t, sharded); !bytes.Equal(got, want) {
-		t.Error("shard count leaked into the serialized form")
-	}
-}
-
 func TestDecodeRejectsMalformed(t *testing.T) {
 	good := string(encodeTable(t, trainedTable()))
 	cases := []struct {

@@ -41,15 +41,6 @@ type Config struct {
 	// in a 64B line with compressed addresses (Section 3.4.2); the
 	// idealized configuration stores 32 (entries spanning multiple lines).
 	MaxAddrs int
-	// Shards splits the storage into independent banks routed by the low
-	// bits of the table index (a power of two; 0 or 1 keeps a single
-	// bank). Sharding is purely structural — every bank keys its
-	// open-addressed index with *global* table indices, so table contents
-	// and statistics are byte-identical for any shard count; it exists so
-	// CMP lanes banking to different shards never contend on one arena.
-	// Shards is not part of the table's architected geometry and is not
-	// serialized by the ebcp.corrtab/v1 codec.
-	Shards int
 }
 
 // Validate reports configuration errors. All errors match
@@ -64,21 +55,7 @@ func (c Config) Validate() error {
 	if c.MaxAddrs > maxAddrsLimit {
 		return ebcperr.Invalidf("corrtab: max addrs %d exceeds limit %d", c.MaxAddrs, maxAddrsLimit)
 	}
-	if c.Shards < 0 || (c.Shards > 1 && c.Shards&(c.Shards-1) != 0) {
-		return ebcperr.Invalidf("corrtab: shard count %d must be a power of two", c.Shards)
-	}
-	if c.Shards > c.Entries {
-		return ebcperr.Invalidf("corrtab: shard count %d exceeds entries %d", c.Shards, c.Entries)
-	}
 	return nil
-}
-
-// shardCount normalizes the configured shard count: 0 means one shard.
-func (c Config) shardCount() int {
-	if c.Shards <= 1 {
-		return 1
-	}
-	return c.Shards
 }
 
 // maxAddrsLimit bounds per-entry address capacity (the slot length field
@@ -124,10 +101,13 @@ type page struct {
 	addrs []amo.Line
 }
 
-// shard is one independent bank of the slot arena: an append-only page
-// list plus the open-addressed index mapping (global) table indices to
-// shard-local slots.
-type shard struct {
+// Table is the sparse direct-mapped correlation table.
+type Table struct {
+	cfg  Config
+	mask uint64
+	gen  uint32
+	live int
+
 	// pages is the append-only slot arena; nextSlot is the first unused
 	// slot (pages are filled densely in allocation order).
 	pages    []*page
@@ -140,17 +120,6 @@ type shard struct {
 	idxSlots []uint32
 	idxMask  uint64
 	idxLen   int
-}
-
-// Table is the sparse direct-mapped correlation table.
-type Table struct {
-	cfg       Config
-	mask      uint64
-	shardMask uint64
-	gen       uint32
-	live      int
-
-	shards []shard
 
 	stats Stats
 }
@@ -162,22 +131,14 @@ func New(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	const initIdx = 1024
-	n := cfg.shardCount()
-	t := &Table{
-		cfg:       cfg,
-		mask:      uint64(cfg.Entries - 1),
-		shardMask: uint64(n - 1),
-		gen:       1,
-		shards:    make([]shard, n),
-	}
-	for i := range t.shards {
-		t.shards[i] = shard{
-			idxKeys:  make([]uint64, initIdx),
-			idxSlots: make([]uint32, initIdx),
-			idxMask:  initIdx - 1,
-		}
-	}
-	return t, nil
+	return &Table{
+		cfg:      cfg,
+		mask:     uint64(cfg.Entries - 1),
+		gen:      1,
+		idxKeys:  make([]uint64, initIdx),
+		idxSlots: make([]uint32, initIdx),
+		idxMask:  initIdx - 1,
+	}, nil
 }
 
 // Config returns the table's configuration.
@@ -202,23 +163,15 @@ func idxHash(idx uint64) uint64 {
 	return h ^ (h >> 29)
 }
 
-// bank routes a (global) table index to its shard.
+// findSlot returns the arena slot for a table index, if indexed.
 //
 //ebcp:hotpath
-func (t *Table) bank(idx uint64) *shard {
-	return &t.shards[idx&t.shardMask]
-}
-
-// findSlot returns the shard-local arena slot for a (global) table index,
-// if indexed.
-//
-//ebcp:hotpath
-func (b *shard) findSlot(idx uint64) (uint32, bool) {
+func (t *Table) findSlot(idx uint64) (uint32, bool) {
 	key := idx + 1
-	for i := idxHash(idx) & b.idxMask; ; i = (i + 1) & b.idxMask {
-		switch b.idxKeys[i] {
+	for i := idxHash(idx) & t.idxMask; ; i = (i + 1) & t.idxMask {
+		switch t.idxKeys[i] {
 		case key:
-			return b.idxSlots[i], true
+			return t.idxSlots[i], true
 		case 0:
 			return 0, false
 		}
@@ -227,53 +180,52 @@ func (b *shard) findSlot(idx uint64) (uint32, bool) {
 
 // indexSlot binds a table index to an arena slot, growing the index when
 // it passes half full.
-func (b *shard) indexSlot(idx uint64, slot uint32) {
-	if b.idxLen*2 >= len(b.idxKeys) {
-		b.growIndex()
+func (t *Table) indexSlot(idx uint64, slot uint32) {
+	if t.idxLen*2 >= len(t.idxKeys) {
+		t.growIndex()
 	}
 	key := idx + 1
-	i := idxHash(idx) & b.idxMask
-	for b.idxKeys[i] != 0 {
-		i = (i + 1) & b.idxMask
+	i := idxHash(idx) & t.idxMask
+	for t.idxKeys[i] != 0 {
+		i = (i + 1) & t.idxMask
 	}
-	b.idxKeys[i], b.idxSlots[i] = key, slot
-	b.idxLen++
+	t.idxKeys[i], t.idxSlots[i] = key, slot
+	t.idxLen++
 }
 
-func (b *shard) growIndex() {
-	oldKeys, oldSlots := b.idxKeys, b.idxSlots
+func (t *Table) growIndex() {
+	oldKeys, oldSlots := t.idxKeys, t.idxSlots
 	n := len(oldKeys) * 2
-	b.idxKeys = make([]uint64, n)
-	b.idxSlots = make([]uint32, n)
-	b.idxMask = uint64(n - 1)
+	t.idxKeys = make([]uint64, n)
+	t.idxSlots = make([]uint32, n)
+	t.idxMask = uint64(n - 1)
 	for i, k := range oldKeys {
 		if k == 0 {
 			continue
 		}
-		j := idxHash(k-1) & b.idxMask
-		for b.idxKeys[j] != 0 {
-			j = (j + 1) & b.idxMask
+		j := idxHash(k-1) & t.idxMask
+		for t.idxKeys[j] != 0 {
+			j = (j + 1) & t.idxMask
 		}
-		b.idxKeys[j], b.idxSlots[j] = k, oldSlots[i]
+		t.idxKeys[j], t.idxSlots[j] = k, oldSlots[i]
 	}
 }
 
-// slot dereferences a shard-local arena slot into its page and in-page
-// position.
+// slot dereferences an arena slot into its page and in-page position.
 //
 //ebcp:hotpath
-func (b *shard) slot(s uint32) (*page, uint32) {
-	return b.pages[s>>pageShift], s & pageMask
+func (t *Table) slot(s uint32) (*page, uint32) {
+	return t.pages[s>>pageShift], s & pageMask
 }
 
-// newSlot appends a fresh slot to the shard's arena, materializing a page
-// when the current one is full.
-func (b *shard) newSlot(maxAddrs int) uint32 {
-	s := b.nextSlot
-	if int(s>>pageShift) == len(b.pages) {
-		b.pages = append(b.pages, &page{addrs: make([]amo.Line, pageSize*maxAddrs)})
+// newSlot appends a fresh slot to the arena, materializing a page when the
+// current one is full.
+func (t *Table) newSlot() uint32 {
+	s := t.nextSlot
+	if int(s>>pageShift) == len(t.pages) {
+		t.pages = append(t.pages, &page{addrs: make([]amo.Line, pageSize*t.cfg.MaxAddrs)})
 	}
-	b.nextSlot++
+	t.nextSlot++
 	return s
 }
 
@@ -293,12 +245,11 @@ func (p *page) span(s uint32, max int) []amo.Line {
 //ebcp:hotpath
 func (t *Table) Lookup(key amo.Line) []amo.Line {
 	t.stats.Lookups++
-	b := t.bank(t.Index(key))
-	s, ok := b.findSlot(t.Index(key))
+	s, ok := t.findSlot(t.Index(key))
 	if !ok {
 		return nil
 	}
-	p, ps := b.slot(s)
+	p, ps := t.slot(s)
 	if p.gens[ps] != t.gen || p.tags[ps] != uint64(key) {
 		return nil
 	}
@@ -316,18 +267,17 @@ func (t *Table) Lookup(key amo.Line) []amo.Line {
 func (t *Table) Update(key amo.Line, addrs []amo.Line) {
 	t.stats.Updates++
 	idx := t.Index(key)
-	b := t.bank(idx)
-	s, indexed := b.findSlot(idx)
+	s, indexed := t.findSlot(idx)
 	var p *page
 	var ps uint32
 	if indexed {
-		p, ps = b.slot(s)
+		p, ps = t.slot(s)
 	}
 	if !indexed || p.gens[ps] != t.gen || p.tags[ps] != uint64(key) {
 		if !indexed {
-			s = b.newSlot(t.cfg.MaxAddrs)
-			b.indexSlot(idx, s)
-			p, ps = b.slot(s)
+			s = t.newSlot()
+			t.indexSlot(idx, s)
+			p, ps = t.slot(s)
 		}
 		if p.gens[ps] == t.gen {
 			t.stats.ConflictEvictions++
@@ -381,12 +331,11 @@ func promote(span []amo.Line, n int, a amo.Line) int {
 //
 //ebcp:hotpath
 func (t *Table) Touch(index uint64, used amo.Line) {
-	b := t.bank(index & t.mask)
-	s, ok := b.findSlot(index & t.mask)
+	s, ok := t.findSlot(index & t.mask)
 	if !ok {
 		return
 	}
-	p, ps := b.slot(s)
+	p, ps := t.slot(s)
 	if p.gens[ps] != t.gen {
 		return
 	}
@@ -410,10 +359,8 @@ func (t *Table) Reclaim() {
 	t.gen++
 	t.live = 0
 	if t.gen == 0 { // generation counter wrapped: hard-reset stamps
-		for i := range t.shards {
-			for _, p := range t.shards[i].pages {
-				p.gens = [pageSize]uint32{}
-			}
+		for _, p := range t.pages {
+			p.gens = [pageSize]uint32{}
 		}
 		t.gen = 1
 	}
@@ -434,23 +381,20 @@ type Row struct {
 // Rows exports every live entry, sorted by table index. Since the table
 // is direct-mapped, at most one live entry exists per index, making the
 // order a deterministic function of the table's contents — independent
-// of insertion order, shard count, and arena layout. The serializer
-// depends on this determinism for byte-stable output.
+// of insertion order and arena layout. The serializer depends on this
+// determinism for byte-stable output.
 func (t *Table) Rows() []Row {
 	rows := make([]Row, 0, t.live)
-	for si := range t.shards {
-		b := &t.shards[si]
-		for s := uint32(0); s < b.nextSlot; s++ {
-			p, ps := b.slot(s)
-			if p.gens[ps] != t.gen {
-				continue
-			}
-			span := p.span(ps, t.cfg.MaxAddrs)[:p.ns[ps]]
-			rows = append(rows, Row{
-				Tag:   amo.Line(p.tags[ps]),
-				Addrs: append([]amo.Line(nil), span...),
-			})
+	for s := uint32(0); s < t.nextSlot; s++ {
+		p, ps := t.slot(s)
+		if p.gens[ps] != t.gen {
+			continue
 		}
+		span := p.span(ps, t.cfg.MaxAddrs)[:p.ns[ps]]
+		rows = append(rows, Row{
+			Tag:   amo.Line(p.tags[ps]),
+			Addrs: append([]amo.Line(nil), span...),
+		})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		return t.Index(rows[i].Tag) < t.Index(rows[j].Tag)

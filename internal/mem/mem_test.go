@@ -3,8 +3,6 @@ package mem
 import (
 	"testing"
 	"testing/quick"
-
-	"ebcp/internal/amo"
 )
 
 func defaultSystem() *System { return must(New(DefaultConfig())) }
@@ -30,7 +28,7 @@ func TestOccupancyDerivation(t *testing.T) {
 
 func TestDemandReadUncontended(t *testing.T) {
 	m := defaultSystem()
-	c, ok := m.Read(0, 1000, Demand)
+	c, ok := m.Read(1000, Demand)
 	if !ok {
 		t.Fatal("demand read must be accepted")
 	}
@@ -41,9 +39,9 @@ func TestDemandReadUncontended(t *testing.T) {
 
 func TestDemandReadsSerializeOnBus(t *testing.T) {
 	m := defaultSystem()
-	c1, _ := m.Read(0, 0, Demand)
-	c2, _ := m.Read(0, 0, Demand)
-	c3, _ := m.Read(0, 0, Demand)
+	c1, _ := m.Read(0, Demand)
+	c2, _ := m.Read(0, Demand)
+	c3, _ := m.Read(0, Demand)
 	if c1 != 500 || c2 != 520 || c3 != 540 {
 		t.Errorf("completions = %d,%d,%d; want 500,520,540 (20-cycle beats)", c1, c2, c3)
 	}
@@ -53,9 +51,9 @@ func TestDemandNotDelayedByLowPriority(t *testing.T) {
 	m := defaultSystem()
 	// Saturate the read bus with prefetch traffic.
 	for i := 0; i < 10; i++ {
-		m.Read(0, 0, PrefetchData)
+		m.Read(0, PrefetchData)
 	}
-	c, ok := m.Read(0, 0, Demand)
+	c, ok := m.Read(0, Demand)
 	if !ok || c != 500 {
 		t.Errorf("demand read delayed by prefetch traffic: completion=%d ok=%v", c, ok)
 	}
@@ -63,8 +61,8 @@ func TestDemandNotDelayedByLowPriority(t *testing.T) {
 
 func TestLowPrioritySerializesBehindDemand(t *testing.T) {
 	m := defaultSystem()
-	m.Read(0, 0, Demand) // occupies read bus [0,20)
-	c, ok := m.Read(0, 0, TableRead)
+	m.Read(0, Demand) // occupies read bus [0,20)
+	c, ok := m.Read(0, TableRead)
 	if !ok {
 		t.Fatal("table read should be accepted with empty backlog")
 	}
@@ -79,7 +77,7 @@ func TestLowPriorityDropOnBacklog(t *testing.T) {
 	m := must(New(cfg))
 	accepted := 0
 	for i := 0; i < 50; i++ {
-		if _, ok := m.Read(0, 0, PrefetchData); ok {
+		if _, ok := m.Read(0, PrefetchData); ok {
 			accepted++
 		}
 	}
@@ -93,7 +91,7 @@ func TestLowPriorityDropOnBacklog(t *testing.T) {
 		t.Errorf("drops = %d, want %d", st.PerClass[PrefetchData].ReadDrops, 50-accepted)
 	}
 	// Backlog drains with time: much later, requests are accepted again.
-	if _, ok := m.Read(0, 100000, PrefetchData); !ok {
+	if _, ok := m.Read(100000, PrefetchData); !ok {
 		t.Error("backlog should drain over time")
 	}
 }
@@ -102,12 +100,12 @@ func TestWritePostedAndDropped(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LowPriorityBacklog = 2
 	m := must(New(cfg))
-	if !m.Write(0, 0, Demand) {
+	if !m.Write(0, Demand) {
 		t.Fatal("demand write must be accepted")
 	}
 	drops := 0
 	for i := 0; i < 20; i++ {
-		if !m.Write(0, 0, TableWrite) {
+		if !m.Write(0, TableWrite) {
 			drops++
 		}
 	}
@@ -124,7 +122,7 @@ func TestReadBacklog(t *testing.T) {
 	if m.ReadBacklog(0) != 0 {
 		t.Error("fresh system should have no backlog")
 	}
-	m.Read(0, 0, Demand)
+	m.Read(0, Demand)
 	if got := m.ReadBacklog(0); got != 20 {
 		t.Errorf("backlog = %d, want 20", got)
 	}
@@ -135,9 +133,9 @@ func TestReadBacklog(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	m := defaultSystem()
-	m.Read(0, 0, Demand)
-	m.Read(0, 0, TableRead)
-	m.Write(0, 0, TableWrite)
+	m.Read(0, Demand)
+	m.Read(0, TableRead)
+	m.Write(0, TableWrite)
 	st := m.Stats()
 	if st.PerClass[Demand].Reads != 1 || st.PerClass[TableRead].Reads != 1 {
 		t.Errorf("read counts wrong: %+v", st)
@@ -165,7 +163,7 @@ func TestCompletionMonotonicInTimeProperty(t *testing.T) {
 		var now, prev uint64
 		for _, g := range gaps {
 			now += uint64(g)
-			c, ok := m.Read(0, now, Demand)
+			c, ok := m.Read(now, Demand)
 			if !ok || c < now+m.cfg.UnloadedLatency || c < prev {
 				return false
 			}
@@ -184,8 +182,6 @@ func TestValidate(t *testing.T) {
 		{UnloadedLatency: 500, CoreGHz: 0, ReadGBps: 9.6, WriteGBps: 4.8, LowPriorityBacklog: 8},
 		{UnloadedLatency: 500, CoreGHz: 3, ReadGBps: 0, WriteGBps: 4.8, LowPriorityBacklog: 8},
 		{UnloadedLatency: 500, CoreGHz: 3, ReadGBps: 9.6, WriteGBps: 4.8, LowPriorityBacklog: 0},
-		{UnloadedLatency: 500, CoreGHz: 3, ReadGBps: 9.6, WriteGBps: 4.8, LowPriorityBacklog: 8, Shards: 3},
-		{UnloadedLatency: 500, CoreGHz: 3, ReadGBps: 9.6, WriteGBps: 4.8, LowPriorityBacklog: 8, Shards: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -211,9 +207,9 @@ func TestTableReadJumpsPrefetchQueue(t *testing.T) {
 	// behind queued prefetch data.
 	m := defaultSystem()
 	for i := 0; i < 30; i++ {
-		m.Read(0, 0, PrefetchData)
+		m.Read(0, PrefetchData)
 	}
-	c, ok := m.Read(0, 0, TableRead)
+	c, ok := m.Read(0, TableRead)
 	if !ok {
 		t.Fatal("table read dropped despite an empty table-read queue")
 	}
@@ -229,80 +225,15 @@ func TestCascadePushesLowerCursors(t *testing.T) {
 	// a demand burst, table reads and prefetches both start later.
 	m := defaultSystem()
 	for i := 0; i < 5; i++ {
-		m.Read(0, 0, Demand) // occupies [0,100)
+		m.Read(0, Demand) // occupies [0,100)
 	}
-	c1, _ := m.Read(0, 0, TableRead)
+	c1, _ := m.Read(0, TableRead)
 	if c1 != 100+500 {
 		t.Errorf("table read after demand burst completes at %d, want 600", c1)
 	}
-	c2, _ := m.Read(0, 0, PrefetchData)
+	c2, _ := m.Read(0, PrefetchData)
 	if c2 != 120+500 {
 		t.Errorf("prefetch after demand+table completes at %d, want 620", c2)
-	}
-}
-
-func shardedSystem(t *testing.T, shards int) *System {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Shards = shards
-	return must(New(cfg))
-}
-
-func TestShardedReadsDoNotSerialize(t *testing.T) {
-	// Lines routing to different shards reserve independent cursors, so
-	// concurrent demand reads to distinct shards all complete unloaded.
-	m := shardedSystem(t, 4)
-	for sh := uint64(0); sh < 4; sh++ {
-		c, ok := m.Read(amo.Line(sh), 0, Demand)
-		if !ok || c != 500 {
-			t.Errorf("shard %d: completion = %d ok=%v, want 500 (independent cursor)", sh, c, ok)
-		}
-	}
-	// Same shard still serializes.
-	c, _ := m.Read(0, 0, Demand)
-	if c != 520 {
-		t.Errorf("second read on shard 0 completes at %d, want 520", c)
-	}
-}
-
-func TestArbitrateRaisesLowerClassesGlobally(t *testing.T) {
-	m := shardedSystem(t, 2)
-	// A demand burst on shard 0 only.
-	for i := 0; i < 5; i++ {
-		m.Read(0, 0, Demand) // shard 0 demand cursor = 100
-	}
-	// Before the barrier, shard 1's low classes are unaffected.
-	if c, _ := m.Read(1, 0, TableRead); c != 500 {
-		t.Errorf("pre-barrier table read on idle shard completes at %d, want 500", c)
-	}
-	m.Arbitrate()
-	// After the barrier, shard 1's lower classes serialize behind shard
-	// 0's demand traffic (global strict priority).
-	if c, _ := m.Read(1, 0, TableRead); c < 100+500 {
-		t.Errorf("post-barrier table read completes at %d, want >= 600", c)
-	}
-	if c, _ := m.Read(1, 0, PrefetchData); c < 100+500 {
-		t.Errorf("post-barrier prefetch completes at %d, want >= 600", c)
-	}
-}
-
-func TestArbitrateNoOpSingleShard(t *testing.T) {
-	// With one shard Read/Write maintain the cascade invariant on their
-	// own; Arbitrate must change nothing (the golden-identity guarantee).
-	a, b := defaultSystem(), defaultSystem()
-	ops := func(m *System) {
-		m.Read(0, 0, Demand)
-		m.Read(0, 10, TableRead)
-		m.Write(0, 10, Demand)
-		m.Read(0, 20, PrefetchData)
-	}
-	ops(a)
-	ops(b)
-	b.Arbitrate()
-	ca, _ := a.Read(0, 30, TableRead)
-	cb, _ := b.Read(0, 30, TableRead)
-	if ca != cb {
-		t.Errorf("Arbitrate changed single-shard timing: %d vs %d", ca, cb)
 	}
 }
 
@@ -312,12 +243,12 @@ func TestPerClassBacklogIndependence(t *testing.T) {
 	cfg.LowPriorityBacklog = 4
 	m := must(New(cfg))
 	for i := 0; i < 50; i++ {
-		m.Read(0, 0, PrefetchData)
+		m.Read(0, PrefetchData)
 	}
 	if m.Stats().PerClass[PrefetchData].ReadDrops == 0 {
 		t.Fatal("expected prefetch drops")
 	}
-	if _, ok := m.Read(0, 0, TableRead); !ok {
+	if _, ok := m.Read(0, TableRead); !ok {
 		t.Error("table read dropped because of prefetch backlog")
 	}
 	if m.Stats().PerClass[TableRead].ReadDrops != 0 {

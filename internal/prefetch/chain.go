@@ -102,13 +102,12 @@ func (c *Chain) OnAccess(a Access, ctx *Context) {
 	// Train: this line is a successor of each of the last Window
 	// off-chip lines, newest pairing first. The engine performs one
 	// read-modify-write of the table per trained miss.
-	entry := c.table.Index(a.Line)
-	ctx.TableRead(a.Now, entry)
+	ctx.TableRead(a.Now)
 	for i := 1; i <= c.histLen; i++ {
 		prev := c.history[(c.histPos-i+c.cfg.Window)%c.cfg.Window]
 		c.table.Update(prev, a.Line)
 	}
-	ctx.TableWrite(a.Now, entry)
+	ctx.TableWrite(a.Now)
 
 	// Slide the window ring.
 	c.history[c.histPos] = a.Line
@@ -138,7 +137,7 @@ func (c *Chain) issue(now uint64, trigger amo.Line, ctx *Context) {
 	if len(c.scratch) == 0 {
 		return
 	}
-	completion, ok := ctx.TableRead(now, c.table.Index(trigger))
+	completion, ok := ctx.TableRead(now)
 	if !ok {
 		return // table read dropped: no prefetches this event
 	}

@@ -139,6 +139,16 @@ func (f *Filter) OnAccess(a Access, ctx *Context) {
 	f.inner.OnAccess(a, ctx)
 }
 
+// Cores forwards the wrapped prefetcher's tracked-thread count, so
+// sim.RunCMP can check it through the wrapper; 0 means the wrapped
+// prefetcher keeps no per-thread state.
+func (f *Filter) Cores() int {
+	if tc, ok := f.inner.(interface{ Cores() int }); ok {
+		return tc.Cores()
+	}
+	return 0
+}
+
 // ResetStats forwards the warmup/measurement boundary to the wrapped
 // prefetcher when it keeps window statistics; the filter's own counters
 // are training state and persist, like every contender's tables.

@@ -119,6 +119,10 @@ func NewHermes(cfg HermesConfig, cores int) (*Hermes, error) {
 // Name implements Prefetcher.
 func (h *Hermes) Name() string { return fmt.Sprintf("Hermes %d", h.cfg.EarlyCycles) }
 
+// Cores returns how many hardware threads keep a history register;
+// sim.RunCMP rejects runs with more lanes than this.
+func (h *Hermes) Cores() int { return len(h.history) }
+
 //ebcp:hotpath
 func hermesHash(x uint64) uint64 {
 	x *= 0x9e3779b97f4a7c15
@@ -204,7 +208,7 @@ func (h *Hermes) OnAccess(a Access, ctx *Context) {
 
 	// A false positive launched a memory read the access didn't need.
 	if predicted && !actual {
-		ctx.SpeculativeRead(a.Now, a.Line)
+		ctx.SpeculativeRead(a.Now)
 	}
 
 	bit := uint64(0)

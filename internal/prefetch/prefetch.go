@@ -168,7 +168,7 @@ func (c *Context) Prefetch(now uint64, line amo.Line, tableIndex int64) bool {
 		c.stats.Filtered++
 		return false
 	}
-	completion, ok := c.Mem.Read(line, now, mem.PrefetchData)
+	completion, ok := c.Mem.Read(now, mem.PrefetchData)
 	if !ok {
 		c.stats.Dropped++
 		return false
@@ -179,23 +179,21 @@ func (c *Context) Prefetch(now uint64, line amo.Line, tableIndex int64) bool {
 }
 
 // TableRead issues a correlation-table read at cycle now and returns its
-// completion time. Dropped reads return ok=false (backlog full). The
-// entry index routes the request to the memory shard holding that part
-// of the table.
+// completion time. Dropped reads return ok=false (backlog full).
 //
 //ebcp:hotpath
-func (c *Context) TableRead(now uint64, entry uint64) (completion uint64, ok bool) {
+func (c *Context) TableRead(now uint64) (completion uint64, ok bool) {
 	c.stats.TableReads++
-	return c.Mem.Read(amo.Line(entry), now, mem.TableRead)
+	return c.Mem.Read(now, mem.TableRead)
 }
 
-// TableWrite posts a correlation-table write for the given entry index at
-// cycle now, reporting whether the interconnect accepted it.
+// TableWrite posts a correlation-table write at cycle now, reporting
+// whether the interconnect accepted it.
 //
 //ebcp:hotpath
-func (c *Context) TableWrite(now uint64, entry uint64) bool {
+func (c *Context) TableWrite(now uint64) bool {
 	c.stats.TableWrites++
-	return c.Mem.Write(amo.Line(entry), now, mem.TableWrite)
+	return c.Mem.Write(now, mem.TableWrite)
 }
 
 // SetFilter installs (or, with nil, removes) the issue filter Prefetch
@@ -210,8 +208,8 @@ func (c *Context) SetFilter(f IssueFilter) { c.filter = f }
 // the interconnect accepted the read.
 //
 //ebcp:hotpath
-func (c *Context) SpeculativeRead(now uint64, line amo.Line) bool {
-	_, ok := c.Mem.Read(line, now, mem.PrefetchData)
+func (c *Context) SpeculativeRead(now uint64) bool {
+	_, ok := c.Mem.Read(now, mem.PrefetchData)
 	if ok {
 		c.stats.SpecReads++
 	} else {

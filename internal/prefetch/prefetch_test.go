@@ -51,10 +51,10 @@ func TestContextPrefetchFiltersAndCounts(t *testing.T) {
 
 func TestContextTableTraffic(t *testing.T) {
 	ctx := testContext()
-	if _, ok := ctx.TableRead(0, 0); !ok {
+	if _, ok := ctx.TableRead(0); !ok {
 		t.Error("table read should be accepted on an idle bus")
 	}
-	if !ctx.TableWrite(0, 0) {
+	if !ctx.TableWrite(0) {
 		t.Error("table write should be accepted on an idle bus")
 	}
 	st := ctx.Stats()

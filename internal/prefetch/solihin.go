@@ -85,13 +85,12 @@ func (s *Solihin) OnAccess(a Access, ctx *Context) {
 
 	// Train: this miss is a successor of each of the last Depth misses.
 	// The engine performs a read-modify-write of the table per miss.
-	entry := s.table.Index(a.Line)
-	ctx.TableRead(a.Now, entry)
+	ctx.TableRead(a.Now)
 	s.scratch[0] = a.Line
 	for _, prev := range s.history {
 		s.table.Update(prev, s.scratch[:])
 	}
-	ctx.TableWrite(a.Now, entry)
+	ctx.TableWrite(a.Now)
 
 	// Slide the history window.
 	if len(s.history) == s.depth {
@@ -109,7 +108,7 @@ func (s *Solihin) OnAccess(a Access, ctx *Context) {
 	if len(addrs) == 0 {
 		return
 	}
-	completion, ok := ctx.TableRead(a.Now, entry)
+	completion, ok := ctx.TableRead(a.Now)
 	if !ok {
 		return // table read dropped: no prefetches this miss
 	}

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"ebcp/internal/core"
+	"ebcp/internal/metrics"
 	"ebcp/internal/prefetch"
 	"ebcp/internal/trace"
 	"ebcp/internal/workload"
@@ -135,6 +139,68 @@ func TestCMPInterleavingHurtsMemorySidePrefetcher(t *testing.T) {
 	if solRetain >= ebcpRetain {
 		t.Errorf("Solihin should lose more benefit under interleaving: retained %.2f vs EBCP %.2f",
 			solRetain, ebcpRetain)
+	}
+}
+
+// reportBytes renders the per-core snapshots through the report encoder —
+// the exact bytes a JSON report would carry.
+func reportBytes(t *testing.T, res CMPResult) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, pc := range res.PerCore {
+		if err := metrics.WriteJSON(&buf, pc.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestCMPParallelMatchesSequential pins the property exp.Session and
+// ebcpd rely on when they run CMP cells on a worker pool: RunCMP keeps
+// all its state in its arguments, so independent runs executing
+// concurrently on separate goroutines produce exactly the report bytes
+// of the same run executed alone, for every workload and lane count.
+func TestCMPParallelMatchesSequential(t *testing.T) {
+	lanesSet := []int{1, 2, 4, 8, 16}
+	if testing.Short() {
+		lanesSet = []int{2, 8}
+	}
+	const concurrent = 2
+	for _, b := range workload.All() {
+		for _, lanes := range lanesSet {
+			t.Run(fmt.Sprintf("%s/%dlanes", b.Name, lanes), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Core.OnChipCPI = b.OnChipCPI
+				cfg.WarmInsts = 400_000 / uint64(lanes)
+				cfg.MeasureInsts = 600_000 / uint64(lanes)
+				run := func() (CMPResult, error) {
+					ecfg := core.DefaultConfig()
+					ecfg.TableEntries = 1 << 16
+					ecfg.Cores = lanes
+					return RunCMP(cmpSources(b, lanes), must(core.New(ecfg)), cfg)
+				}
+				want := reportBytes(t, must(run()))
+				var wg sync.WaitGroup
+				results := make([]CMPResult, concurrent)
+				errs := make([]error, concurrent)
+				for i := range results {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						results[i], errs[i] = run()
+					}()
+				}
+				wg.Wait()
+				for i, res := range results {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
+					}
+					if !bytes.Equal(reportBytes(t, res), want) {
+						t.Errorf("concurrent run %d diverges from the sequential run", i)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"slices"
 	"testing"
 
 	"ebcp/internal/core"
 	"ebcp/internal/prefetch"
-	"ebcp/internal/trace"
 	"ebcp/internal/workload"
 )
 
@@ -129,23 +131,25 @@ func TestGoldenFrontierContenders(t *testing.T) {
 	}
 }
 
-// TestGoldenCMP pins a two-core CMP run (EBCP and the no-prefetching
-// baseline sharing the L2, as in the cmp experiment): per-lane cycle
-// counts and aggregate prefetch-buffer hits must not drift.
+// TestGoldenCMP pins CMP runs on Database (EBCP and the no-prefetching
+// baseline sharing the L2, as in the cmp experiment) with the windows
+// split across the lanes. The two-lane rows pin per-lane cycle counts and
+// lane 0's prefetch-buffer hits; the 16-lane row pins a sha256 of every
+// lane's snapshot report bytes, so the lowest-clock interleaving at width
+// cannot drift unnoticed.
 func TestGoldenCMP(t *testing.T) {
-	const cores = 2
+	ebcp := func(lanes int) prefetch.Prefetcher { return ebcpCMP(lanes) }
 	golden := []struct {
 		name       string
-		pf         func() prefetch.Prefetcher
-		laneCycles [cores]uint64
+		lanes      int
+		pf         func(lanes int) prefetch.Prefetcher
+		laneCycles []uint64 // nil: not pinned
 		hits       uint64
+		sha        string // "": not pinned
 	}{
-		{"baseline", func() prefetch.Prefetcher { return prefetch.None{} }, [cores]uint64{3872809, 3728771}, 0},
-		{"ebcp", func() prefetch.Prefetcher {
-			cfg := core.DefaultConfig()
-			cfg.Cores = cores
-			return must(core.New(cfg))
-		}, [cores]uint64{3875645, 3726766}, 13},
+		{"baseline", 2, func(int) prefetch.Prefetcher { return prefetch.None{} }, []uint64{3872809, 3728771}, 0, ""},
+		{"ebcp", 2, ebcp, []uint64{3875645, 3726766}, 13, ""},
+		{"ebcp-16lanes", 16, ebcp, nil, 0, "20edd4f73e0ee0782f061eca8deb790947f5148ca34af67da36c77d01d69831f"},
 	}
 	b, err := workload.ByName("Database")
 	if err != nil {
@@ -156,27 +160,29 @@ func TestGoldenCMP(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Core.OnChipCPI = b.OnChipCPI
-			cfg.WarmInsts, cfg.MeasureInsts = 1e6/cores, 2e6/cores
-			sources := make([]trace.Source, cores)
-			for i := range sources {
-				wb := b
-				wb.Seed += int64(i) * 7919
-				sources[i] = must(workload.New(wb))
+			cfg.WarmInsts, cfg.MeasureInsts = 1e6/uint64(g.lanes), 2e6/uint64(g.lanes)
+			res := must(RunCMP(cmpSources(b, g.lanes), g.pf(g.lanes), cfg))
+			if len(res.PerCore) != g.lanes {
+				t.Fatalf("expected %d lanes, got %d", g.lanes, len(res.PerCore))
 			}
-			res := must(RunCMP(sources, g.pf(), cfg))
-			if len(res.PerCore) != cores {
-				t.Fatalf("expected %d lanes, got %d", cores, len(res.PerCore))
+			if g.laneCycles != nil {
+				laneCycles := make([]uint64, g.lanes)
+				for i, lane := range res.PerCore {
+					laneCycles[i] = lane.Core.Cycles
+				}
+				hits := res.PerCore[0].PB.Hits + res.PerCore[0].PB.PartialHits
+				if !slices.Equal(laneCycles, g.laneCycles) || hits != g.hits {
+					t.Errorf("golden drift for CMP/%s:\n  got  %v, hits %d\n  want %v, hits %d\n"+
+						"if this change is intentional, update the golden table and re-validate EXPERIMENTS.md",
+						g.name, laneCycles, hits, g.laneCycles, g.hits)
+				}
 			}
-			var hits uint64
-			var laneCycles [cores]uint64
-			for i, lane := range res.PerCore {
-				laneCycles[i] = lane.Core.Cycles
-			}
-			hits = res.PerCore[0].PB.Hits + res.PerCore[0].PB.PartialHits
-			if laneCycles != g.laneCycles || hits != g.hits {
-				t.Errorf("golden drift for CMP/%s:\n  got  {%d, %d}, hits %d\n  want {%d, %d}, hits %d\n"+
-					"if this change is intentional, update the golden table and re-validate EXPERIMENTS.md",
-					g.name, laneCycles[0], laneCycles[1], hits, g.laneCycles[0], g.laneCycles[1], g.hits)
+			if g.sha != "" {
+				if got := fmt.Sprintf("%x", sha256.Sum256(reportBytes(t, res))); got != g.sha {
+					t.Errorf("golden drift for CMP/%s: report sha256 %s, want %s\n"+
+						"if this change is intentional, update the golden table and re-validate EXPERIMENTS.md",
+						g.name, got, g.sha)
+				}
 			}
 		})
 	}

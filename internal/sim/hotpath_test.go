@@ -82,39 +82,58 @@ func TestWarmupIncompleteFlag(t *testing.T) {
 
 // TestWarmupIncompleteCMP covers the multi-core variant: statistics reset
 // only once every lane warms, so a single short trace pollutes all lanes
-// and every per-core result must carry the flag.
+// and every per-core result must carry the flag. A lane that runs dry
+// after it warmed (mid-measurement) is a valid, just truncated, run. The
+// 64-lane inputs check that one exhausted lane among many neither wedges
+// the loop nor escapes the flag.
 func TestWarmupIncompleteCMP(t *testing.T) {
 	b, err := workload.ByName("Database")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Core.OnChipCPI = b.OnChipCPI
-	cfg.WarmInsts, cfg.MeasureInsts = 1_000_000, 1_000_000
-
-	sources := []trace.Source{
-		trace.NewLimit(must(workload.New(b)), 100_000), // exhausts during warmup
-		must(workload.New(b)),                          // endless
+	cases := []struct {
+		name        string
+		lanes       int
+		warm        uint64
+		short       int    // lane whose source is truncated
+		limit       uint64 // its instruction budget; 0 leaves it endless
+		wantFlagged bool
+	}{
+		{"2lanes/mid-warmup", 2, 1_000_000, 0, 100_000, true},
+		{"2lanes/endless", 2, 1_000_000, 0, 0, false},
+		{"64lanes/mid-warmup", 64, 20_000, 17, 1_000, true},
+		{"64lanes/mid-measurement", 64, 20_000, 17, 60_000, false},
 	}
-	res, err := RunCMP(sources, prefetch.None{}, cfg)
-	if !errors.Is(err, ebcperr.ErrShortTrace) {
-		t.Fatalf("short lane: err = %v, want ErrShortTrace", err)
-	}
-	var cste *CMPShortTraceError
-	if !errors.As(err, &cste) {
-		t.Fatalf("short lane error %T does not carry the partial result", err)
-	}
-	for i, pc := range res.PerCore {
-		if !pc.WarmupIncomplete {
-			t.Errorf("lane %d: WarmupIncomplete must be set when any lane's source is short", i)
-		}
-	}
-
-	ok := must(RunCMP([]trace.Source{must(workload.New(b)), must(workload.New(b))}, prefetch.None{}, cfg))
-	for i, pc := range ok.PerCore {
-		if pc.WarmupIncomplete {
-			t.Errorf("lane %d: WarmupIncomplete must be clear when all lanes warm", i)
-		}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Core.OnChipCPI = b.OnChipCPI
+			cfg.WarmInsts, cfg.MeasureInsts = c.warm, c.warm
+			sources := cmpSources(b, c.lanes)
+			if c.limit > 0 {
+				sources[c.short] = trace.NewLimit(sources[c.short], c.limit)
+			}
+			res, err := RunCMP(sources, prefetch.None{}, cfg)
+			if c.wantFlagged {
+				if !errors.Is(err, ebcperr.ErrShortTrace) {
+					t.Fatalf("short lane: err = %v, want ErrShortTrace", err)
+				}
+				var cste *CMPShortTraceError
+				if !errors.As(err, &cste) {
+					t.Fatalf("short lane error %T does not carry the partial result", err)
+				}
+			} else if err != nil {
+				t.Fatalf("every lane warmed, yet the run failed: %v", err)
+			}
+			if len(res.PerCore) != c.lanes {
+				t.Fatalf("got %d per-core results, want %d", len(res.PerCore), c.lanes)
+			}
+			for i, pc := range res.PerCore {
+				if pc.WarmupIncomplete != c.wantFlagged {
+					t.Errorf("lane %d: WarmupIncomplete = %v, want %v", i, pc.WarmupIncomplete, c.wantFlagged)
+				}
+			}
+		})
 	}
 }
 

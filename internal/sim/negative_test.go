@@ -4,9 +4,11 @@ import (
 	"errors"
 	"testing"
 
+	"ebcp/internal/core"
 	"ebcp/internal/ebcperr"
 	"ebcp/internal/prefetch"
 	"ebcp/internal/trace"
+	"ebcp/internal/workload"
 )
 
 func checkInvalid(t *testing.T, name string, f func() error) {
@@ -26,6 +28,16 @@ func checkInvalid(t *testing.T, name string, f func() error) {
 		t.Errorf("%s: error %q not classified ErrInvalidConfig", name, err)
 	case len(err.Error()) < 10:
 		t.Errorf("%s: message %q not descriptive", name, err)
+	}
+}
+
+// cmpLanes runs a two-lane CMP with the prefetcher pf builds.
+func cmpLanes(pf func() prefetch.Prefetcher) func() error {
+	return func() error {
+		cfg := DefaultConfig()
+		cfg.WarmInsts, cfg.MeasureInsts = 1_000, 1_000
+		_, err := RunCMP(cmpSources(workload.Database(), 2), pf(), cfg)
+		return err
 	}
 }
 
@@ -53,6 +65,16 @@ func TestNegativeConfigs(t *testing.T) {
 			_, err := RunCMP(nil, prefetch.None{}, DefaultConfig())
 			return err
 		}},
+		{"CMP more lanes than EBCP tracks", cmpLanes(func() prefetch.Prefetcher {
+			return must(core.New(core.DefaultConfig())) // Cores 0: one thread
+		})},
+		{"CMP more lanes than Hermes tracks", cmpLanes(func() prefetch.Prefetcher {
+			return must(prefetch.NewHermes(prefetch.DefaultHermesConfig(), 1))
+		})},
+		{"CMP more lanes than a filtered Hermes tracks", cmpLanes(func() prefetch.Prefetcher {
+			h := must(prefetch.NewHermes(prefetch.DefaultHermesConfig(), 1))
+			return must(prefetch.NewFilter(h, prefetch.DefaultFilterConfig()))
+		})},
 		{"CMP bad config", func() error {
 			cfg := DefaultConfig()
 			cfg.PBWays = 0

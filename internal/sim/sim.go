@@ -322,9 +322,7 @@ type Runner struct {
 	// ocp is non-nil when the prefetcher is an off-chip latency
 	// predictor (prefetch.OffChipPredictor): the demand path consults it
 	// on real misses and shortens the completion by the predicted
-	// dispatch headroom. Records that reach it run serialized even on a
-	// CMP (only L1 hits run ahead concurrently), so consulting it keeps
-	// runs deterministic.
+	// dispatch headroom.
 	ocp prefetch.OffChipPredictor
 
 	lane *lane
@@ -516,7 +514,7 @@ func (r *Runner) stepStore(l *lane, rec trace.Record, line amo.Line) {
 		return
 	}
 	// Write-allocate fetch of the line, posted.
-	r.mem.Read(line, l.core.Now(), mem.Demand)
+	r.mem.Read(l.core.Now(), mem.Demand)
 	r.l2fill(l, line, true)
 	l.l1d.Fill(line, false)
 	l.missST++
@@ -527,8 +525,8 @@ func (r *Runner) stepStore(l *lane, rec trace.Record, line amo.Line) {
 //
 //ebcp:hotpath
 func (r *Runner) l2fill(l *lane, line amo.Line, dirty bool) {
-	if victim, _, victimDirty := r.l2.Fill(line, dirty); victimDirty {
-		r.mem.Write(victim, l.core.Now(), mem.Demand)
+	if _, _, victimDirty := r.l2.Fill(line, dirty); victimDirty {
+		r.mem.Write(l.core.Now(), mem.Demand)
 	}
 }
 
@@ -619,7 +617,7 @@ func (r *Runner) stepRead(l *lane, rec trace.Record, line amo.Line) {
 		default:
 			// Real off-chip miss.
 			issueAt := l.core.PrepareMiss(rec.DependsOnMiss, rec.Serializing)
-			completion, _ := r.mem.Read(line, issueAt, mem.Demand)
+			completion, _ := r.mem.Read(issueAt, mem.Demand)
 			if r.ocp != nil && completion > issueAt {
 				// A predicted-off-chip access dispatched its memory read
 				// early: the predicted headroom comes off the miss latency
