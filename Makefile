@@ -1,7 +1,8 @@
 # Gates for this repository. `make tier1` is the seed contract; `make
 # race` is the concurrency gate guarding the parallel experiment
-# scheduler (internal/exp/sched.go) — run it before touching anything
-# under internal/exp.
+# scheduler and the result store every session resolves its cells
+# through (internal/exp/sched.go, internal/exp/cache.go) — run it
+# before touching anything under internal/exp.
 
 .PHONY: tier1 vet lint cover race race-short fuzz bench-parallel bench-json bench-test smoke spec-smoke
 

@@ -190,8 +190,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "total simulations executed: %d (memo hits: %d)\n",
-		session.Runs(), session.CacheHits())
+	fmt.Fprintf(os.Stderr, "total simulations executed: %d (store hits: %d)\n",
+		session.Runs(), session.SharedHits())
 	// Failed or cancelled cells render as "n/a", never as plausible
 	// numbers; account for them on stderr and refuse a clean exit.
 	if fails := session.Failures(); fails > 0 || naCells > 0 {

@@ -1,32 +1,35 @@
-// The shared-cache hooks: a Session can be backed by a process-wide
-// result store (internal/serve.Cache) so identical cells are simulated
-// once across *all* sessions — the serving daemon's cross-request
-// throughput multiplier. The per-session single-flight memo (sched.go)
-// still runs in front of it: within a session it deduplicates the
-// simulate and collect phases, and across sessions the shared store
-// coalesces concurrent identical cells and keeps completed ones until
-// evicted.
+// The result store: every Session resolves its cells through one Cache.
+// By default that is an unbounded store private to the session, which
+// deduplicates cells shared between its experiments (the baselines,
+// Figure 5 reusing Figure 4). A serving daemon instead hands every
+// request's session the same byte-budgeted store (Options.Cache), so
+// identical cells are simulated once across all sessions: concurrent
+// identical cells coalesce into one simulation and completed ones stay
+// until evicted.
 //
 // Keys are content hashes. A cell's key digests everything that
-// determines its result — the cell identity (runReq/cmpReq key, which
-// by contract uniquely describes benchmark × prefetcher × system
-// config), the full workload parameter struct, the resolved
-// warmup/measure windows, the trace truncation limit, the *content* of
-// any warm-start correlation table, and CacheCodeVersion — and nothing
-// that doesn't (worker counts, progress callbacks, file paths). Two
-// sessions built from different Options structs that resolve to the
-// same semantics therefore share cells, and any semantic difference
-// keeps them apart. cachekey_test.go enforces both directions field by
-// field, reflectively, so a new Options field cannot silently miss the
-// key.
+// determines its result — the cell identity (cellReq key, which by
+// contract uniquely describes benchmark × prefetcher × system config),
+// the full workload parameter struct, the resolved warmup/measure
+// windows, the trace truncation limit, the *content* of any warm-start
+// correlation table, and CacheCodeVersion — and nothing that doesn't
+// (worker counts, progress callbacks, file paths). Two sessions built
+// from different Options structs that resolve to the same semantics
+// therefore share cells, and any semantic difference keeps them apart.
+// cachekey_test.go enforces both directions field by field,
+// reflectively, so a new Options field cannot silently miss the key.
 package exp
 
 import (
+	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"reflect"
+	"sync"
+	"time"
 
 	"ebcp/internal/ebcperr"
 	"ebcp/internal/metrics"
@@ -42,16 +45,203 @@ import (
 // instead of serving results from older code.
 const CacheCodeVersion = "ebcp-code/1+" + metrics.SchemaV1
 
-// Cache is the contract a process-wide shared result store implements
-// (internal/serve.Cache is the production one). Do returns the value
-// stored under key, or runs compute — coalescing concurrent callers of
-// the same key so the computation happens once — and stores its result
-// with the given approximate in-memory cost in bytes. hit reports
-// whether compute was avoided (the value was stored earlier or joined
-// in flight). Implementations must be safe for concurrent use; values
-// are treated as immutable once stored.
-type Cache interface {
-	Do(key string, compute func() (value any, cost int)) (value any, hit bool)
+// Cache is the result store: content-hash keyed values with
+// single-flight coalescing of concurrent identical computations, LRU
+// eviction under a byte budget, and counters for the serving daemon's
+// /metrics endpoint. It is safe for concurrent use; values are treated
+// as immutable once stored.
+type Cache struct {
+	clock    func() time.Time
+	mu       sync.Mutex
+	budget   int64
+	bytes    int64
+	entries  map[string]*list.Element // key → LRU node holding *centry
+	lru      list.List                // front = most recently used
+	inflight map[string]*cflight
+
+	hits      uint64
+	misses    uint64
+	joins     uint64
+	evictions uint64
+	oversize  uint64
+
+	// computeUS observes, for every computation the cache ran (i.e.
+	// every miss), its duration in microseconds — the serving layer's
+	// cell-latency histogram, since cache computations are exactly the
+	// cells that actually simulate. It stays empty without a clock.
+	computeUS metrics.Histogram
+}
+
+// centry is one stored value with its accounted cost.
+type centry struct {
+	key  string
+	val  any
+	cost int64
+}
+
+// cflight is one in-progress computation; joiners wait on done and read
+// val afterwards.
+type cflight struct {
+	done chan struct{}
+	val  any
+}
+
+// NewCache creates a store evicting least-recently-used entries once
+// stored costs exceed budget bytes. A budget <= 0 means unbounded (a
+// session's own store and the load harness use that; the daemon always
+// sets one). A single entry costing more than the whole budget is
+// served to its caller but never stored: no sequence of evictions could
+// make room for it, so storing it would pin it forever and thrash every
+// fitting entry out. clock, when non-nil, times every computation into
+// the compute_us histogram; a nil clock records no timings, which keeps
+// wall-clock reads out of everything but the serving layer.
+func NewCache(budget int64, clock func() time.Time) *Cache {
+	return &Cache{
+		clock:    clock,
+		budget:   budget,
+		entries:  make(map[string]*list.Element),
+		inflight: make(map[string]*cflight),
+	}
+}
+
+// Do returns the value stored under key, or runs compute — coalescing
+// concurrent callers of the same key into one computation — and stores
+// the result with the cost compute reports. hit is true when compute
+// did not run in this caller (stored earlier, or joined another
+// caller's in-flight computation).
+//
+// A cancelled ctx never starts a computation: Do then returns ctx's
+// error, and the refused lookup counts as neither a hit nor a miss.
+// Stored and in-flight values are still returned under a cancelled ctx,
+// so a cancelled session yields partial results rather than blocking.
+func (c *Cache) Do(ctx context.Context, key string, compute func() (any, int)) (v any, hit bool, err error) {
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
+		c.hits++
+		v := el.Value.(*centry).val
+		c.mu.Unlock()
+		return v, true, nil
+	}
+	if f, ok := c.inflight[key]; ok {
+		c.joins++
+		c.mu.Unlock()
+		<-f.done
+		return f.val, true, nil
+	}
+	if err := ctx.Err(); err != nil {
+		c.mu.Unlock()
+		return nil, false, err
+	}
+	f := &cflight{done: make(chan struct{})}
+	c.inflight[key] = f
+	c.misses++
+	c.mu.Unlock()
+
+	var start time.Time
+	if c.clock != nil {
+		start = c.clock()
+	}
+	v, cost := compute()
+	f.val = v
+
+	c.mu.Lock()
+	if c.clock != nil {
+		c.computeUS.Observe(uint64(c.clock().Sub(start).Microseconds()))
+	}
+	c.insertLocked(key, v, int64(cost))
+	delete(c.inflight, key)
+	c.mu.Unlock()
+	close(f.done)
+	return v, false, nil
+}
+
+// insertLocked stores a completed computation and evicts from the LRU
+// tail until the budget holds again (never evicting the entry just
+// inserted: serving the value we just paid to compute always beats
+// strict budget adherence for one round-trip).
+func (c *Cache) insertLocked(key string, v any, cost int64) {
+	if cost < 0 {
+		cost = 0
+	}
+	if c.budget > 0 && cost > c.budget {
+		// The eviction loop below spares the newest entry, so an entry
+		// that exceeds the budget on its own would survive every pass
+		// while forcing everything else out — a permanent squatter. Let
+		// the caller keep the value it computed and store nothing.
+		c.oversize++
+		return
+	}
+	if el, ok := c.entries[key]; ok {
+		// A racing caller can re-insert a key evicted between its miss
+		// and its store; keep the newer value and re-account the cost.
+		c.bytes -= el.Value.(*centry).cost
+		c.lru.Remove(el)
+		delete(c.entries, key)
+	}
+	e := &centry{key: key, val: v, cost: cost}
+	c.entries[key] = c.lru.PushFront(e)
+	c.bytes += cost
+	for c.budget > 0 && c.bytes > c.budget && c.lru.Len() > 1 {
+		c.evictOldestLocked()
+	}
+}
+
+// evictOldestLocked removes the least-recently-used entry.
+func (c *Cache) evictOldestLocked() {
+	el := c.lru.Back()
+	if el == nil {
+		return
+	}
+	e := el.Value.(*centry)
+	c.lru.Remove(el)
+	delete(c.entries, e.key)
+	c.bytes -= e.cost
+	c.evictions++
+}
+
+// CacheStats is a point-in-time snapshot of the store's counters,
+// embedded in the serving daemon's /metrics document.
+type CacheStats struct {
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Joins     uint64 `json:"inflight_joins"`
+	Evictions uint64 `json:"evictions"`
+	// Oversize counts computed values rejected (not stored) because
+	// their single cost exceeded the whole budget.
+	Oversize uint64 `json:"oversize_rejects"`
+	Entries  int    `json:"entries"`
+	Inflight int    `json:"inflight"`
+	Bytes    int64  `json:"bytes"`
+	Budget   int64  `json:"budget_bytes"`
+	// HitRatio counts joins as hits: (hits+joins) / all lookups. 0 when
+	// nothing was looked up yet.
+	HitRatio float64 `json:"hit_ratio"`
+	// ComputeUS is the per-computation (cache-miss) latency histogram in
+	// microseconds.
+	ComputeUS metrics.Histogram `json:"compute_us"`
+}
+
+// Stats snapshots the counters.
+func (c *Cache) Stats() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st := CacheStats{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Joins:     c.joins,
+		Evictions: c.evictions,
+		Oversize:  c.oversize,
+		Entries:   c.lru.Len(),
+		Inflight:  len(c.inflight),
+		Bytes:     c.bytes,
+		Budget:    c.budget,
+		ComputeUS: c.computeUS,
+	}
+	if total := c.hits + c.joins + c.misses; total > 0 {
+		st.HitRatio = float64(st.Hits+st.Joins) / float64(total)
+	}
+	return st
 }
 
 // CellKey returns the canonical content-hash cache key of one cell: the
@@ -61,11 +251,11 @@ type Cache interface {
 // parameter struct. Reading the warm-start table can fail; the error is
 // ErrInvalidConfig-classified like every other bad-input failure.
 func (o Options) CellKey(kind, cell string, bench workload.Params) (string, error) {
-	seed, err := o.cacheSeed()
+	corrtab, err := o.readCorrtab()
 	if err != nil {
 		return "", err
 	}
-	return sealCellKey(seed, kind, cell, bench), nil
+	return sealCellKey(o.cacheSeed(corrtab), kind, cell, bench), nil
 }
 
 // sealCellKey hashes the session-level seed together with one cell's
@@ -78,22 +268,31 @@ func sealCellKey(seed, kind, cell string, bench workload.Params) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// readCorrtab reads the Options.LoadCorrtab warm-start table (nil when
+// none is set).
+func (o Options) readCorrtab() ([]byte, error) {
+	if o.LoadCorrtab == "" {
+		return nil, nil
+	}
+	data, err := os.ReadFile(o.LoadCorrtab)
+	if err != nil {
+		return nil, ebcperr.Invalidf("exp: reading warm-start table %q: %v", o.LoadCorrtab, err)
+	}
+	return data, nil
+}
+
 // cacheSeed builds the session-level part of every cell key: the code
 // version, the resolved windows (so a zero field and an explicit
 // default digest identically), the trace limit, the warm-start table
-// identified by content hash (so the same table at two paths shares
-// cells and an edited table does not), and the content hash of the
-// user-authored spec, if any (so two specs reusing one cell key string
-// for different contents stay apart).
-func (o Options) cacheSeed() (string, error) {
+// bytes identified by content hash (so the same table at two paths
+// shares cells and an edited table does not), and the content hash of
+// the user-authored spec, if any (so two specs reusing one cell key
+// string for different contents stay apart).
+func (o Options) cacheSeed(corrtab []byte) string {
 	warm, measure := o.windows()
 	corr := ""
 	if o.LoadCorrtab != "" {
-		data, err := os.ReadFile(o.LoadCorrtab)
-		if err != nil {
-			return "", ebcperr.Invalidf("exp: reading warm-start table %q: %v", o.LoadCorrtab, err)
-		}
-		sum := sha256.Sum256(data)
+		sum := sha256.Sum256(corrtab)
 		corr = hex.EncodeToString(sum[:])
 	}
 	specSum := ""
@@ -102,24 +301,40 @@ func (o Options) cacheSeed() (string, error) {
 		specSum = hex.EncodeToString(sum[:])
 	}
 	return fmt.Sprintf("%s|warm=%d|measure=%d|max=%d|corrtab=%s|spec=%s",
-		CacheCodeVersion, warm, measure, o.MaxInsts, corr, specSum), nil
+		CacheCodeVersion, warm, measure, o.MaxInsts, corr, specSum)
 }
 
-// cellKey is CellKey with the expensive seed (it reads the warm-start
-// file) memoized for the session's lifetime.
-func (s *Session) cellKey(kind, cell string, bench workload.Params) (string, error) {
-	s.seedOnce.Do(func() { s.seed, s.seedErr = s.opts.cacheSeed() })
-	if s.seedErr != nil {
-		return "", s.seedErr
+// load reads the warm-start table once per session and derives the key
+// seed from those same bytes, so every cell key and every warm start of
+// the session agree on one table even if the file is rewritten
+// mid-session.
+func (s *Session) load() error {
+	s.loadOnce.Do(func() {
+		s.corrtab, s.loadErr = s.opts.readCorrtab()
+		if s.loadErr == nil {
+			s.seed = s.opts.cacheSeed(s.corrtab)
+		}
+	})
+	return s.loadErr
+}
+
+// cellKey is CellKey over the session's loaded seed.
+func (s *Session) cellKey(r cellReq) (string, error) {
+	if err := s.load(); err != nil {
+		return "", err
 	}
-	return sealCellKey(s.seed, kind, cell, bench), nil
+	kind := "sim"
+	if r.cores > 0 {
+		kind = "cmp"
+	}
+	return sealCellKey(s.seed, kind, r.key, r.bench), nil
 }
 
-// Approximate in-memory cost of a stored cell, for the shared store's
-// byte budget. Results are flat value structs (fixed-size histogram
-// arrays, no heap indirection except a CMP result's per-lane slice), so
-// the reflect sizes are accurate to within the key and bookkeeping
-// overhead folded in as cellCostOverhead.
+// Approximate in-memory cost of a stored cell, for the store's byte
+// budget. Results are flat value structs (fixed-size histogram arrays,
+// no heap indirection except the per-lane slice), so the reflect sizes
+// are accurate to within the key and bookkeeping overhead folded in as
+// cellCostOverhead.
 const cellCostOverhead = 256
 
 var (
@@ -127,81 +342,6 @@ var (
 	cmpResultSize = int(reflect.TypeOf(sim.CMPResult{}).Size())
 )
 
-func simCellCost(c simCell) int {
-	return simResultSize + cellCostOverhead
-}
-
-func cmpCellCost(c cmpCell) int {
-	return cmpResultSize + len(c.res.PerCore)*simResultSize + cellCostOverhead
-}
-
-// computeSim produces one single-core cell for the session memo: from
-// the shared store when the session has one (coalescing with identical
-// cells of other sessions), else by simulating. Only an actual
-// simulation counts as a run and emits progress; a shared hit is
-// recorded separately. Failed cells are stored too — they are as
-// deterministic as successes, and recomputing a failure per request
-// would defeat the cache exactly when requests are misconfigured.
-func (s *Session) computeSim(r runReq) simCell {
-	run := func() simCell {
-		c := s.simulate(r)
-		s.noteRun(r.key, "CPI", c.res.CPI(), c.err)
-		return c
-	}
-	if s.opts.Cache == nil {
-		return run()
-	}
-	key, err := s.cellKey("sim", r.key, r.bench)
-	if err != nil {
-		return simCell{err: err}
-	}
-	v, hit := s.opts.Cache.Do(key, func() (any, int) {
-		c := run()
-		return c, simCellCost(c)
-	})
-	if hit {
-		s.noteSharedHit()
-	}
-	return v.(simCell)
-}
-
-// computeCMP is computeSim for CMP cells.
-func (s *Session) computeCMP(r cmpReq) cmpCell {
-	run := func() cmpCell {
-		c := s.simulateCMP(r)
-		s.noteRun(r.key, "IPC", c.res.AggregateIPC(), c.err)
-		return c
-	}
-	if s.opts.Cache == nil {
-		return run()
-	}
-	key, err := s.cellKey("cmp", r.key, r.bench)
-	if err != nil {
-		return cmpCell{err: err}
-	}
-	v, hit := s.opts.Cache.Do(key, func() (any, int) {
-		c := run()
-		return c, cmpCellCost(c)
-	})
-	if hit {
-		s.noteSharedHit()
-	}
-	return v.(cmpCell)
-}
-
-// noteSharedHit records one cell served by the process-wide store.
-func (s *Session) noteSharedHit() {
-	s.statMu.Lock()
-	s.sharedHits++
-	s.statMu.Unlock()
-}
-
-// SharedHits returns how many cells the process-wide store served
-// without this session simulating them (0 when Options.Cache is nil).
-// Session accounting is then: cells requested = Runs + CacheHits +
-// SharedHits + cancelled skips.
-func (s *Session) SharedHits() int {
-	s.statMu.Lock()
-	defer s.statMu.Unlock()
-	return s.sharedHits
+func (o *outcome) cost() int {
+	return cmpResultSize + len(o.res.PerCore)*simResultSize + cellCostOverhead
 }

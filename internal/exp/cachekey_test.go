@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"ebcp/internal/ebcperr"
@@ -95,7 +94,7 @@ func TestCacheKeyIgnoredFieldsKeepKey(t *testing.T) {
 	mutations := map[string]Options{
 		"Workers":  {Warm: 1e6, Measure: 1e6, Workers: 7},
 		"Progress": {Warm: 1e6, Measure: 1e6, Progress: func(RunUpdate) {}},
-		"Cache":    {Warm: 1e6, Measure: 1e6, Cache: &fakeCache{}},
+		"Cache":    {Warm: 1e6, Measure: 1e6, Cache: NewCache(0, nil)},
 	}
 	for name := range ignoredFields {
 		if _, ok := mutations[name]; !ok {
@@ -169,37 +168,11 @@ func TestCacheKeyCorrtabByContent(t *testing.T) {
 	}
 }
 
-// fakeCache is an in-package store-everything Cache: enough to prove
-// the session-side plumbing without importing internal/serve (which
-// would cycle).
-type fakeCache struct {
-	mu      sync.Mutex
-	m       map[string]any
-	lookups int
-	stores  int
-}
-
-func (f *fakeCache) Do(key string, compute func() (any, int)) (any, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.lookups++
-	if v, ok := f.m[key]; ok {
-		return v, true
-	}
-	v, _ := compute()
-	if f.m == nil {
-		f.m = map[string]any{}
-	}
-	f.m[key] = v
-	f.stores++
-	return v, false
-}
-
 // TestSharedCacheReplaysAcrossSessions: a second session over the same
 // options simulates nothing, counts its cells as shared hits, and
 // renders the byte-identical report.
 func TestSharedCacheReplaysAcrossSessions(t *testing.T) {
-	cache := &fakeCache{}
+	cache := NewCache(0, nil)
 	opts := Options{Warm: 2e5, Measure: 1e5, Workers: 1, Cache: cache}
 	benches := workload.All()
 	for i := range benches {
@@ -219,8 +192,8 @@ func TestSharedCacheReplaysAcrossSessions(t *testing.T) {
 	if s1.Runs() == 0 || s1.SharedHits() != 0 {
 		t.Fatalf("first session: runs=%d shared=%d, want runs>0 shared=0", s1.Runs(), s1.SharedHits())
 	}
-	if cache.stores != s1.Runs() {
-		t.Errorf("cache stored %d cells for %d runs", cache.stores, s1.Runs())
+	if st := cache.Stats(); st.Entries != s1.Runs() || st.Misses != uint64(s1.Runs()) || st.Hits != 0 {
+		t.Errorf("cache stats %+v after %d runs, want entries=misses=runs, hits=0", st, s1.Runs())
 	}
 
 	s2 := NewSession(opts)
@@ -237,13 +210,16 @@ func TestSharedCacheReplaysAcrossSessions(t *testing.T) {
 	if rep2.NACells() != 0 {
 		t.Errorf("replayed report has %d n/a cells", rep2.NACells())
 	}
+	if st := cache.Stats(); st.Hits != uint64(s1.Runs()) || st.Entries != s1.Runs() {
+		t.Errorf("cache stats %+v after the replay, want hits=entries=%d", st, s1.Runs())
+	}
 }
 
 // TestSharedCacheReplaysFailures: failed cells are deterministic too —
 // the second session must see the same classified error without
 // re-simulating.
 func TestSharedCacheReplaysFailures(t *testing.T) {
-	cache := &fakeCache{}
+	cache := NewCache(0, nil)
 	opts := Options{Warm: 1e6, Measure: 1e6, MaxInsts: 10_000, Workers: 1, Cache: cache}
 	e, err := ByID("table1")
 	if err != nil {
@@ -266,5 +242,8 @@ func TestSharedCacheReplaysFailures(t *testing.T) {
 	}
 	if rep2.NACells() != rep1.NACells() {
 		t.Errorf("replayed report has %d n/a cells, first had %d", rep2.NACells(), rep1.NACells())
+	}
+	if st := cache.Stats(); st.Hits != uint64(s1.Runs()) || st.Entries != s1.Runs() {
+		t.Errorf("cache stats %+v, want the failed cells stored once and replayed once (%d)", st, s1.Runs())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -117,4 +118,39 @@ func TestValidReportHasNoFootnote(t *testing.T) {
 	if s.Failures() != 0 {
 		t.Errorf("valid run counted %d failures", s.Failures())
 	}
+}
+
+// TestUnreadableCorrtabFailsEveryCell: a warm-start table that cannot
+// be read makes every cell key unbuildable, so every cell — baselines
+// included — fails with ErrInvalidConfig, renders n/a and counts once
+// in Failures, although nothing simulated.
+func TestUnreadableCorrtabFailsEveryCell(t *testing.T) {
+	s := NewSession(Options{Warm: 1e5, Measure: 1e5, Workers: 1,
+		LoadCorrtab: filepath.Join(t.TempDir(), "absent.json")})
+	c := mustCompiled(t, "table1")
+	rep := c.run(s)
+	rep = c.run(s) // a second run must not count the cells again
+
+	cells := len(c.plan(c.benchmarks(s)))
+	if s.Failures() != cells {
+		t.Errorf("Failures = %d, want %d (every planned cell)", s.Failures(), cells)
+	}
+	if s.Runs() != 0 {
+		t.Errorf("Runs = %d, want 0", s.Runs())
+	}
+	if rep.NACells() == 0 || rep.NACells() != countValues(rep) {
+		t.Errorf("NACells = %d of %d values, want all", rep.NACells(), countValues(rep))
+	}
+	if !errors.Is(s.FirstError(), ebcperr.ErrInvalidConfig) {
+		t.Errorf("FirstError = %v, want ErrInvalidConfig class", s.FirstError())
+	}
+}
+
+// countValues counts a report's value cells.
+func countValues(rep *Report) int {
+	n := 0
+	for _, row := range rep.Rows {
+		n += len(row.Values)
+	}
+	return n
 }

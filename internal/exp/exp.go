@@ -5,10 +5,11 @@
 // paper's published values where the paper states them.
 //
 // Execution is two-phase. An experiment first *plans* its full run grid
-// and hands it to the session's worker pool (the simulate phase, sched.go),
-// then builds its report from the memoized results in a fixed order (the
-// collect phase). Reports are therefore bit-identical for any worker
-// count: parallelism changes wall-clock time only.
+// and resolves it through the session's result store on a worker pool
+// (the simulate phase, sched.go), then builds its report from those
+// results in a fixed order (the collect phase). Reports are therefore
+// bit-identical for any worker count: parallelism changes wall-clock
+// time only.
 package exp
 
 import (
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
 	"sync"
 
@@ -62,14 +62,15 @@ type Options struct {
 	// geometry must match the cell's prefetcher configuration. Cells
 	// whose prefetcher is not an EBCP are unaffected.
 	LoadCorrtab string
-	// Cache, when non-nil, backs the session with a process-wide shared
-	// result store: cells whose canonical content-hash key (CellKey)
-	// matches an earlier computation — in this session or any other —
-	// are served from the store instead of simulating, and concurrent
-	// identical cells across sessions coalesce into one simulation.
-	// Cache never changes what a session computes, only whether it has
-	// to; it is ignored by the cache key itself.
-	Cache Cache
+	// Cache, when non-nil, is the result store the session shares with
+	// other sessions (nil = a store of the session's own): cells whose
+	// canonical content-hash key (CellKey) matches an earlier
+	// computation — in this session or any other — are served from the
+	// store instead of simulating, and concurrent identical cells across
+	// sessions coalesce into one simulation. Cache never changes what a
+	// session computes, only whether it has to; it is ignored by the
+	// cache key itself.
+	Cache *Cache
 	// SpecJSON, when non-empty, is the canonical encoding
 	// (spec.Canonical) of the user-authored spec this session runs. It
 	// is digested into every cell key: the canonical experiments' cell
@@ -83,7 +84,7 @@ type Options struct {
 
 // RunUpdate describes one completed simulation.
 type RunUpdate struct {
-	// Key is the memo key: unique per (benchmark, prefetcher, config).
+	// Key is the cell key: unique per (benchmark, prefetcher, config).
 	Key string
 	// Metric names Value: "CPI" for single-core runs, "IPC" for CMP runs.
 	Metric string
@@ -149,41 +150,35 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, ebcperr.Invalidf("exp: unknown experiment %q", id)
 }
 
-// Session runs simulations with memoization, so experiments sharing runs
-// (e.g. the baselines, or Figures 4 and 5) execute them once. Sessions
-// are safe for concurrent use: the memo is single-flight (two
-// experiments requesting the same cell share one simulation), and the
-// simulate phase shards independent cells across a worker pool.
+// Session runs simulations through a result store, so experiments
+// sharing cells (e.g. the baselines, or Figures 4 and 5) execute them
+// once. Sessions are safe for concurrent use: the store is
+// single-flight (two experiments requesting the same cell share one
+// simulation), and the simulate phase shards independent cells across
+// a worker pool.
 type Session struct {
-	opts Options
+	opts Options // opts.Cache is never nil
 	ctx  context.Context
-
-	sims sfGroup[simCell]
-	cmps sfGroup[cmpCell]
 
 	statMu     sync.Mutex
 	runs       int
-	cacheHits  int
 	sharedHits int
 	failures   int
 	firstErr   error
-	cancelled  map[string]struct{}
+	skipped    map[string]struct{} // cells that never simulated, by cell key
 
 	progressMu sync.Mutex
 
-	corrtabOnce sync.Once
-	corrtabData []byte
-	corrtabErr  error
-
-	seedOnce sync.Once
-	seed     string
-	seedErr  error
+	loadOnce sync.Once
+	corrtab  []byte // the LoadCorrtab bytes, read once per session
+	seed     string // the key seed, hashed from those same bytes
+	loadErr  error
 }
 
 // warmStart restores the Options.LoadCorrtab table into an EBCP-family
-// prefetcher (other prefetchers pass through untouched). The file is
-// read once per session; each call decodes a fresh table so concurrent
-// cells never share mutable state.
+// prefetcher (other prefetchers pass through untouched). Each call
+// decodes a fresh table from the session's one read of the file, so
+// concurrent cells never share mutable state.
 func (s *Session) warmStart(pf prefetch.Prefetcher) error {
 	if s.opts.LoadCorrtab == "" {
 		return nil
@@ -192,30 +187,31 @@ func (s *Session) warmStart(pf prefetch.Prefetcher) error {
 	if !ok {
 		return nil
 	}
-	s.corrtabOnce.Do(func() {
-		s.corrtabData, s.corrtabErr = os.ReadFile(s.opts.LoadCorrtab)
-	})
-	if s.corrtabErr != nil {
-		return s.corrtabErr
+	if err := s.load(); err != nil {
+		return err
 	}
-	tab, err := corrtab.Decode(bytes.NewReader(s.corrtabData))
+	tab, err := corrtab.Decode(bytes.NewReader(s.corrtab))
 	if err != nil {
 		return err
 	}
 	return e.RestoreTable(tab)
 }
 
-// simCell and cmpCell are the memoized outcome of one grid cell: the
-// result together with the error that produced (or prevented) it, so a
-// failed cell is computed once and its error replayed to every consumer.
-type simCell struct {
-	res sim.Result
+// outcome is the stored result of one cell together with the error that
+// produced (or prevented) it, so a failed cell is computed once and its
+// error replayed to every consumer. A single-core cell's result is the
+// one lane of res.
+type outcome struct {
+	res sim.CMPResult
 	err error
 }
 
-type cmpCell struct {
-	res sim.CMPResult
-	err error
+// single returns a single-core cell's result (zero if it never ran).
+func (o *outcome) single() sim.Result {
+	if len(o.res.PerCore) == 0 {
+		return sim.Result{}
+	}
+	return o.res.PerCore[0]
 }
 
 // NewSession creates a session that runs to completion.
@@ -226,10 +222,14 @@ func NewSession(opts Options) *Session {
 // NewSessionContext creates a session whose simulations stop when ctx is
 // cancelled: in-flight simulations finish, pending cells are skipped,
 // and reports render cells that never ran as n/a. Err reports the
-// cancellation.
+// cancellation. Without Options.Cache the session gets its own
+// unbounded store.
 func NewSessionContext(ctx context.Context, opts Options) *Session {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if opts.Cache == nil {
+		opts.Cache = NewCache(0, nil)
 	}
 	return &Session{opts: opts, ctx: ctx}
 }
@@ -241,12 +241,14 @@ func (s *Session) Runs() int {
 	return s.runs
 }
 
-// CacheHits returns how many cell requests were served from the memo (or
-// by joining another caller's in-flight simulation).
-func (s *Session) CacheHits() int {
+// SharedHits returns how many cell lookups the store served without
+// this session simulating them: stored earlier (by this session, or by
+// any session sharing Options.Cache) or joined in flight. Every lookup
+// of a spec run is a run, a shared hit, or a skipped cell.
+func (s *Session) SharedHits() int {
 	s.statMu.Lock()
 	defer s.statMu.Unlock()
-	return s.cacheHits
+	return s.sharedHits
 }
 
 // Err returns the session context's cancellation error, if any. A
@@ -255,13 +257,13 @@ func (s *Session) CacheHits() int {
 func (s *Session) Err() error { return s.ctx.Err() }
 
 // Failures returns how many executed simulations ended in an error
-// (each failed cell is counted once, like Runs). Cells skipped by
-// cancellation count too, deduplicated by key, because the simulate and
-// collect phases may both request the same unrunnable cell.
+// (each failed cell is counted once, like Runs), plus the distinct
+// cells that never simulated: skipped by cancellation, or failed
+// because their key could not be built.
 func (s *Session) Failures() int {
 	s.statMu.Lock()
 	defer s.statMu.Unlock()
-	return s.failures + len(s.cancelled)
+	return s.failures + len(s.skipped)
 }
 
 // workers returns the effective simulate-phase pool size.
@@ -270,58 +272,6 @@ func (s *Session) workers() int {
 		return s.opts.Workers
 	}
 	return runtime.NumCPU()
-}
-
-// memoLen reports how many results the session has memoized (test hook).
-func (s *Session) memoLen() int { return s.sims.len() + s.cmps.len() }
-
-// noteRun records one executed simulation (failed or not) and emits
-// progress.
-func (s *Session) noteRun(key, metric string, value float64, err error) {
-	s.statMu.Lock()
-	s.runs++
-	if err != nil {
-		s.failures++
-	}
-	n := s.runs
-	s.statMu.Unlock()
-	if s.opts.Progress != nil {
-		s.progressMu.Lock()
-		s.opts.Progress(RunUpdate{Key: key, Metric: metric, Value: value, Runs: n, Err: err})
-		s.progressMu.Unlock()
-	}
-}
-
-// noteCancelled records a cell that was skipped because the session's
-// context was cancelled before it could start.
-func (s *Session) noteCancelled(key string) {
-	s.statMu.Lock()
-	if s.cancelled == nil {
-		s.cancelled = make(map[string]struct{})
-	}
-	s.cancelled[key] = struct{}{}
-	s.statMu.Unlock()
-}
-
-// noteHit records one memo/in-flight hit.
-func (s *Session) noteHit() {
-	s.statMu.Lock()
-	s.cacheHits++
-	s.statMu.Unlock()
-}
-
-// noteErr remembers the first cell error a consumer observed (nil calls
-// are no-ops). The serving layer uses it to classify an all-n/a report
-// with a concrete failure instead of a generic one.
-func (s *Session) noteErr(err error) {
-	if err == nil {
-		return
-	}
-	s.statMu.Lock()
-	if s.firstErr == nil {
-		s.firstErr = err
-	}
-	s.statMu.Unlock()
 }
 
 // FirstError returns the first cell error any consumer of this session
@@ -333,78 +283,64 @@ func (s *Session) FirstError() error {
 	return s.firstErr
 }
 
-// runReq names one single-core simulation cell: the memo key plus
-// everything needed to execute it. Experiments build the same runReq in
-// their simulate and collect phases, so each cell is defined exactly
-// once. The key must uniquely describe (benchmark, prefetcher, system
-// config).
-type runReq struct {
+// cellReq names one grid cell: its key plus everything needed to
+// simulate it. cores == 0 is a single-core cell; cores > 0 is a CMP
+// cell of that many lanes. Experiments plan each cell once and collect
+// by its key, so the key must uniquely describe (benchmark, prefetcher,
+// system config).
+type cellReq struct {
 	key   string
 	bench workload.Params
+	cores int
 	pf    func() (prefetch.Prefetcher, error)
 	mut   func(*sim.Config)
 }
 
-// exec returns a cell's result, simulating it at most once per session
-// — and, when the session is backed by a shared store, at most once per
-// process (computeSim in cache.go). A failed cell's error is memoized
-// with it and replayed to every consumer. Under a cancelled context,
-// cells that never ran return an ErrCancelled-classified error (and are
-// not memoized, so a later un-cancelled session state is not poisoned).
-func (s *Session) exec(r runReq) (sim.Result, error) {
-	v, st := s.sims.do(s.ctx, r.key, func() simCell { return s.computeSim(r) })
-	if st == runCancelled {
-		s.noteCancelled(r.key)
-		err := ebcperr.Cancelledf("exp: cell %s not simulated: %v", r.key, s.ctx.Err())
-		s.noteErr(err)
-		return sim.Result{}, err
-	}
-	if st == runShared {
-		s.noteHit()
-	}
-	s.noteErr(v.err)
-	return v.res, v.err
-}
-
-// simulate executes one cell.
-func (s *Session) simulate(r runReq) simCell {
+// simulate executes one cell. A CMP cell runs cores threads of the
+// workload (each seeded apart) sharing the L2 and the interconnect —
+// this reproduction's extension: the paper's Section 6 future work plus
+// a quantitative test of its Section 3.3.1 placement argument; the
+// canonical grid lives in specs/cmp.json.
+func (s *Session) simulate(r cellReq) *outcome {
 	cfg := sim.DefaultConfig()
 	cfg.Core.OnChipCPI = r.bench.OnChipCPI
 	cfg.WarmInsts, cfg.MeasureInsts = s.opts.windows()
 	if r.mut != nil {
 		r.mut(&cfg)
 	}
-	gen, err := workload.New(r.bench)
-	if err != nil {
-		return simCell{err: err}
+	if r.cores > 0 {
+		// Per-thread windows at the single-core length would multiply
+		// runtime by the core count; scale them down so each CMP point
+		// costs about one single-core run.
+		cfg.WarmInsts /= uint64(r.cores)
+		cfg.MeasureInsts /= uint64(r.cores)
 	}
-	var src trace.Source = gen
-	if s.opts.MaxInsts > 0 {
-		src = trace.NewLimit(gen, s.opts.MaxInsts)
+	sources := make([]trace.Source, max(r.cores, 1))
+	for i := range sources {
+		b := r.bench
+		b.Seed += int64(i) * 7919
+		src, err := workload.New(b)
+		if err != nil {
+			return &outcome{err: err}
+		}
+		sources[i] = src
+		if s.opts.MaxInsts > 0 {
+			sources[i] = trace.NewLimit(src, s.opts.MaxInsts)
+		}
 	}
 	pf, err := r.pf()
 	if err != nil {
-		return simCell{err: err}
+		return &outcome{err: err}
 	}
 	if err := s.warmStart(pf); err != nil {
-		return simCell{err: err}
+		return &outcome{err: err}
 	}
-	res, err := sim.Run(src, pf, cfg)
-	return simCell{res: res, err: err}
-}
-
-// baselineReq is the no-prefetching cell for a benchmark.
-func baselineReq(bench workload.Params) runReq {
-	return runReq{
-		key:   "base/" + bench.Name,
-		bench: bench,
-		pf:    func() (prefetch.Prefetcher, error) { return prefetch.None{}, nil },
+	if r.cores > 0 {
+		res, err := sim.RunCMP(sources, pf, cfg)
+		return &outcome{res: res, err: err}
 	}
-}
-
-// baseline returns the no-prefetching run for a benchmark.
-func (s *Session) baseline(bench workload.Params) (sim.Result, error) {
-	return s.exec(baselineReq(bench))
+	res, err := sim.Run(sources[0], pf, cfg)
+	return &outcome{res: sim.CMPResult{Prefetcher: res.Prefetcher, PerCore: []sim.Result{res}}, err: err}
 }
 
 // cellValue folds a computed metric and the errors of the runs behind it

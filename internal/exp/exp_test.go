@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ebcp/internal/prefetch"
 	"ebcp/internal/workload"
 )
 
@@ -287,20 +288,29 @@ func TestReportRenderAndValue(t *testing.T) {
 	}
 }
 
+// baselineReq is the no-prefetching cell for a benchmark.
+func baselineReq(bench workload.Params) cellReq {
+	return cellReq{
+		key:   "base/" + bench.Name,
+		bench: bench,
+		pf:    func() (prefetch.Prefetcher, error) { return prefetch.None{}, nil },
+	}
+}
+
 func TestSessionMemoization(t *testing.T) {
 	s := NewSession(Options{Warm: 1e6, Measure: 1e6})
 	b := workload.SPECjbb2005()
-	_, _ = s.baseline(b)
+	s.resolve(baselineReq(b))
 	runs := s.Runs()
-	_, _ = s.baseline(b)
+	s.resolve(baselineReq(b))
 	if s.Runs() != runs {
 		t.Error("baseline should be memoized")
 	}
-	if s.CacheHits() == 0 {
-		t.Error("memoized replay should count as a cache hit")
+	if s.SharedHits() != 1 {
+		t.Errorf("SharedHits = %d, want 1 (the replay)", s.SharedHits())
 	}
-	if s.memoLen() != runs {
-		t.Error("memo bookkeeping inconsistent")
+	if n := s.opts.Cache.Stats().Entries; n != runs {
+		t.Errorf("store holds %d entries for %d runs", n, runs)
 	}
 }
 

@@ -48,8 +48,8 @@ func TestReportsWorkerCountInvariant(t *testing.T) {
 	if s1.Runs() != s8.Runs() {
 		t.Errorf("Runs() differs: serial %d, parallel %d", s1.Runs(), s8.Runs())
 	}
-	if s1.CacheHits() != s8.CacheHits() {
-		t.Errorf("CacheHits() differs: serial %d, parallel %d", s1.CacheHits(), s8.CacheHits())
+	if s1.SharedHits() != s8.SharedHits() {
+		t.Errorf("SharedHits() differs: serial %d, parallel %d", s1.SharedHits(), s8.SharedHits())
 	}
 	if progressed != s8.Runs() {
 		t.Errorf("progress callback fired %d times for %d runs", progressed, s8.Runs())

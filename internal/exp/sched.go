@@ -1,108 +1,30 @@
 package exp
 
 import (
-	"context"
 	"sync"
+
+	"ebcp/internal/ebcperr"
 )
 
 // The parallel scheduler. Experiments run in two phases: a *simulate*
-// phase that executes every cell of the run grid across a worker pool,
-// and a *collect* phase that reads the memoized results back in a fixed
-// order to build the report. Because simulations are deterministic and
-// memoized exactly once (single-flight), the collect phase — and hence
-// every Report — is bit-identical regardless of worker count or the
-// order in which the pool happened to finish the work.
-
-// sfGroup is a memoizing single-flight group: concurrent callers of the
-// same key share one computation, and completed values are cached for
-// the life of the group.
-type sfGroup[V any] struct {
-	mu       sync.Mutex
-	memo     map[string]V
-	inflight map[string]*flight[V]
-}
-
-type flight[V any] struct {
-	done chan struct{}
-	val  V
-}
-
-// runStatus says how a request was satisfied.
-type runStatus int
-
-const (
-	// runComputed: this caller executed the computation.
-	runComputed runStatus = iota
-	// runShared: the value came from the memo or from another caller's
-	// in-flight computation.
-	runShared
-	// runCancelled: the value was neither memoized nor in flight and the
-	// context was already cancelled, so nothing ran; v is the zero value.
-	runCancelled
-)
-
-// do returns the value for key, computing it at most once across all
-// callers. A cancelled context prevents *starting* a computation but
-// still serves memoized and in-flight values, so cancelled sessions
-// yield partial results rather than blocking.
-func (g *sfGroup[V]) do(ctx context.Context, key string, compute func() V) (V, runStatus) {
-	g.mu.Lock()
-	if v, ok := g.memo[key]; ok {
-		g.mu.Unlock()
-		return v, runShared
-	}
-	if f, ok := g.inflight[key]; ok {
-		g.mu.Unlock()
-		<-f.done
-		return f.val, runShared
-	}
-	if ctx.Err() != nil {
-		g.mu.Unlock()
-		var zero V
-		return zero, runCancelled
-	}
-	f := &flight[V]{done: make(chan struct{})}
-	if g.inflight == nil {
-		g.inflight = make(map[string]*flight[V])
-	}
-	g.inflight[key] = f
-	g.mu.Unlock()
-
-	f.val = compute()
-
-	g.mu.Lock()
-	if g.memo == nil {
-		g.memo = make(map[string]V)
-	}
-	g.memo[key] = f.val
-	delete(g.inflight, key)
-	g.mu.Unlock()
-	close(f.done)
-	return f.val, runComputed
-}
-
-// len returns how many values the group has memoized.
-func (g *sfGroup[V]) len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.memo)
-}
+// phase that resolves every planned cell of the run grid through the
+// session's store (cache.go) across a worker pool, into a run-local
+// table, and a *collect* phase that reads that table in a fixed order
+// to build the report. Because simulations are deterministic and the
+// store computes each key exactly once (single-flight), the collect
+// phase — and hence every Report — is bit-identical regardless of
+// worker count or the order in which the pool happened to finish the
+// work.
 
 // forEach runs f(0..n-1) across the session's worker pool and waits for
 // completion. With one worker (or one item) it degenerates to a plain
-// ordered loop. Cancellation stops the dispatch of further items; items
-// already dispatched run to completion, so no goroutine outlives the
-// call.
+// ordered loop. Every item is dispatched even after cancellation: the
+// store refuses to start new computations under a cancelled context,
+// so late items resolve at once, and no goroutine outlives the call.
 func (s *Session) forEach(n int, f func(int)) {
-	w := s.workers()
-	if w > n {
-		w = n
-	}
+	w := min(s.workers(), n)
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			if s.ctx.Err() != nil {
-				return
-			}
 			f(i)
 		}
 		return
@@ -119,23 +41,84 @@ func (s *Session) forEach(n int, f func(int)) {
 		}()
 	}
 	for i := 0; i < n; i++ {
-		if s.ctx.Err() != nil {
-			break
-		}
 		next <- i
 	}
 	close(next)
 	wg.Wait()
 }
 
-// ensure is the simulate phase for single-core cells: it executes every
-// not-yet-memoized cell in reqs across the worker pool. After it
-// returns, collect-phase exec calls are memo hits.
-func (s *Session) ensure(reqs []runReq) {
-	s.forEach(len(reqs), func(i int) { s.exec(reqs[i]) })
+// resolve returns one cell's outcome from the session's store,
+// simulating it when no session has stored or is computing its key.
+// Failed cells are stored too — they are as deterministic as successes,
+// and recomputing a failure per request would defeat the store exactly
+// when requests are misconfigured. A cell whose key cannot be built, or
+// that the store refused to start under a cancelled context, is not
+// stored: it fails with the key error or an ErrCancelled-classified
+// one, and counts once per cell in Failures.
+func (s *Session) resolve(r cellReq) *outcome {
+	key, err := s.cellKey(r)
+	if err != nil {
+		return s.skip(r.key, err)
+	}
+	v, hit, err := s.opts.Cache.Do(s.ctx, key, func() (any, int) {
+		o := s.simulate(r)
+		s.noteRun(r, o)
+		return o, o.cost()
+	})
+	if err != nil {
+		return s.skip(r.key, ebcperr.Cancelledf("exp: cell %s not simulated: %v", r.key, err))
+	}
+	o := v.(*outcome)
+	s.statMu.Lock()
+	if hit {
+		s.sharedHits++
+	}
+	s.noteErrLocked(o.err)
+	s.statMu.Unlock()
+	return o
 }
 
-// ensureCMP is the simulate phase for CMP cells.
-func (s *Session) ensureCMP(reqs []cmpReq) {
-	s.forEach(len(reqs), func(i int) { s.execCMP(reqs[i]) })
+// skip records a cell that never simulated and returns its failed
+// outcome.
+func (s *Session) skip(key string, err error) *outcome {
+	s.statMu.Lock()
+	if s.skipped == nil {
+		s.skipped = make(map[string]struct{})
+	}
+	s.skipped[key] = struct{}{}
+	s.noteErrLocked(err)
+	s.statMu.Unlock()
+	return &outcome{err: err}
+}
+
+// noteRun records one executed simulation (failed or not) and emits
+// progress.
+func (s *Session) noteRun(r cellReq, o *outcome) {
+	metric, value := "CPI", 0.0
+	if r.cores > 0 {
+		metric, value = "IPC", o.res.AggregateIPC()
+	} else {
+		value = o.single().CPI()
+	}
+	s.statMu.Lock()
+	s.runs++
+	if o.err != nil {
+		s.failures++
+	}
+	n := s.runs
+	s.statMu.Unlock()
+	if s.opts.Progress != nil {
+		s.progressMu.Lock()
+		s.opts.Progress(RunUpdate{Key: r.key, Metric: metric, Value: value, Runs: n, Err: o.err})
+		s.progressMu.Unlock()
+	}
+}
+
+// noteErrLocked remembers the first cell error a consumer observed (nil
+// calls are no-ops). The serving layer uses it to classify an all-n/a
+// report with a concrete failure instead of a generic one.
+func (s *Session) noteErrLocked(err error) {
+	if s.firstErr == nil {
+		s.firstErr = err
+	}
 }

@@ -110,15 +110,26 @@ func expandBench(tpl, bench string) string {
 	return strings.ReplaceAll(tpl, spec.BenchPlaceholder, bench)
 }
 
-// simReq instantiates a sim-kind cell template for one benchmark.
-func (c *compiledSpec) simReq(name string, b workload.Params) runReq {
+// req instantiates a cell template for one benchmark.
+func (c *compiledSpec) req(name string, b workload.Params) cellReq {
 	cell := c.sp.Cells[name]
 	entry := c.pfs[name]
 	params := cell.Prefetcher.Params
-	var mut func(*sim.Config)
+	r := cellReq{
+		key:   expandBench(cell.Key, b.Name),
+		bench: b,
+		cores: cell.Cores,
+		pf: func() (prefetch.Prefetcher, error) {
+			p, err := entry.New(params, cell.Cores)
+			if err != nil {
+				return nil, err
+			}
+			return registry.WrapFilter(p, cell.Prefetcher.Filter)
+		},
+	}
 	if cell.Sim != nil {
 		tw := *cell.Sim
-		mut = func(cfg *sim.Config) {
+		r.mut = func(cfg *sim.Config) {
 			if tw.PBEntries != 0 {
 				cfg.PBEntries = tw.PBEntries
 			}
@@ -130,43 +141,31 @@ func (c *compiledSpec) simReq(name string, b workload.Params) runReq {
 			}
 		}
 	}
-	return runReq{
-		key:   expandBench(cell.Key, b.Name),
-		bench: b,
-		pf: func() (prefetch.Prefetcher, error) {
-			p, err := entry.New(params, 0)
-			if err != nil {
-				return nil, err
-			}
-			return registry.WrapFilter(p, cell.Prefetcher.Filter)
-		},
-		mut: mut,
-	}
+	return r
 }
 
-// cmpReqFor instantiates a cmp-kind cell template for one benchmark.
-func (c *compiledSpec) cmpReqFor(name string, b workload.Params) cmpReq {
-	cell := c.sp.Cells[name]
-	entry := c.pfs[name]
-	params := cell.Prefetcher.Params
-	return cmpReq{
-		key:   expandBench(cell.Key, b.Name),
-		bench: b,
-		cores: cell.Cores,
-		pf: func(cores int) (prefetch.Prefetcher, error) {
-			p, err := entry.New(params, cores)
-			if err != nil {
-				return nil, err
+// plan lists the run's cells, per benchmark in referencedCells order,
+// once per cell key.
+func (c *compiledSpec) plan(benches []workload.Params) []cellReq {
+	var reqs []cellReq
+	seen := map[string]bool{}
+	names := c.referencedCells()
+	for _, b := range benches {
+		for _, n := range names {
+			if r := c.req(n, b); !seen[r.key] {
+				seen[r.key] = true
+				reqs = append(reqs, r)
 			}
-			return registry.WrapFilter(p, cell.Prefetcher.Filter)
-		},
+		}
 	}
+	return reqs
 }
 
-// run executes the compiled spec: plan the full grid on the session's
-// worker pool, then collect rows in spec order from the memoized
-// results — the same two-phase shape the hardcoded constructors had, so
-// reports stay byte-identical for any worker count.
+// run executes the compiled spec: resolve the planned grid through the
+// session's store on its worker pool, then collect rows in spec order
+// from the run's own results — the same two-phase shape the hardcoded
+// constructors had, so reports stay byte-identical for any worker
+// count.
 func (c *compiledSpec) run(s *Session) *Report {
 	sp := c.sp
 	benches := c.benchmarks(s)
@@ -187,55 +186,52 @@ func (c *compiledSpec) run(s *Session) *Report {
 		rep.Reference = append(rep.Reference, Row{Label: ref.Label, Values: append([]float64(nil), ref.Values...)})
 	}
 
-	cells := c.referencedCells()
-	if sp.Kind == "cmp" {
-		var reqs []cmpReq
-		for _, b := range benches {
-			for _, n := range cells {
-				reqs = append(reqs, c.cmpReqFor(n, b))
-			}
-		}
-		s.ensureCMP(reqs)
-	} else {
-		var reqs []runReq
-		for _, b := range benches {
-			for _, n := range cells {
-				reqs = append(reqs, c.simReq(n, b))
-			}
-		}
-		s.ensure(reqs)
+	plan := c.plan(benches)
+	outs := make([]*outcome, len(plan))
+	s.forEach(len(plan), func(i int) { outs[i] = s.resolve(plan[i]) })
+	tab := make(cellTable, len(plan))
+	for i, r := range plan {
+		tab[r.key] = outs[i]
 	}
 
 	for _, g := range sp.Rows {
 		if g.PerBenchmark {
 			for _, gb := range benches {
 				for _, r := range g.Rows {
-					rep.Rows = append(rep.Rows, c.collectRow(s, r, gb, benches))
+					rep.Rows = append(rep.Rows, c.collectRow(tab, r, gb, benches))
 				}
 			}
 			continue
 		}
 		for _, r := range g.Rows {
-			rep.Rows = append(rep.Rows, c.collectRow(s, r, workload.Params{}, benches))
+			rep.Rows = append(rep.Rows, c.collectRow(tab, r, workload.Params{}, benches))
 		}
 	}
 	return rep
+}
+
+// cellTable is one run's resolved cells, by cell key.
+type cellTable map[string]*outcome
+
+// cell returns one instantiated cell's outcome.
+func (c *compiledSpec) cell(tab cellTable, name string, b workload.Params) *outcome {
+	return tab[expandBench(c.sp.Cells[name].Key, b.Name)]
 }
 
 // collectRow builds one report row. With benchmark columns the row's
 // single cell template instantiates once per workload column; with
 // explicit columns the row's cells map one-to-one onto columns under
 // the group's benchmark gb.
-func (c *compiledSpec) collectRow(s *Session, r spec.RowV1, gb workload.Params, benches []workload.Params) Row {
+func (c *compiledSpec) collectRow(tab cellTable, r spec.RowV1, gb workload.Params, benches []workload.Params) Row {
 	row := Row{Label: expandBench(r.Label, gb.Name)}
 	if c.sp.Columns.Benchmarks {
 		for _, cb := range benches {
-			row.Values = append(row.Values, c.value(s, r.Metric, r.Cells[0], cb))
+			row.Values = append(row.Values, c.value(tab, r.Metric, r.Cells[0], cb))
 		}
 		return row
 	}
 	for _, cn := range r.Cells {
-		row.Values = append(row.Values, c.value(s, r.Metric, cn, gb))
+		row.Values = append(row.Values, c.value(tab, r.Metric, cn, gb))
 	}
 	return row
 }
@@ -243,15 +239,16 @@ func (c *compiledSpec) collectRow(s *Session, r spec.RowV1, gb workload.Params, 
 // value computes one metric for one instantiated cell, folding the
 // cell's (and, for relative metrics, its baseline's) errors into NaN
 // exactly like the hardcoded constructors did.
-func (c *compiledSpec) value(s *Session, metric, cellName string, b workload.Params) float64 {
+func (c *compiledSpec) value(tab cellTable, metric, cellName string, b workload.Params) float64 {
+	o := c.cell(tab, cellName, b)
 	if c.sp.Kind == "cmp" {
-		res, err := s.execCMP(c.cmpReqFor(cellName, b))
-		base, berr := s.execCMP(c.cmpReqFor(c.sp.Cells[cellName].Baseline, b))
-		return cellValue(100*(res.Speedup(base)-1), berr, err)
+		base := c.cell(tab, c.sp.Cells[cellName].Baseline, b)
+		return cellValue(100*(o.res.Speedup(base.res)-1), base.err, o.err)
 	}
-	res, err := s.exec(c.simReq(cellName, b))
+	res, err := o.single(), o.err
 	if spec.MetricNeedsBaseline(metric) {
-		base, berr := s.exec(c.simReq(c.sp.Cells[cellName].Baseline, b))
+		bo := c.cell(tab, c.sp.Cells[cellName].Baseline, b)
+		base, berr := bo.single(), bo.err
 		switch metric {
 		case "improvement_pct":
 			return cellValue(100*res.Improvement(base), berr, err)

@@ -39,8 +39,8 @@ func writeTableFile(t *testing.T, entries, maxAddrs int) string {
 }
 
 // warmReq is an EBCP cell at the default geometry.
-func warmReq(b workload.Params) runReq {
-	return runReq{
+func warmReq(b workload.Params) cellReq {
+	return cellReq{
 		key:   "warmstart/" + b.Name,
 		bench: b,
 		pf:    func() (prefetch.Prefetcher, error) { return core.New(core.DefaultConfig()) },
@@ -53,16 +53,16 @@ func TestOptionsLoadCorrtabWarmStartsEBCP(t *testing.T) {
 	b := workload.Database()
 	s := NewSession(Options{Warm: 200e3, Measure: 200e3, LoadCorrtab: path})
 
-	res, err := s.exec(warmReq(b))
-	if err != nil {
-		t.Fatalf("warm-started cell failed: %v", err)
+	o := s.resolve(warmReq(b))
+	if o.err != nil {
+		t.Fatalf("warm-started cell failed: %v", o.err)
 	}
-	if res.Core.Instructions == 0 {
+	if o.single().Core.Instructions == 0 {
 		t.Error("warm-started cell produced no instructions")
 	}
 
 	// Non-EBCP cells must pass through untouched.
-	if _, err := s.baseline(b); err != nil {
+	if err := s.resolve(baselineReq(b)).err; err != nil {
 		t.Fatalf("baseline cell failed under LoadCorrtab: %v", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestOptionsLoadCorrtabRejectsGeometryMismatch(t *testing.T) {
 	dflt := core.DefaultConfig()
 	path := writeTableFile(t, dflt.TableEntries/2, dflt.TableMaxAddrs)
 	s := NewSession(Options{Warm: 200e3, Measure: 200e3, LoadCorrtab: path})
-	if _, err := s.exec(warmReq(workload.Database())); !errors.Is(err, ebcperr.ErrInvalidConfig) {
+	if err := s.resolve(warmReq(workload.Database())).err; !errors.Is(err, ebcperr.ErrInvalidConfig) {
 		t.Fatalf("err = %v, want ErrInvalidConfig for mismatched table geometry", err)
 	}
 }
@@ -79,7 +79,55 @@ func TestOptionsLoadCorrtabRejectsGeometryMismatch(t *testing.T) {
 func TestOptionsLoadCorrtabMissingFile(t *testing.T) {
 	s := NewSession(Options{Warm: 200e3, Measure: 200e3,
 		LoadCorrtab: filepath.Join(t.TempDir(), "absent.json")})
-	if _, err := s.exec(warmReq(workload.Database())); err == nil {
-		t.Fatal("missing table file did not fail the cell")
+	if err := s.resolve(warmReq(workload.Database())).err; !errors.Is(err, ebcperr.ErrInvalidConfig) {
+		t.Fatalf("err = %v, want ErrInvalidConfig for a missing table file", err)
+	}
+}
+
+// TestOptionsLoadCorrtabReadOncePerSession rewrites the table file
+// between two cells of one session. The session must keep the bytes it
+// read first — the second cell still restores them (the rewritten table
+// has the wrong geometry, so restoring it would fail) — and key the
+// second cell by those bytes, exactly as a fresh session over them does.
+func TestOptionsLoadCorrtabReadOncePerSession(t *testing.T) {
+	dflt := core.DefaultConfig()
+	path := writeTableFile(t, dflt.TableEntries, dflt.TableMaxAddrs)
+	first, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Warm: 200e3, Measure: 200e3, LoadCorrtab: path}
+	s := NewSession(opts)
+	if err := s.resolve(warmReq(workload.Database())).err; err != nil {
+		t.Fatalf("first cell: %v", err)
+	}
+
+	rewritten, err := os.ReadFile(writeTableFile(t, dflt.TableEntries/2, dflt.TableMaxAddrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, rewritten, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	second := warmReq(workload.TPCW())
+	if err := s.resolve(second).err; err != nil {
+		t.Fatalf("second cell restored the rewritten table: %v", err)
+	}
+
+	got, err := s.cellKey(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := opts
+	fresh.LoadCorrtab = filepath.Join(t.TempDir(), "first.json")
+	if err := os.WriteFile(fresh.LoadCorrtab, first, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.CellKey("sim", second.key, second.bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Error("second cell's key does not hash the bytes the session first read")
 	}
 }

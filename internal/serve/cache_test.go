@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -8,16 +9,23 @@ import (
 	"time"
 )
 
+// The budgeted store the daemon builds (NewCache: exp.Cache with the
+// serving clock) under the contracts ebcpd relies on: counters, LRU
+// eviction under the byte budget, the oversize rule and single-flight.
+// The Do(ctx) cancellation rows live with exp.Cache itself.
+
+var bg = context.Background()
+
 func TestCacheHitMissCounters(t *testing.T) {
 	c := NewCache(1 << 20)
 	calls := 0
 	compute := func() (any, int) { calls++; return "v", 100 }
 
-	v, hit := c.Do("k", compute)
+	v, hit, _ := c.Do(bg, "k", compute)
 	if hit || v != "v" || calls != 1 {
 		t.Fatalf("first Do: v=%v hit=%v calls=%d, want v hit=false calls=1", v, hit, calls)
 	}
-	v, hit = c.Do("k", compute)
+	v, hit, _ = c.Do(bg, "k", compute)
 	if !hit || v != "v" || calls != 1 {
 		t.Fatalf("second Do: v=%v hit=%v calls=%d, want v hit=true calls=1", v, hit, calls)
 	}
@@ -48,7 +56,7 @@ func TestCacheCoalescesInflight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.Do("k", func() (any, int) {
+		c.Do(bg, "k", func() (any, int) {
 			calls.Add(1)
 			close(started)
 			<-release
@@ -62,7 +70,7 @@ func TestCacheCoalescesInflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, hit := c.Do("k", func() (any, int) {
+			v, hit, _ := c.Do(bg, "k", func() (any, int) {
 				calls.Add(1)
 				return -1, 8
 			})
@@ -98,8 +106,8 @@ func TestCacheCoalescesInflight(t *testing.T) {
 // entry goes first.
 func TestCacheEvictsLRUUnderBudget(t *testing.T) {
 	c := NewCache(250)
-	put := func(k string) { c.Do(k, func() (any, int) { return k, 100 }) }
-	get := func(k string) bool { _, hit := c.Do(k, func() (any, int) { return k, 100 }); return hit }
+	put := func(k string) { c.Do(bg, k, func() (any, int) { return k, 100 }) }
+	get := func(k string) bool { _, hit, _ := c.Do(bg, k, func() (any, int) { return k, 100 }); return hit }
 
 	put("a")
 	put("b")
@@ -135,10 +143,10 @@ func TestCacheRejectsOversizeEntry(t *testing.T) {
 	calls := 0
 	big := func() (any, int) { calls++; return "x", 1000 }
 
-	if v, hit := c.Do("big", big); hit || v != "x" {
+	if v, hit, _ := c.Do(bg, "big", big); hit || v != "x" {
 		t.Fatalf("first Do: v=%v hit=%v, want the computed value with hit=false", v, hit)
 	}
-	if _, hit := c.Do("big", big); hit {
+	if _, hit, _ := c.Do(bg, "big", big); hit {
 		t.Error("oversize entry was stored; the same key must recompute")
 	}
 	if calls != 2 {
@@ -150,9 +158,9 @@ func TestCacheRejectsOversizeEntry(t *testing.T) {
 	}
 
 	// Fitting entries survive an oversize computation on either side.
-	c.Do("a", func() (any, int) { return "a", 100 })
-	c.Do("big", big)
-	if _, hit := c.Do("a", func() (any, int) { return "a", 100 }); !hit {
+	c.Do(bg, "a", func() (any, int) { return "a", 100 })
+	c.Do(bg, "big", big)
+	if _, hit, _ := c.Do(bg, "a", func() (any, int) { return "a", 100 }); !hit {
 		t.Error("an oversize computation evicted a fitting entry")
 	}
 	if st := c.Stats(); st.Evictions != 0 {
@@ -164,8 +172,8 @@ func TestCacheRejectsOversizeEntry(t *testing.T) {
 // thing as oversize.
 func TestCacheUnboundedKeepsLargeEntries(t *testing.T) {
 	c := NewCache(0)
-	c.Do("big", func() (any, int) { return "x", 1 << 40 })
-	if _, hit := c.Do("big", func() (any, int) { return "y", 1 << 40 }); !hit {
+	c.Do(bg, "big", func() (any, int) { return "x", 1 << 40 })
+	if _, hit, _ := c.Do(bg, "big", func() (any, int) { return "y", 1 << 40 }); !hit {
 		t.Error("unbounded cache dropped a large entry")
 	}
 	if st := c.Stats(); st.Oversize != 0 {
@@ -177,7 +185,7 @@ func TestCacheUnboundedBudget(t *testing.T) {
 	c := NewCache(-1)
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("k%d", i)
-		c.Do(k, func() (any, int) { return k, 1 << 20 })
+		c.Do(bg, k, func() (any, int) { return k, 1 << 20 })
 	}
 	if st := c.Stats(); st.Evictions != 0 || st.Entries != 100 {
 		t.Errorf("unbounded cache evicted: %+v", st)
@@ -193,7 +201,7 @@ func TestCacheRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", (g+i)%50)
-				v, _ := c.Do(k, func() (any, int) { return k, 200 })
+				v, _, _ := c.Do(bg, k, func() (any, int) { return k, 200 })
 				if v.(string) != k {
 					t.Errorf("key %s returned %v", k, v)
 				}

@@ -81,7 +81,7 @@ type job struct {
 // it with Drain.
 type Server struct {
 	cfg   Config
-	cache *Cache
+	cache *exp.Cache
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -124,7 +124,7 @@ func New(cfg Config) (*Server, error) {
 
 // CacheStats exposes the shared cache's counters (for tests and the
 // /metrics handler).
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
+func (s *Server) CacheStats() exp.CacheStats { return s.cache.Stats() }
 
 // enqueue admits a job or rejects it with an ErrOverloaded- or
 // drain-classified error.
@@ -402,7 +402,7 @@ type StatsV1 struct {
 	QueueWaitUS metrics.Histogram `json:"queue_wait_us"`
 	RequestUS   metrics.Histogram `json:"request_us"`
 	// The shared result cache.
-	Cache CacheStats `json:"cache"`
+	Cache exp.CacheStats `json:"cache"`
 }
 
 // Stats snapshots the serving counters (the /metrics body).
