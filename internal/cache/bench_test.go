@@ -1,0 +1,39 @@
+package cache
+
+import (
+	"math/rand"
+	"testing"
+
+	"ebcp/internal/amo"
+)
+
+// BenchmarkCache measures one L2 probe of the simulator's demand path: a
+// 2 MB 4-way cache driven by a fixed seeded line stream (Access, then
+// Fill on a miss). The stream draws from twice as many distinct lines as
+// the cache holds, so about half the probes miss.
+func BenchmarkCache(b *testing.B) {
+	c := must(New(Config{Name: "L2", SizeBytes: 2 << 20, Ways: 4, HitLatency: 20}))
+	rng := rand.New(rand.NewSource(1))
+	pool := make([]amo.Line, 2*(2<<20)/amo.LineSize)
+	for i := range pool {
+		pool[i] = amo.Line(rng.Uint64() >> 24)
+	}
+	stream := make([]amo.Line, 1<<16)
+	for i := range stream {
+		stream[i] = pool[rng.Intn(len(pool))]
+	}
+	probe := func(l amo.Line) {
+		if !c.Access(l) {
+			c.Fill(l, false)
+		}
+	}
+	for _, l := range stream { // warm: a full cache, as in a measured run
+		probe(l)
+	}
+	c.ResetStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probe(stream[i&(len(stream)-1)])
+	}
+	b.ReportMetric(c.Stats().MissRate(), "miss/op")
+}

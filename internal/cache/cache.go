@@ -1,10 +1,10 @@
 // Package cache models the on-chip cache hierarchy of the default
 // processor configuration: set-associative L1 instruction/data caches and a
-// unified L2, all with true-LRU replacement and 64B lines, plus the MSHR
-// files that bound the number of outstanding misses and the small 4-way
-// prefetch buffer that every evaluated prefetcher fills (Section 5.2 of the
-// paper: prefetched lines live in the buffer and are only promoted into the
-// regular caches when they satisfy a demand request).
+// unified L2, all with true-LRU replacement and 64B lines, plus the small
+// 4-way prefetch buffer that every evaluated prefetcher fills (Section 5.2
+// of the paper: prefetched lines live in the buffer and are only promoted
+// into the regular caches when they satisfy a demand request). MSHR
+// merging of outstanding misses is modelled in internal/sim.
 package cache
 
 import (
@@ -64,20 +64,25 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type way struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// lru is a per-set stamp; higher is more recent.
-	lru uint64
-}
+// Stamp-word layout: bit 0 is valid, bit 1 is dirty, and the LRU stamp
+// (higher is more recent) fills the bits above them.
+const (
+	validBit   = 1
+	dirtyBit   = 2
+	stampShift = 2
+)
 
 // Cache is a set-associative cache with true-LRU replacement.
+//
+// Its state is one flat word array in set-major order: each set is its
+// ways tag words (the full line number, so no line value can alias
+// another) followed by its ways stamp words (valid, dirty and the LRU
+// stamp). A 4-way set is therefore 64 bytes, one host cache line, and a
+// simulated probe touches one host line.
 type Cache struct {
 	cfg     Config
-	sets    [][]way
-	nSets   int
-	setBits uint
+	words   []uint64
+	setMask uint64
 	stamp   uint64
 	stats   Stats
 }
@@ -89,16 +94,10 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nSets := int(cfg.SizeBytes / amo.LineSize / uint64(cfg.Ways))
-	sets := make([][]way, nSets)
-	backing := make([]way, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
 	return &Cache{
 		cfg:     cfg,
-		sets:    sets,
-		nSets:   nSets,
-		setBits: amo.Log2(uint64(nSets)),
+		words:   make([]uint64, nSets*2*cfg.Ways),
+		setMask: uint64(nSets - 1),
 	}, nil
 }
 
@@ -106,7 +105,7 @@ func New(cfg Config) (*Cache, error) {
 func (c *Cache) Config() Config { return c.cfg }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.nSets }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -115,22 +114,34 @@ func (c *Cache) Stats() Stats { return c.stats }
 // boundary) without disturbing cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
+// locate returns the tag and stamp words of the line's set.
+//
 //ebcp:hotpath
-func (c *Cache) locate(l amo.Line) (set []way, tag uint64) {
-	return c.sets[l.SetIndex(c.nSets)], l.Tag(c.setBits)
+func (c *Cache) locate(l amo.Line) (tags, stamps []uint64) {
+	w := c.cfg.Ways
+	base := int(uint64(l)&c.setMask) * 2 * w
+	set := c.words[base : base+2*w : base+2*w]
+	return set[:w], set[w:]
+}
+
+// find returns the way holding the line in the set, or -1.
+//
+//ebcp:hotpath
+func find(tags, stamps []uint64, l amo.Line) int {
+	for i, t := range tags {
+		if t == uint64(l) && stamps[i]&validBit != 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // Lookup probes for the line without updating statistics or LRU state.
 //
 //ebcp:hotpath
 func (c *Cache) Lookup(l amo.Line) bool {
-	set, tag := c.locate(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	tags, stamps := c.locate(l)
+	return find(tags, stamps, l) >= 0
 }
 
 // Access probes for the line, counting the access and updating LRU on a
@@ -139,13 +150,11 @@ func (c *Cache) Lookup(l amo.Line) bool {
 //ebcp:hotpath
 func (c *Cache) Access(l amo.Line) bool {
 	c.stats.Accesses++
-	set, tag := c.locate(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.stamp++
-			set[i].lru = c.stamp
-			return true
-		}
+	tags, stamps := c.locate(l)
+	if i := find(tags, stamps, l); i >= 0 {
+		c.stamp++
+		stamps[i] = c.stamp<<stampShift | stamps[i]&(dirtyBit|validBit)
+		return true
 	}
 	c.stats.Misses++
 	return false
@@ -158,36 +167,40 @@ func (c *Cache) Access(l amo.Line) bool {
 //
 //ebcp:hotpath
 func (c *Cache) Fill(l amo.Line, dirty bool) (victim amo.Line, evicted, victimDirty bool) {
-	set, tag := c.locate(l)
+	tags, stamps := c.locate(l)
 	c.stamp++
-	// Already present (e.g. racing fills): refresh.
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.stamp
-			set[i].dirty = set[i].dirty || dirty
-			return 0, false, false
-		}
+	var d uint64
+	if dirty {
+		d = dirtyBit
+	}
+	// Already present (e.g. racing fills): refresh, merging the dirty bit.
+	if i := find(tags, stamps, l); i >= 0 {
+		stamps[i] = c.stamp<<stampShift | stamps[i]&dirtyBit | d | validBit
+		return 0, false, false
 	}
 	c.stats.Fills++
+	// The victim is the first invalid way, else the least recently used
+	// one (stamps of valid ways are unique, so the flag bits never decide).
 	vi := 0
-	for i := range set {
-		if !set[i].valid {
+	for i, s := range stamps {
+		if s&validBit == 0 {
 			vi = i
 			goto place
 		}
-		if set[i].lru < set[vi].lru {
+		if s < stamps[vi] {
 			vi = i
 		}
 	}
-	victim = amo.Line(set[vi].tag<<c.setBits | uint64(l.SetIndex(c.nSets)))
+	victim = amo.Line(tags[vi])
 	evicted = true
-	victimDirty = set[vi].dirty
+	victimDirty = stamps[vi]&dirtyBit != 0
 	c.stats.Evictions++
 	if victimDirty {
 		c.stats.DirtyEvictions++
 	}
 place:
-	set[vi] = way{tag: tag, valid: true, dirty: dirty, lru: c.stamp}
+	tags[vi] = uint64(l)
+	stamps[vi] = c.stamp<<stampShift | d | validBit
 	return victim, evicted, victimDirty
 }
 
@@ -197,13 +210,10 @@ place:
 //
 //ebcp:hotpath
 func (c *Cache) Touch(l amo.Line) {
-	set, tag := c.locate(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.stamp++
-			set[i].lru = c.stamp
-			return
-		}
+	tags, stamps := c.locate(l)
+	if i := find(tags, stamps, l); i >= 0 {
+		c.stamp++
+		stamps[i] = c.stamp<<stampShift | stamps[i]&(dirtyBit|validBit)
 	}
 }
 
@@ -211,12 +221,10 @@ func (c *Cache) Touch(l amo.Line) {
 //
 //ebcp:hotpath
 func (c *Cache) Invalidate(l amo.Line) bool {
-	set, tag := c.locate(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].valid = false
-			return true
-		}
+	tags, stamps := c.locate(l)
+	if i := find(tags, stamps, l); i >= 0 {
+		stamps[i] &^= validBit
+		return true
 	}
 	return false
 }

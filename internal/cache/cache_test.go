@@ -120,76 +120,145 @@ func TestTouchKeepsLineWarm(t *testing.T) {
 	}
 }
 
-// Property: cache never holds more distinct lines than its capacity, and a
-// line reported resident by Lookup must have been filled and not yet
-// evicted or invalidated. We check against a reference model.
-func TestCacheMatchesReferenceModel(t *testing.T) {
-	c := must(New(Config{Name: "ref", SizeBytes: 2048, Ways: 2, HitLatency: 1})) // 16 sets x 2
-	type refLine struct {
-		line  amo.Line
-		stamp uint64
-	}
-	ref := make(map[int][]refLine) // set -> MRU-ordered lines
-	rng := rand.New(rand.NewSource(7))
-	var stamp uint64
-	nSets := c.Sets()
+// refCache is an independent model of a true-LRU set-associative cache:
+// each set is a recency list (MRU first) capped at the associativity, so
+// replacement is "evict the list's tail" with no notion of way positions.
+type refCache struct {
+	nSets, ways int
+	sets        map[int][]amo.Line
+	dirty       map[amo.Line]bool
+	stats       Stats
+}
 
-	refLookup := func(l amo.Line) bool {
-		for _, rl := range ref[l.SetIndex(nSets)] {
-			if rl.line == l {
-				return true
-			}
+func (r *refCache) set(l amo.Line) int { return int(uint64(l) & uint64(r.nSets-1)) }
+
+func (r *refCache) pos(l amo.Line) int {
+	for i, x := range r.sets[r.set(l)] {
+		if x == l {
+			return i
 		}
+	}
+	return -1
+}
+
+func (r *refCache) toFront(l amo.Line, i int) {
+	s := r.sets[r.set(l)]
+	copy(s[1:i+1], s[:i])
+	s[0] = l
+}
+
+func (r *refCache) access(l amo.Line) bool {
+	r.stats.Accesses++
+	if i := r.pos(l); i >= 0 {
+		r.toFront(l, i)
+		return true
+	}
+	r.stats.Misses++
+	return false
+}
+
+func (r *refCache) touch(l amo.Line) {
+	if i := r.pos(l); i >= 0 {
+		r.toFront(l, i)
+	}
+}
+
+func (r *refCache) fill(l amo.Line, dirty bool) (victim amo.Line, evicted, victimDirty bool) {
+	if i := r.pos(l); i >= 0 {
+		r.toFront(l, i)
+		r.dirty[l] = r.dirty[l] || dirty
+		return 0, false, false
+	}
+	r.stats.Fills++
+	si := r.set(l)
+	s := r.sets[si]
+	if len(s) == r.ways {
+		victim, evicted, victimDirty = s[len(s)-1], true, r.dirty[s[len(s)-1]]
+		delete(r.dirty, victim)
+		s = s[:len(s)-1]
+		r.stats.Evictions++
+		if victimDirty {
+			r.stats.DirtyEvictions++
+		}
+	}
+	r.sets[si] = append([]amo.Line{l}, s...)
+	r.dirty[l] = dirty
+	return victim, evicted, victimDirty
+}
+
+func (r *refCache) invalidate(l amo.Line) bool {
+	i := r.pos(l)
+	if i < 0 {
 		return false
 	}
-	refTouch := func(l amo.Line) {
-		set := ref[l.SetIndex(nSets)]
-		for i := range set {
-			if set[i].line == l {
-				stamp++
-				set[i].stamp = stamp
-			}
-		}
-	}
-	refFill := func(l amo.Line) {
-		si := l.SetIndex(nSets)
-		if refLookup(l) {
-			refTouch(l)
-			return
-		}
-		set := ref[si]
-		stamp++
-		if len(set) < 2 {
-			ref[si] = append(set, refLine{l, stamp})
-			return
-		}
-		vi := 0
-		if set[1].stamp < set[0].stamp {
-			vi = 1
-		}
-		set[vi] = refLine{l, stamp}
-	}
+	s := r.sets[r.set(l)]
+	r.sets[r.set(l)] = append(s[:i:i], s[i+1:]...)
+	delete(r.dirty, l)
+	return true
+}
 
-	for i := 0; i < 20000; i++ {
-		l := amo.Line(rng.Intn(128)) // enough conflict pressure
-		switch rng.Intn(3) {
-		case 0: // access
-			got := c.Access(l)
-			want := refLookup(l)
-			if got != want {
-				t.Fatalf("step %d: Access(%v) = %v, ref %v", i, l, got, want)
+// TestCacheMatchesReferenceModel drives the cache and the recency-list
+// model with one random operation stream and requires every observable
+// to agree: Access and Lookup results, each Fill's (victim, evicted,
+// victimDirty), each Invalidate's result, residency after each Touch,
+// and the statistics. The line pool mixes small lines with lines at the
+// top of the address range that share their low bits, so a lossy tag
+// encoding would alias them.
+func TestCacheMatchesReferenceModel(t *testing.T) {
+	configs := []Config{
+		{Name: "1way", SizeBytes: 1024, Ways: 1},
+		{Name: "2way", SizeBytes: 2048, Ways: 2},
+		{Name: "4way", SizeBytes: 4096, Ways: 4},
+		{Name: "8way", SizeBytes: 4096, Ways: 8},
+		{Name: "fullyassoc", SizeBytes: 512, Ways: 8}, // one set, setBits 0
+	}
+	for _, cfg := range configs {
+		t.Run(cfg.Name, func(t *testing.T) {
+			c := must(New(cfg))
+			nSets := c.Sets()
+			ref := &refCache{nSets: nSets, ways: cfg.Ways, sets: map[int][]amo.Line{}, dirty: map[amo.Line]bool{}}
+			// Enough distinct lines per set for conflict pressure, each
+			// small one shadowed by high lines with the same set index.
+			var pool []amo.Line
+			for i := 0; i < nSets*cfg.Ways*2; i++ {
+				set := uint64(i % nSets)
+				pool = append(pool, amo.Line(i), amo.Line(1<<62|uint64(i)), amo.Line(1<<63|set))
 			}
-			if want {
-				refTouch(l)
+			pool = append(pool, amo.Line(^uint64(0)), amo.Line(^uint64(0)-uint64(nSets)), amo.Line(1<<63))
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 20000; i++ {
+				l := pool[rng.Intn(len(pool))]
+				switch rng.Intn(6) {
+				case 0, 1:
+					if got, want := c.Access(l), ref.access(l); got != want {
+						t.Fatalf("step %d: Access(%v) = %v, ref %v", i, l, got, want)
+					}
+				case 2, 3:
+					dirty := rng.Intn(3) == 0
+					gv, ge, gd := c.Fill(l, dirty)
+					wv, we, wd := ref.fill(l, dirty)
+					if gv != wv || ge != we || gd != wd {
+						t.Fatalf("step %d: Fill(%v, %v) = (%v, %v, %v), ref (%v, %v, %v)", i, l, dirty, gv, ge, gd, wv, we, wd)
+					}
+				case 4:
+					if got, want := c.Invalidate(l), ref.invalidate(l); got != want {
+						t.Fatalf("step %d: Invalidate(%v) = %v, ref %v", i, l, got, want)
+					}
+				case 5:
+					c.Touch(l)
+					ref.touch(l)
+					if got, want := c.Lookup(l), ref.pos(l) >= 0; got != want {
+						t.Fatalf("step %d: after Touch, Lookup(%v) = %v, ref %v", i, l, got, want)
+					}
+				}
+				if got, want := c.Lookup(l), ref.pos(l) >= 0; got != want {
+					t.Fatalf("step %d: Lookup(%v) = %v, ref %v", i, l, got, want)
+				}
+				if c.Stats() != ref.stats {
+					t.Fatalf("step %d: stats %+v, ref %+v", i, c.Stats(), ref.stats)
+				}
 			}
-		case 1: // fill
-			c.Fill(l, false)
-			refFill(l)
-		case 2: // lookup
-			if got, want := c.Lookup(l), refLookup(l); got != want {
-				t.Fatalf("step %d: Lookup(%v) = %v, ref %v", i, l, got, want)
-			}
-		}
+		})
 	}
 }
 

@@ -12,10 +12,12 @@
 // caller, which charges it against the interconnect model.
 //
 // Storage is sparse (only touched indices are materialized) but flat:
-// entries live in dense pages of fixed-capacity slots — a tag, a
-// generation stamp, a length, and an inline MaxAddrs-line address array
-// carved out of one per-page backing slice — and a small open-addressed
-// index maps touched table indices to slots. An 8M-entry idealized table
+// entries live in dense pages of fixed-size slots, each slot one
+// contiguous record — the tag, a generation stamp and length, and an
+// inline MaxAddrs-line address array — so a simulated lookup reads one
+// run of words, as the modelled hardware reads one 64B entry. A small
+// open-addressed index of packed words maps touched table indices to
+// slots. An 8M-entry idealized table
 // therefore still costs memory proportional to its working set, not its
 // architected size, while the steady state (update, lookup, touch) runs
 // without pointer chasing or per-entry allocation; new storage is only
@@ -49,6 +51,9 @@ func (c Config) Validate() error {
 	if c.Entries <= 0 || !amo.IsPow2(uint64(c.Entries)) {
 		return ebcperr.Invalidf("corrtab: entries %d must be a positive power of two", c.Entries)
 	}
+	if uint64(c.Entries) > maxEntries {
+		return ebcperr.Invalidf("corrtab: entries %d exceeds limit %d", c.Entries, maxEntries)
+	}
 	if c.MaxAddrs <= 0 {
 		return ebcperr.Invalidf("corrtab: max addrs %d must be positive", c.MaxAddrs)
 	}
@@ -58,9 +63,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// maxAddrsLimit bounds per-entry address capacity (the slot length field
-// is a uint16; real configurations use 8 or 32).
+// maxAddrsLimit bounds per-entry address capacity (real configurations
+// use 8 or 32).
 const maxAddrsLimit = 1 << 15
+
+// maxEntries bounds the table size: table indices and slot ids are
+// 32-bit, packed two to an index word.
+const maxEntries uint64 = 1 << 32
 
 // Stats counts table activity.
 type Stats struct {
@@ -82,44 +91,45 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// pageShift sizes the entry pages: 512 fixed-capacity slots per page.
+// pageShift sizes the entry pages: 512 slots per page.
 const (
 	pageShift = 9
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
 )
 
-// page is one dense block of entry slots. A slot is live when its
-// generation stamp matches the table's; addresses are kept MRU-first in
-// the slot's inline span of the page's flat backing array (the span's
-// order encodes the 64B entry's LRU information).
-type page struct {
-	tags [pageSize]uint64
-	gens [pageSize]uint32
-	ns   [pageSize]uint16
-	// addrs holds pageSize fixed-capacity spans of MaxAddrs lines each.
-	addrs []amo.Line
-}
+// A slot's record is recAddrs+MaxAddrs words: the full key line, the
+// generation stamp and address count packed as gen<<32|len, then the
+// addresses, MRU first (their order encodes the 64B entry's LRU
+// information). A slot is live when its stamp matches the table's
+// generation.
+const (
+	recTag   = 0
+	recMeta  = 1
+	recAddrs = 2
+)
 
 // Table is the sparse direct-mapped correlation table.
 type Table struct {
-	cfg  Config
-	mask uint64
-	gen  uint32
-	live int
+	cfg    Config
+	mask   uint64
+	stride int // words per record
+	gen    uint32
+	live   int
 
-	// pages is the append-only slot arena; nextSlot is the first unused
-	// slot (pages are filled densely in allocation order).
-	pages    []*page
+	// pages is the append-only slot arena, each page pageSize records
+	// back to back; nextSlot is the first unused slot (pages are filled
+	// densely in allocation order).
+	pages    [][]amo.Line
 	nextSlot uint32
 
-	// Open-addressed index: table index -> arena slot. Keys are stored
-	// as index+1 so the zero value means empty; the index only grows
-	// (slots of reclaimed generations are recycled in place).
-	idxKeys  []uint64
-	idxSlots []uint32
-	idxMask  uint64
-	idxLen   int
+	// Open-addressed index: table index -> arena slot, one
+	// index<<32 | slot+1 word per binding, so the zero word means empty.
+	// The index only grows (slots of reclaimed generations are recycled
+	// in place).
+	idx     []uint64
+	idxMask uint64
+	idxLen  int
 
 	stats Stats
 }
@@ -132,12 +142,12 @@ func New(cfg Config) (*Table, error) {
 	}
 	const initIdx = 1024
 	return &Table{
-		cfg:      cfg,
-		mask:     uint64(cfg.Entries - 1),
-		gen:      1,
-		idxKeys:  make([]uint64, initIdx),
-		idxSlots: make([]uint32, initIdx),
-		idxMask:  initIdx - 1,
+		cfg:     cfg,
+		mask:    uint64(cfg.Entries - 1),
+		stride:  recAddrs + cfg.MaxAddrs,
+		gen:     1,
+		idx:     make([]uint64, initIdx),
+		idxMask: initIdx - 1,
 	}, nil
 }
 
@@ -163,17 +173,21 @@ func idxHash(idx uint64) uint64 {
 	return h ^ (h >> 29)
 }
 
-// findSlot returns the arena slot for a table index, if indexed.
+// findSlot returns the arena slot for a table index, if indexed. The
+// slot is the low half minus one, wrapping, so slot 2^32-1 still
+// decodes; only its binding to index 0 would read as the empty word, and
+// that needs all 2^32 entries of the largest table materialized (over
+// 96 GiB of records).
 //
 //ebcp:hotpath
 func (t *Table) findSlot(idx uint64) (uint32, bool) {
-	key := idx + 1
 	for i := idxHash(idx) & t.idxMask; ; i = (i + 1) & t.idxMask {
-		switch t.idxKeys[i] {
-		case key:
-			return t.idxSlots[i], true
-		case 0:
+		w := t.idx[i]
+		if w == 0 {
 			return 0, false
+		}
+		if w>>32 == idx {
+			return uint32(w) - 1, true
 		}
 	}
 }
@@ -181,41 +195,40 @@ func (t *Table) findSlot(idx uint64) (uint32, bool) {
 // indexSlot binds a table index to an arena slot, growing the index when
 // it passes half full.
 func (t *Table) indexSlot(idx uint64, slot uint32) {
-	if t.idxLen*2 >= len(t.idxKeys) {
+	if t.idxLen*2 >= len(t.idx) {
 		t.growIndex()
 	}
-	key := idx + 1
 	i := idxHash(idx) & t.idxMask
-	for t.idxKeys[i] != 0 {
+	for t.idx[i] != 0 {
 		i = (i + 1) & t.idxMask
 	}
-	t.idxKeys[i], t.idxSlots[i] = key, slot
+	t.idx[i] = idx<<32 | uint64(slot+1)
 	t.idxLen++
 }
 
 func (t *Table) growIndex() {
-	oldKeys, oldSlots := t.idxKeys, t.idxSlots
-	n := len(oldKeys) * 2
-	t.idxKeys = make([]uint64, n)
-	t.idxSlots = make([]uint32, n)
+	old := t.idx
+	n := len(old) * 2
+	t.idx = make([]uint64, n)
 	t.idxMask = uint64(n - 1)
-	for i, k := range oldKeys {
-		if k == 0 {
+	for _, w := range old {
+		if w == 0 {
 			continue
 		}
-		j := idxHash(k-1) & t.idxMask
-		for t.idxKeys[j] != 0 {
+		j := idxHash(w>>32) & t.idxMask
+		for t.idx[j] != 0 {
 			j = (j + 1) & t.idxMask
 		}
-		t.idxKeys[j], t.idxSlots[j] = k, oldSlots[i]
+		t.idx[j] = w
 	}
 }
 
-// slot dereferences an arena slot into its page and in-page position.
+// record returns the arena slot's record.
 //
 //ebcp:hotpath
-func (t *Table) slot(s uint32) (*page, uint32) {
-	return t.pages[s>>pageShift], s & pageMask
+func (t *Table) record(s uint32) []amo.Line {
+	off := int(s&pageMask) * t.stride
+	return t.pages[s>>pageShift][off : off+t.stride : off+t.stride]
 }
 
 // newSlot appends a fresh slot to the arena, materializing a page when the
@@ -223,18 +236,19 @@ func (t *Table) slot(s uint32) (*page, uint32) {
 func (t *Table) newSlot() uint32 {
 	s := t.nextSlot
 	if int(s>>pageShift) == len(t.pages) {
-		t.pages = append(t.pages, &page{addrs: make([]amo.Line, pageSize*t.cfg.MaxAddrs)})
+		t.pages = append(t.pages, make([]amo.Line, pageSize*t.stride))
 	}
 	t.nextSlot++
 	return s
 }
 
-// span returns the slot's inline fixed-capacity address array.
+// liveLen returns rec's address count and whether rec belongs to
+// generation gen.
 //
 //ebcp:hotpath
-func (p *page) span(s uint32, max int) []amo.Line {
-	off := int(s) * max
-	return p.addrs[off : off+max : off+max]
+func liveLen(rec []amo.Line, gen uint32) (int, bool) {
+	m := uint64(rec[recMeta])
+	return int(uint32(m)), uint32(m>>32) == gen
 }
 
 // Lookup returns the prefetch addresses stored under key (MRU first), or
@@ -249,12 +263,13 @@ func (t *Table) Lookup(key amo.Line) []amo.Line {
 	if !ok {
 		return nil
 	}
-	p, ps := t.slot(s)
-	if p.gens[ps] != t.gen || p.tags[ps] != uint64(key) {
+	rec := t.record(s)
+	n, ok := liveLen(rec, t.gen)
+	if !ok || rec[recTag] != key {
 		return nil
 	}
 	t.stats.Hits++
-	return p.span(ps, t.cfg.MaxAddrs)[:p.ns[ps]]
+	return rec[recAddrs : recAddrs+n]
 }
 
 // Update merges addrs into the entry for key, in the order given (highest
@@ -268,38 +283,32 @@ func (t *Table) Update(key amo.Line, addrs []amo.Line) {
 	t.stats.Updates++
 	idx := t.Index(key)
 	s, indexed := t.findSlot(idx)
-	var p *page
-	var ps uint32
-	if indexed {
-		p, ps = t.slot(s)
+	if !indexed {
+		s = t.newSlot()
+		t.indexSlot(idx, s)
 	}
-	if !indexed || p.gens[ps] != t.gen || p.tags[ps] != uint64(key) {
-		if !indexed {
-			s = t.newSlot()
-			t.indexSlot(idx, s)
-			p, ps = t.slot(s)
-		}
-		if p.gens[ps] == t.gen {
+	rec := t.record(s)
+	n, isLive := liveLen(rec, t.gen)
+	if !isLive || rec[recTag] != key {
+		if isLive {
 			t.stats.ConflictEvictions++
 		} else {
 			t.live++
 		}
 		t.stats.Allocations++
-		p.tags[ps] = uint64(key)
-		p.gens[ps] = t.gen
-		p.ns[ps] = 0
+		rec[recTag] = key
+		n = 0
 		if len(addrs) > t.cfg.MaxAddrs {
 			addrs = addrs[:t.cfg.MaxAddrs]
 		}
 	}
 	// Merge, highest priority last inserted so it ends most-recently-used:
 	// iterate in reverse so addrs[0] lands at the front.
-	span := p.span(ps, t.cfg.MaxAddrs)
-	n := int(p.ns[ps])
+	span := rec[recAddrs:]
 	for i := len(addrs) - 1; i >= 0; i-- {
 		n = promote(span, n, addrs[i])
 	}
-	p.ns[ps] = uint16(n)
+	rec[recMeta] = amo.Line(uint64(t.gen)<<32 | uint64(n))
 }
 
 // promote moves a to the MRU position of the n-entry span, inserting it if
@@ -335,12 +344,13 @@ func (t *Table) Touch(index uint64, used amo.Line) {
 	if !ok {
 		return
 	}
-	p, ps := t.slot(s)
-	if p.gens[ps] != t.gen {
+	rec := t.record(s)
+	n, ok := liveLen(rec, t.gen)
+	if !ok {
 		return
 	}
-	span := p.span(ps, t.cfg.MaxAddrs)
-	for i := 0; i < int(p.ns[ps]); i++ {
+	span := rec[recAddrs:]
+	for i := 0; i < n; i++ {
 		if span[i] == used {
 			copy(span[1:i+1], span[:i])
 			span[0] = used
@@ -359,8 +369,8 @@ func (t *Table) Reclaim() {
 	t.gen++
 	t.live = 0
 	if t.gen == 0 { // generation counter wrapped: hard-reset stamps
-		for _, p := range t.pages {
-			p.gens = [pageSize]uint32{}
+		for s := uint32(0); s < t.nextSlot; s++ {
+			t.record(s)[recMeta] = 0
 		}
 		t.gen = 1
 	}
@@ -386,14 +396,14 @@ type Row struct {
 func (t *Table) Rows() []Row {
 	rows := make([]Row, 0, t.live)
 	for s := uint32(0); s < t.nextSlot; s++ {
-		p, ps := t.slot(s)
-		if p.gens[ps] != t.gen {
+		rec := t.record(s)
+		n, ok := liveLen(rec, t.gen)
+		if !ok {
 			continue
 		}
-		span := p.span(ps, t.cfg.MaxAddrs)[:p.ns[ps]]
 		rows = append(rows, Row{
-			Tag:   amo.Line(p.tags[ps]),
-			Addrs: append([]amo.Line(nil), span...),
+			Tag:   rec[recTag],
+			Addrs: append([]amo.Line(nil), rec[recAddrs:recAddrs+n]...),
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool {

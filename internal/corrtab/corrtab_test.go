@@ -2,6 +2,7 @@ package corrtab
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +146,65 @@ func TestReclaim(t *testing.T) {
 	}
 	if tb.Occupancy() != 0 {
 		t.Errorf("occupancy = %d", tb.Occupancy())
+	}
+}
+
+// TestReclaimGenerationWrap forces the generation stamp to wrap: every
+// record written before the wrap must read as dead afterwards, and the
+// recycled slots must work as fresh ones.
+func TestReclaimGenerationWrap(t *testing.T) {
+	tb := table(64, 4)
+	tb.gen = ^uint32(0)
+	tb.Update(amo.Line(1), lines(5, 6))
+	tb.Update(amo.Line(2), lines(7))
+	tb.Reclaim()
+	if tb.gen != 1 {
+		t.Fatalf("gen after wrap = %d, want 1", tb.gen)
+	}
+	if tb.Lookup(amo.Line(1)) != nil || tb.Lookup(amo.Line(2)) != nil || len(tb.Rows()) != 0 {
+		t.Fatal("entries survived a wrapped reclaim")
+	}
+	tb.Update(amo.Line(1), lines(9))
+	if got := tb.Lookup(amo.Line(1)); len(got) != 1 || got[0] != 9 {
+		t.Errorf("Lookup after wrap = %v, want [9]", got)
+	}
+	if tb.Occupancy() != 1 || tb.Stats().ConflictEvictions != 0 {
+		t.Errorf("occupancy %d, conflicts %d; want 1, 0", tb.Occupancy(), tb.Stats().ConflictEvictions)
+	}
+}
+
+// TestLargestTable runs the largest accepted table (2^32 entries, still
+// sparse) with keys whose indices and tags sit at the top of the range,
+// where the packed index words use all 32 bits of each half.
+func TestLargestTable(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("a 2^32-entry table needs a 64-bit int")
+	}
+	largest := maxEntries
+	tb := table(int(largest), 8)
+	keys := lines(^uint64(0), 1<<32-1, 1<<63|(1<<32-1), 0, 1<<32, 1<<62|1)
+	for i, k := range keys {
+		tb.Update(k, lines(uint64(i)+100))
+	}
+	// Keys sharing an index conflict: the last writer of each index wins.
+	want := map[uint64]amo.Line{}
+	for _, k := range keys {
+		want[tb.Index(k)] = k
+	}
+	for i, k := range keys {
+		got := tb.Lookup(k)
+		if want[tb.Index(k)] != k {
+			if got != nil {
+				t.Errorf("Lookup(%v) = %v, want a miss (overwritten)", k, got)
+			}
+			continue
+		}
+		if len(got) != 1 || got[0] != amo.Line(uint64(i)+100) {
+			t.Errorf("Lookup(%v) = %v, want [%d]", k, got, i+100)
+		}
+	}
+	if tb.Occupancy() != len(want) {
+		t.Errorf("occupancy %d, want %d", tb.Occupancy(), len(want))
 	}
 }
 

@@ -37,6 +37,11 @@ func TestNegativeConfigs(t *testing.T) {
 		{"non-pow2 entries", func() error { _, err := New(Config{Entries: 3000, MaxAddrs: 8}); return err }},
 		{"zero max addrs", func() error { _, err := New(Config{Entries: 1 << 10, MaxAddrs: 0}); return err }},
 		{"oversized max addrs", func() error { _, err := New(Config{Entries: 1 << 10, MaxAddrs: 1 << 16}); return err }},
+		{"entries above 2^32", func() error {
+			above := 2 * maxEntries // a variable, so the conversion compiles on 32-bit hosts
+			_, err := New(Config{Entries: int(above), MaxAddrs: 8})
+			return err
+		}},
 	}
 	for _, c := range cases {
 		checkInvalid(t, c.name, c.f)

@@ -136,13 +136,13 @@ func RunCMP(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) (CMPResu
 		}
 	}
 	// The lane interleaving is decided record by record by the local
-	// clocks, so the loop cannot batch across lanes; per-lane Batchers
-	// amortize the interface dispatch instead. Each lane still receives
+	// clocks, so the loop cannot batch across lanes. Each lane instead
+	// reads its own source through trace.FillBatch into a reused buffer
+	// and pending is the unread rest of it; each lane still receives
 	// exactly its own source's record sequence.
-	srcs := make([]trace.Source, len(sources))
-	for i, s := range sources {
-		srcs[i] = trace.NewBatcher(s, 1024)
-	}
+	const batch = 1024
+	backing := make([]trace.Record, batch*len(sources))
+	pending := make([][]trace.Record, len(sources))
 
 	// clock mirrors each running lane's core clock in one flat slice, so
 	// picking the next lane scans contiguous memory; a retired lane's
@@ -189,8 +189,11 @@ func RunCMP(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) (CMPResu
 			}
 		}
 		l := lanes[li]
-		rec, ok := srcs[li].Next()
-		if !ok {
+		if len(pending[li]) == 0 {
+			buf := backing[li*batch : (li+1)*batch]
+			pending[li] = buf[:trace.FillBatch(sources[li], buf)]
+		}
+		if len(pending[li]) == 0 {
 			clock[li] = retired
 			active--
 			if !measuring && !warmed[li] {
@@ -202,7 +205,8 @@ func RunCMP(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) (CMPResu
 			}
 			continue
 		}
-		r.step(l, rec)
+		r.step(l, pending[li][0])
+		pending[li] = pending[li][1:]
 		clock[li] = l.core.Now()
 		switch {
 		case measuring:

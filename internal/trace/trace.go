@@ -25,10 +25,11 @@
 // record sequence repeated Next calls would (so batching is purely a
 // throughput optimization, never a semantic one), must return 0 only at
 // end of stream, and need not fill dst completely on intermediate calls.
-// Slice, Limit and workload.Generator batch natively; Batcher adapts any
-// other Source. The one sanctioned deviation: a wrapper that truncates a
-// stream (Limit) may leave its *underlying* source a few records past the
-// cut once the limit trips — the delivered sequence is still exact.
+// Slice, Limit and workload.Generator batch natively; FillBatch falls back
+// to Next for any other Source. The one sanctioned deviation: a wrapper
+// that truncates a stream (Limit) may leave its *underlying* source a few
+// records past the cut once the limit trips — the delivered sequence is
+// still exact.
 package trace
 
 import (
@@ -133,54 +134,6 @@ func FillBatch(src Source, dst []Record) int {
 		}
 		dst[n] = r
 		n++
-	}
-	return n
-}
-
-// Batcher adapts any Source into one whose Next amortizes the underlying
-// interface dispatch over an internal batch buffer. It is useful where a
-// consumer must interleave records from several sources one at a time
-// (e.g. the CMP scheduler) and so cannot batch at the loop level itself.
-type Batcher struct {
-	src Source
-	buf []Record
-	pos int
-	n   int
-}
-
-// NewBatcher wraps src with an internal buffer of the given size.
-func NewBatcher(src Source, size int) *Batcher {
-	if size <= 0 {
-		size = 256
-	}
-	return &Batcher{src: src, buf: make([]Record, size)}
-}
-
-// Next implements Source.
-//
-//ebcp:hotpath
-func (b *Batcher) Next() (Record, bool) {
-	if b.pos >= b.n {
-		b.n = FillBatch(b.src, b.buf)
-		b.pos = 0
-		if b.n == 0 {
-			return Record{}, false
-		}
-	}
-	r := b.buf[b.pos]
-	b.pos++
-	return r, true
-}
-
-// ReadBatch implements BatchSource: buffered records drain first, then
-// the underlying source fills the remainder directly.
-//
-//ebcp:hotpath
-func (b *Batcher) ReadBatch(dst []Record) int {
-	n := copy(dst, b.buf[b.pos:b.n])
-	b.pos += n
-	if n < len(dst) {
-		n += FillBatch(b.src, dst[n:])
 	}
 	return n
 }

@@ -321,7 +321,7 @@ func sameRecords(t *testing.T, label string, got, want []Record) {
 }
 
 // TestBatchMatchesNext locks the batched-Source contract for every
-// native BatchSource and for the Batcher/FillBatch adapters: the bulk
+// native BatchSource and for the FillBatch fallback: the bulk
 // path must deliver exactly the record sequence repeated Next calls
 // would, for any batch size.
 func TestBatchMatchesNext(t *testing.T) {
@@ -340,11 +340,6 @@ func TestBatchMatchesNext(t *testing.T) {
 			got = drainBatch(NewLimit(nextOnly{NewSlice(recs)}, max), size)
 			sameRecords(t, "limit/fallback", got, want)
 		}
-
-		// Batcher over a Next-only source, drained both ways.
-		want = drainNext(NewSlice(recs))
-		sameRecords(t, "batcher/next", drainNext(NewBatcher(nextOnly{NewSlice(recs)}, size)), want)
-		sameRecords(t, "batcher/batch", drainBatch(NewBatcher(nextOnly{NewSlice(recs)}, 13), size), want)
 	}
 }
 

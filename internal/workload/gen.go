@@ -122,11 +122,13 @@ func New(p Params) (*Generator, error) {
 		p:       p,
 		rng:     rand.New(rand.NewSource(p.Seed)),
 		hotRing: make([]amo.Line, 2048),
-		// Pre-size the step arena near its final size (~50-110 lines and
-		// ~40-50 spans per chain across the shipped benchmarks) so chain
-		// construction doesn't repeatedly double-and-copy it.
-		lineArena: make([]amo.Line, 0, 128*p.Chains),
-		varSpans:  make([]lineSpan, 0, 64*p.Chains),
+		// Pre-size the step arena near its final size so chain
+		// construction doesn't repeatedly double-and-copy it, without
+		// zeroing much it never uses: the shipped benchmarks take 1.7-3.6
+		// lines and 1.3-1.6 variant spans per step, so reserve 4 lines
+		// and 2 spans per step of the mean chain length.
+		lineArena: make([]amo.Line, 0, 2*(p.ChainSteps[0]+p.ChainSteps[1])*p.Chains),
+		varSpans:  make([]lineSpan, 0, (p.ChainSteps[0]+p.ChainSteps[1])*p.Chains),
 		queue:     make([]trace.Record, 0, 64),
 	}
 	g.buildLayouts()
