@@ -4,7 +4,7 @@
 # through (internal/exp/sched.go, internal/exp/cache.go) — run it
 # before touching anything under internal/exp.
 
-.PHONY: tier1 vet lint cover race race-short fuzz bench-parallel bench-json bench-test smoke spec-smoke
+.PHONY: tier1 vet lint cover race race-short fuzz bench-parallel bench-test smoke spec-smoke
 
 # Build + full test suite (the tier-1 contract from ROADMAP.md).
 tier1:
@@ -60,29 +60,20 @@ race: lint cover
 race-short: lint
 	go test -race -short ./...
 
-# Fuzz the condensed-trace codec for a short while (seed corpus lives in
-# internal/trace/testdata/fuzz/).
+# Fuzz each strict schema decoder that has a committed seed corpus
+# (<pkg>/testdata/fuzz/<target>/) for 10s, one target per run, since
+# `go test -fuzz` accepts only one.
 fuzz:
-	go test -fuzz FuzzEncodeDecode -fuzztime 60s ./internal/trace/
+	go test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime 10s ./internal/metrics
+	go test -run '^$$' -fuzz '^FuzzCorrtabCodec$$' -fuzztime 10s ./internal/corrtab
+	go test -run '^$$' -fuzz '^FuzzDecodeRobust$$' -fuzztime 10s ./internal/corrtab
+	go test -run '^$$' -fuzz '^FuzzDecodeRobust$$' -fuzztime 10s ./internal/spec
+	go test -run '^$$' -fuzz '^FuzzRunRequestDecode$$' -fuzztime 10s ./internal/serve
+	go test -run '^$$' -fuzz '^FuzzStatsDecode$$' -fuzztime 10s ./internal/serve
 
 # Serial vs parallel session wall-clock comparison (speedup needs >1 CPU).
 bench-parallel:
 	go test -bench 'BenchmarkSession(Serial|Parallel)' -benchtime 1x -count 1
-
-# Refresh the committed throughput baseline: single-run simulator speed
-# (Minsts/s, allocs/op), the serial/parallel session grid, and the
-# daemon's serving curve (hit/miss/mixed × 1/4/16 clients), as JSON.
-# Compare against the committed BENCH_throughput.json before/after perf
-# work; see EXPERIMENTS.md ("Performance workflow" and "Serving
-# benchmarks"). BENCH_HOST_NOTE lands in the document's host_note field
-# — describe the machine when refreshing the committed baseline.
-BENCH_HOST_NOTE ?=
-bench-json:
-	( go test -run '^$$' -bench 'BenchmarkSimThroughput|BenchmarkCMPThroughput|BenchmarkSession(Serial|Parallel)' \
-		-benchmem -benchtime 1x -count 1 . ; \
-	  go test -run '^$$' -bench 'BenchmarkServe' \
-		-benchmem -benchtime 5x -count 1 ./internal/serve ) \
-		| go run ./cmd/benchjson -host-note "$(BENCH_HOST_NOTE)" -o BENCH_throughput.json
 
 # Vet and test the end-to-end benchmark (bench/, BENCHMARK.json). It is a
 # module of its own, so the root `go test ./...` does not reach it.

@@ -190,8 +190,8 @@ func BenchmarkAblations(b *testing.B) {
 // lanes grow). RunCMP interleaves the lanes on the calling goroutine, so
 // the Minsts/s curve is the per-record cost of the lowest-clock loop plus
 // the extra cache and table pressure of more threads; it does not scale
-// with host cores. `lanes` rides along as a metric so
-// BENCH_throughput.json is self-describing.
+// with host cores. `lanes` rides along as a metric so each -bench output
+// line is self-describing.
 func BenchmarkCMPThroughput(b *testing.B) {
 	bench := Database()
 	for _, lanes := range []int{1, 2, 4, 8, 16, 32, 64} {

@@ -12,10 +12,9 @@ import (
 // errors.New, or a fmt.Errorf whose format has no %w verb, produces an
 // error no caller can branch on with errors.Is.
 //
-// Package-level var declarations are the sanctioned root sites — that
-// is where sentinels like ErrBadMagic live — so only function bodies
-// are scanned. The ebcperr package itself is exempt: it is the root of
-// the taxonomy.
+// Package-level var declarations are the sanctioned root sites for a
+// package's own sentinels, so only function bodies are scanned. The
+// ebcperr package itself is exempt: it is the root of the taxonomy.
 //
 // The check resolves callees through go/types, so it recognizes the
 // actual errors.New and fmt.Errorf functions (and their error-typed

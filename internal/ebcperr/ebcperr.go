@@ -9,8 +9,6 @@
 //	    window completed, so the statistics include warmup and are not
 //	    Table 1-grade data.
 //	ErrCancelled — a context was cancelled before the work ran.
-//	ErrCorruptTrace — a condensed trace failed to decode: truncated,
-//	    bad magic, or a record failed a plausibility bound.
 //	ErrBadReport — a machine-readable report failed to decode or
 //	    carried an unsupported schema.
 //	ErrInvariant — a metrics snapshot failed reconciliation; the
@@ -40,8 +38,6 @@ var (
 	// ErrCancelled classifies work skipped because a context was
 	// cancelled before it could start.
 	ErrCancelled = errors.New("cancelled")
-	// ErrCorruptTrace classifies condensed-trace decode failures.
-	ErrCorruptTrace = errors.New("corrupt trace")
 	// ErrBadReport classifies machine-readable reports that fail to
 	// decode or carry an unsupported schema.
 	ErrBadReport = errors.New("bad report")

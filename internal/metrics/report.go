@@ -14,10 +14,6 @@ import (
 // fields precisely so such drift fails loudly instead of silently.
 const SchemaV1 = "ebcp.report/v1"
 
-// BenchSchemaV1 identifies version 1 of the benchmark-baseline document
-// cmd/benchjson emits (BENCH_throughput.json).
-const BenchSchemaV1 = "ebcp.bench/v1"
-
 // ConfigV1 records the simulation parameters a report's runs used —
 // enough to tell two reports apart before diffing their numbers.
 type ConfigV1 struct {
@@ -83,10 +79,10 @@ type ReportV1 struct {
 	Grids      []GridV1      `json:"grids,omitempty"`
 }
 
-// WriteJSON is the one JSON encoder shared by ebcpsim, ebcpexp and
-// benchjson: two-space-indented, trailing newline. Keeping a single
-// encoder guarantees every emitted document round-trips byte-for-byte
-// through decode + WriteJSON.
+// WriteJSON is the one JSON encoder every emitted document goes through
+// (reports, specs, table snapshots, daemon replies): two-space-indented,
+// trailing newline. Keeping a single encoder guarantees every emitted
+// document round-trips byte-for-byte through decode + WriteJSON.
 func WriteJSON(w io.Writer, v any) error {
 	buf, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

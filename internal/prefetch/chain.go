@@ -338,8 +338,7 @@ type ChainRow struct {
 	Succs   []ChainSucc
 }
 
-// Rows exports the live entries in FIFO order (oldest first) — the
-// canonical order the ebcp.chain/v1 codec serializes, chosen so that
+// Rows exports the live entries in FIFO order (oldest first), so that
 // re-inserting the rows into a fresh table reproduces the ring exactly.
 func (t *ChainTable) Rows() []ChainRow {
 	rows := make([]ChainRow, 0, t.n)

@@ -26,10 +26,9 @@ import (
 //
 // One benchmark iteration is one *batch* of `clients` concurrent
 // requests (ns/op is batch latency); the req/s metric normalizes across
-// client counts, so the committed BENCH_throughput.json carries the
-// 1/4/16-client serving curve directly. The hit-vs-miss ns/op ratio at
-// equal client count is the cache's throughput multiplier and is the
-// number the PR's ≥10× acceptance bar reads.
+// client counts, so one -bench run prints the 1/4/16-client serving
+// curve directly. The hit-vs-miss ns/op ratio at equal client count is
+// the cache's throughput multiplier.
 func BenchmarkServe(b *testing.B) {
 	for _, mode := range []string{"hit", "miss", "mixed"} {
 		for _, clients := range []int{1, 4, 16} {

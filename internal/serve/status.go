@@ -21,13 +21,12 @@ var statusTable = []struct {
 	sentinel error
 	code     int
 }{
-	{ebcperr.ErrInvalidConfig, http.StatusBadRequest},         // 400: the request described an unbuildable cell
-	{ebcperr.ErrBadReport, http.StatusBadRequest},             // 400: undecodable document (schema drift)
-	{ebcperr.ErrShortTrace, http.StatusUnprocessableEntity},   // 422: well-formed request, un-runnable windows
-	{ebcperr.ErrCorruptTrace, http.StatusUnprocessableEntity}, // 422: referenced trace data failed to decode
-	{ebcperr.ErrOverloaded, http.StatusTooManyRequests},       // 429: bounded queue full — retry later
-	{ebcperr.ErrCancelled, StatusClientClosedRequest},         // 499: deadline or client disconnect
-	{ebcperr.ErrInvariant, http.StatusInternalServerError},    // 500: the server's own numbers are untrustworthy
+	{ebcperr.ErrInvalidConfig, http.StatusBadRequest},       // 400: the request described an unbuildable cell
+	{ebcperr.ErrBadReport, http.StatusBadRequest},           // 400: undecodable document (schema drift)
+	{ebcperr.ErrShortTrace, http.StatusUnprocessableEntity}, // 422: well-formed request, un-runnable windows
+	{ebcperr.ErrOverloaded, http.StatusTooManyRequests},     // 429: bounded queue full — retry later
+	{ebcperr.ErrCancelled, StatusClientClosedRequest},       // 499: deadline or client disconnect
+	{ebcperr.ErrInvariant, http.StatusInternalServerError},  // 500: the server's own numbers are untrustworthy
 }
 
 // StatusOf returns the HTTP status for an error by its ebcperr class;

@@ -22,7 +22,6 @@ func TestStatusOf(t *testing.T) {
 		{ebcperr.ErrBadReport, http.StatusBadRequest},
 		{ebcperr.ErrShortTrace, http.StatusUnprocessableEntity},
 		{ebcperr.Wrap(ebcperr.ErrShortTrace, "trace ended at 42"), http.StatusUnprocessableEntity},
-		{ebcperr.ErrCorruptTrace, http.StatusUnprocessableEntity},
 		{ebcperr.ErrOverloaded, http.StatusTooManyRequests},
 		{ebcperr.Wrap(ebcperr.ErrOverloaded, "queue full"), http.StatusTooManyRequests},
 		{ebcperr.ErrCancelled, StatusClientClosedRequest},
@@ -46,7 +45,6 @@ func TestStatusTableCoversEverySentinel(t *testing.T) {
 		ebcperr.ErrInvalidConfig,
 		ebcperr.ErrShortTrace,
 		ebcperr.ErrCancelled,
-		ebcperr.ErrCorruptTrace,
 		ebcperr.ErrBadReport,
 		ebcperr.ErrInvariant,
 		ebcperr.ErrOverloaded,

@@ -116,3 +116,71 @@ func TestMetamorphicIndexPreservingOffsetCMP(t *testing.T) {
 		}
 	}
 }
+
+// cpiSeries runs workload b with a fresh prefetcher from mk n times at
+// 1M warm + 2M measured instructions, applying set(cfg, i) before run i,
+// and returns the CPIs in order together with the last run's Result.
+func cpiSeries(t *testing.T, b workload.Params, mk func() prefetch.Prefetcher, n int, set func(*Config, int)) ([]float64, Result) {
+	t.Helper()
+	cpis := make([]float64, n)
+	var res Result
+	for i := range cpis {
+		cfg := DefaultConfig()
+		cfg.Core.OnChipCPI = b.OnChipCPI
+		cfg.WarmInsts, cfg.MeasureInsts = 1e6, 2e6
+		set(&cfg, i)
+		res = must(Run(must(workload.New(b)), mk(), cfg))
+		cpis[i] = res.CPI()
+	}
+	return cpis, res
+}
+
+// TestMetamorphicLatencyMonotone: a slower memory never makes a run
+// faster. CPI is non-decreasing in the unloaded memory latency, for each
+// workload with and without the tuned EBCP.
+func TestMetamorphicLatencyMonotone(t *testing.T) {
+	lat := []uint64{200, 350, 500, 650, 1000}
+	for _, b := range workload.All() {
+		for name, mk := range metamorphicPrefetchers(0) {
+			if name == "ideal" {
+				continue
+			}
+			t.Run(b.Name+"/"+name, func(t *testing.T) {
+				cpis, _ := cpiSeries(t, b, mk, len(lat), func(c *Config, i int) { c.Mem.UnloadedLatency = lat[i] })
+				for i := 1; i < len(cpis); i++ {
+					if cpis[i] < cpis[i-1] {
+						t.Errorf("CPI %.4f at latency %d < %.4f at %d", cpis[i], lat[i], cpis[i-1], lat[i-1])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestMetamorphicBandwidthMonotone: more interconnect bandwidth never
+// makes a run slower. CPI is non-increasing in the read bandwidth (write
+// bandwidth at half of it), and an effectively unlimited interconnect
+// drops no request.
+func TestMetamorphicBandwidthMonotone(t *testing.T) {
+	gbps := []float64{4.8, 9.6, 19.2, 1e6}
+	for _, b := range workload.All() {
+		for name, mk := range metamorphicPrefetchers(0) {
+			if name == "ideal" {
+				continue
+			}
+			t.Run(b.Name+"/"+name, func(t *testing.T) {
+				cpis, last := cpiSeries(t, b, mk, len(gbps), func(c *Config, i int) {
+					c.Mem.ReadGBps, c.Mem.WriteGBps = gbps[i], gbps[i]/2
+				})
+				for i := 1; i < len(cpis); i++ {
+					if cpis[i] > cpis[i-1] {
+						t.Errorf("CPI %.4f at %g GB/s > %.4f at %g GB/s", cpis[i], gbps[i], cpis[i-1], gbps[i-1])
+					}
+				}
+				if d := last.Mem.TotalDrops(); d != 0 {
+					t.Errorf("%d requests dropped at %g GB/s", d, gbps[len(gbps)-1])
+				}
+			})
+		}
+	}
+}

@@ -50,7 +50,6 @@ const (
 	// instruction windows, and the prefetchers do not train on them; they
 	// still consume write bandwidth.
 	Store
-	numKinds
 )
 
 // String implements fmt.Stringer.

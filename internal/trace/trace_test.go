@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"ebcp/internal/amo"
 )
@@ -118,168 +116,6 @@ func randomRecords(n int, seed int64) []Record {
 		}
 	}
 	return recs
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	recs := randomRecords(5000, 1)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if w.Count() != uint64(len(recs)) {
-		t.Errorf("Count = %d, want %d", w.Count(), len(recs))
-	}
-
-	r := NewReader(&buf)
-	for i, want := range recs {
-		got, ok := r.Next()
-		if !ok {
-			t.Fatalf("record %d: unexpected end of trace (err=%v)", i, r.Err())
-		}
-		if got != want {
-			t.Fatalf("record %d = %+v, want %+v", i, got, want)
-		}
-	}
-	if _, ok := r.Next(); ok {
-		t.Error("trace should be exhausted")
-	}
-	if r.Err() != nil {
-		t.Errorf("clean EOF should leave Err nil, got %v", r.Err())
-	}
-}
-
-func TestEncodeDecodeSingleRecordProperty(t *testing.T) {
-	f := func(gap uint32, kindRaw uint8, addrRaw, pcRaw uint64, dep, ser, pcSame bool) bool {
-		rec := Record{
-			Gap:           gap % maxSaneGap,
-			Kind:          Kind(kindRaw % 3),
-			Addr:          amo.Addr(addrRaw) & amo.AddrMask,
-			DependsOnMiss: dep,
-			Serializing:   ser,
-		}
-		if pcSame {
-			rec.PC = amo.PC(rec.Addr)
-		} else {
-			rec.PC = amo.PC(pcRaw) & amo.PC(amo.AddrMask)
-		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		if err := w.Write(rec); err != nil {
-			return false
-		}
-		if err := w.Flush(); err != nil {
-			return false
-		}
-		r := NewReader(&buf)
-		got, ok := r.Next()
-		return ok && got == rec
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReaderBadMagic(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte("NOTATRACEFILE")))
-	if _, ok := r.Next(); ok {
-		t.Fatal("Next should fail on bad magic")
-	}
-	if r.Err() != ErrBadMagic {
-		t.Errorf("Err = %v, want ErrBadMagic", r.Err())
-	}
-}
-
-func TestReaderTruncated(t *testing.T) {
-	recs := randomRecords(100, 2)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Chop the stream mid-record.
-	data := buf.Bytes()[:buf.Len()-3]
-	r := NewReader(bytes.NewReader(data))
-	n := 0
-	for {
-		_, ok := r.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n >= len(recs) {
-		t.Fatalf("decoded %d records from truncated stream of %d", n, len(recs))
-	}
-	if r.Err() == nil {
-		t.Error("truncation mid-record should set Err")
-	}
-}
-
-func TestWriterEmptyFlushWritesHeader(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&buf)
-	if _, ok := r.Next(); ok {
-		t.Error("empty trace should yield no records")
-	}
-	if r.Err() != nil {
-		t.Errorf("empty trace should decode cleanly, got %v", r.Err())
-	}
-}
-
-func TestZigzagRoundTrip(t *testing.T) {
-	f := func(v int64) bool { return unzigzag(zigzag(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReaderNeverPanicsOnGarbage(t *testing.T) {
-	// Decoding arbitrary bytes after a valid header must fail cleanly
-	// (error or clean EOF), never panic, and never loop forever.
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(200)
-		data := make([]byte, 8+n)
-		copy(data, magic[:])
-		rng.Read(data[8:])
-		r := NewReader(bytes.NewReader(data))
-		for i := 0; i < 10000; i++ {
-			if _, ok := r.Next(); !ok {
-				break
-			}
-		}
-	}
-}
-
-func TestReaderAfterErrorStaysFailed(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte("BADMAGICxxxx")))
-	r.Next()
-	err := r.Err()
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	// Further calls return false and keep the first error.
-	if _, ok := r.Next(); ok {
-		t.Error("reader revived after error")
-	}
-	if r.Err() != err {
-		t.Error("first error not sticky")
-	}
 }
 
 // drainNext collects src's full stream via per-record Next calls.
