@@ -149,7 +149,9 @@ func DefaultSystem(b Benchmark) SystemConfig {
 // returns the measured statistics. An invalid configuration returns an
 // error wrapping ErrInvalidConfig; a trace that ends before the warmup
 // window completes returns a *ShortTraceError (wrapping ErrShortTrace)
-// alongside the warmup-contaminated partial Result.
+// alongside the warmup-contaminated partial Result. The trace is read
+// ahead on a goroutine of Run's own, so src must not be used elsewhere
+// until Run returns, and how far it was read is unspecified.
 func Run(src TraceSource, pf Prefetcher, cfg SystemConfig) (Result, error) {
 	return sim.Run(src, pf, cfg)
 }
@@ -162,7 +164,9 @@ func Run(src TraceSource, pf Prefetcher, cfg SystemConfig) (Result, error) {
 // configurations (including a prefetcher that tracks fewer threads than
 // there are traces), and a *CMPShortTraceError (wrapping ErrShortTrace,
 // carrying the partial CMPResult) when any thread's trace ends before
-// its warmup window completes.
+// its warmup window completes. The traces are read ahead on one
+// goroutine of RunCMP's own, so the sources must not be used elsewhere
+// until RunCMP returns, and how far each was read is unspecified.
 func RunCMP(sources []TraceSource, pf Prefetcher, cfg SystemConfig) (CMPResult, error) {
 	return sim.RunCMP(sources, pf, cfg)
 }

@@ -110,7 +110,11 @@ func (r CMPResult) Speedup(baseline CMPResult) float64 {
 // tracks fewer threads than there are sources, or an
 // ErrShortTrace-classified *CMPShortTraceError — alongside the
 // contaminated partial CMPResult — when any lane's trace ends inside its
-// warmup window.
+// warmup window. All sources are read ahead on one reader goroutine (a
+// trace.Ahead), each up to two batches past its lane's current batch;
+// they must not be touched elsewhere until RunCMP returns, and
+// their positions afterwards are unspecified. The reader has exited by
+// the time RunCMP returns.
 func RunCMP(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) (CMPResult, error) {
 	if len(sources) == 0 {
 		return CMPResult{}, ebcperr.Invalidf("sim: RunCMP needs at least one trace source")
@@ -136,12 +140,12 @@ func RunCMP(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) (CMPResu
 		}
 	}
 	// The lane interleaving is decided record by record by the local
-	// clocks, so the loop cannot batch across lanes. Each lane instead
-	// reads its own source through trace.FillBatch into a reused buffer
-	// and pending is the unread rest of it; each lane still receives
+	// clocks, so the loop cannot batch across lanes. One reader instead
+	// keeps every lane's next batches filled ahead, and pending is the
+	// unread rest of a lane's current batch; each lane still receives
 	// exactly its own source's record sequence.
-	const batch = 1024
-	backing := make([]trace.Record, batch*len(sources))
+	ahead := trace.NewAhead(sources)
+	defer ahead.Close()
 	pending := make([][]trace.Record, len(sources))
 
 	// clock mirrors each running lane's core clock in one flat slice, so
@@ -190,8 +194,7 @@ func RunCMP(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) (CMPResu
 		}
 		l := lanes[li]
 		if len(pending[li]) == 0 {
-			buf := backing[li*batch : (li+1)*batch]
-			pending[li] = buf[:trace.FillBatch(sources[li], buf)]
+			pending[li] = ahead.Next(li)
 		}
 		if len(pending[li]) == 0 {
 			clock[li] = retired

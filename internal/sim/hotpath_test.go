@@ -3,7 +3,9 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"ebcp/internal/analysis"
 	"ebcp/internal/core"
@@ -19,9 +21,22 @@ type nextOnly struct{ s trace.Source }
 
 func (n nextOnly) Next() (trace.Record, bool) { return n.s.Next() }
 
+// readerGone waits for the goroutine count to settle back to before: Run
+// and RunCMP must not leave their trace reader running on any exit path.
+func readerGone(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Errorf("goroutines leaked: %d before the run, %d after", before, g)
+	}
+}
+
 // TestBatchedRunMatchesPerRecord locks the batched-Source contract at the
 // Runner level: a run fed through the bulk ReadBatch path returns exactly
-// the same Result as one fed record-by-record.
+// the same Result as one fed record-by-record, on one core and on a CMP.
 func TestBatchedRunMatchesPerRecord(t *testing.T) {
 	b, err := workload.ByName("Database")
 	if err != nil {
@@ -31,11 +46,26 @@ func TestBatchedRunMatchesPerRecord(t *testing.T) {
 	cfg.Core.OnChipCPI = b.OnChipCPI
 	cfg.WarmInsts, cfg.MeasureInsts = 200_000, 500_000
 
+	before := runtime.NumGoroutine()
 	batched := must(Run(must(workload.New(b)), must(core.New(core.DefaultConfig())), cfg))
 	perRecord := must(Run(nextOnly{must(workload.New(b))}, must(core.New(core.DefaultConfig())), cfg))
 	if !reflect.DeepEqual(batched, perRecord) {
 		t.Errorf("batched and per-record runs diverge:\n  batched    %+v\n  per-record %+v", batched, perRecord)
 	}
+
+	const lanes = 4
+	ecfg := core.DefaultConfig()
+	ecfg.Cores = lanes
+	cmpBatched := must(RunCMP(cmpSources(b, lanes), must(core.New(ecfg)), cfg))
+	srcs := cmpSources(b, lanes)
+	for i := range srcs {
+		srcs[i] = nextOnly{srcs[i]}
+	}
+	cmpPerRecord := must(RunCMP(srcs, must(core.New(ecfg)), cfg))
+	if !reflect.DeepEqual(cmpBatched, cmpPerRecord) {
+		t.Errorf("batched and per-record CMP runs diverge:\n  batched    %+v\n  per-record %+v", cmpBatched, cmpPerRecord)
+	}
+	readerGone(t, before)
 }
 
 // TestWarmupIncompleteFlag is the short-trace regression test: a source
@@ -52,6 +82,7 @@ func TestWarmupIncompleteFlag(t *testing.T) {
 	cfg.Core.OnChipCPI = b.OnChipCPI
 	cfg.WarmInsts, cfg.MeasureInsts = 1_000_000, 1_000_000
 
+	before := runtime.NumGoroutine()
 	short, err := Run(trace.NewLimit(must(workload.New(b)), 100_000), prefetch.None{}, cfg)
 	if !errors.Is(err, ebcperr.ErrShortTrace) {
 		t.Fatalf("short trace: err = %v, want ErrShortTrace", err)
@@ -78,6 +109,7 @@ func TestWarmupIncompleteFlag(t *testing.T) {
 	if none.WarmupIncomplete {
 		t.Error("WarmInsts=0: WarmupIncomplete must be clear")
 	}
+	readerGone(t, before)
 }
 
 // TestWarmupIncompleteCMP covers the multi-core variant: statistics reset
@@ -113,7 +145,9 @@ func TestWarmupIncompleteCMP(t *testing.T) {
 			if c.limit > 0 {
 				sources[c.short] = trace.NewLimit(sources[c.short], c.limit)
 			}
+			before := runtime.NumGoroutine()
 			res, err := RunCMP(sources, prefetch.None{}, cfg)
+			readerGone(t, before)
 			if c.wantFlagged {
 				if !errors.Is(err, ebcperr.ErrShortTrace) {
 					t.Fatalf("short lane: err = %v, want ErrShortTrace", err)
@@ -141,7 +175,9 @@ func TestWarmupIncompleteCMP(t *testing.T) {
 // the simulator reaches steady state, stepping trace records allocates
 // (almost) nothing — the only sanctioned residue is the correlation
 // table's one-page-per-512-entries arena growth and its rare index
-// doublings as the table keeps learning new lines.
+// doublings as the table keeps learning new lines. Records arrive through
+// a trace.Ahead, as in Run, so the reader's buffer recycling and the
+// generator running on the reader goroutine are inside the measurement.
 func TestSteadyStateAllocs(t *testing.T) {
 	b, err := workload.ByName("Database")
 	if err != nil {
@@ -152,25 +188,29 @@ func TestSteadyStateAllocs(t *testing.T) {
 	cfg.WarmInsts, cfg.MeasureInsts = 0, 1 // windows unused: we drive step directly
 
 	r := must(NewRunner(cfg, must(core.New(core.DefaultConfig()))))
-	src := must(workload.New(b))
-	const batchSize = 256
-	batch := make([]trace.Record, batchSize)
+	ahead := trace.NewAhead([]trace.Source{must(workload.New(b))})
+	defer ahead.Close()
+	records := 0
 	drive := func() {
-		n := trace.FillBatch(src, batch)
-		for _, rec := range batch[:n] {
+		batch := ahead.Next(0)
+		for _, rec := range batch {
 			r.step(r.lane, rec)
 		}
+		records += len(batch)
 	}
 	// Warm the machine past its growth phase (~500k records): caches,
 	// queues, the prefetcher's table and the generator's buffers reach
 	// their working sizes.
-	for i := 0; i < 2000; i++ {
+	for records < 500_000 {
 		drive()
 	}
-	avg := testing.AllocsPerRun(100, drive)
-	if perRecord := avg / batchSize; perRecord > 0.01 {
-		t.Errorf("steady state allocates %.4f allocs/record (%.1f per %d-record batch), want ~0",
-			perRecord, avg, batchSize)
+	const runs = 100
+	records = 0
+	avg := testing.AllocsPerRun(runs, drive)
+	perBatch := float64(records) / (runs + 1) // AllocsPerRun adds one warm-up call
+	if perRecord := avg / perBatch; perRecord > 0.01 {
+		t.Errorf("steady state allocates %.4f allocs/record (%.1f per %.0f-record batch), want ~0",
+			perRecord, avg, perBatch)
 	}
 
 	// The allocation contract covers the *instrumented* path: the metrics

@@ -330,10 +330,6 @@ type Runner struct {
 	pb   *cache.PrefetchBuffer
 	mem  *mem.System
 	ctx  *prefetch.Context
-
-	// batch is the reusable record buffer of the Run loop (one FillBatch
-	// call delivers a slice the inner loop iterates allocation-free).
-	batch []trace.Record
 }
 
 // NewRunner assembles a single-core system. It returns an
@@ -360,14 +356,13 @@ func NewRunner(cfg Config, pf prefetch.Prefetcher) (*Runner, error) {
 	}
 	ctx := prefetch.NewContext(m, pb, l2)
 	r := &Runner{
-		cfg:   cfg,
-		pf:    pf,
-		lane:  l0,
-		l2:    l2,
-		pb:    pb,
-		mem:   m,
-		ctx:   ctx,
-		batch: make([]trace.Record, 1024),
+		cfg:  cfg,
+		pf:   pf,
+		lane: l0,
+		l2:   l2,
+		pb:   pb,
+		mem:  m,
+		ctx:  ctx,
 	}
 	// Contender capability hooks: an off-chip predictor shortens miss
 	// latency on the demand path; a filtering prefetcher vetoes issues
@@ -386,7 +381,8 @@ func NewRunner(cfg Config, pf prefetch.Prefetcher) (*Runner, error) {
 // the measured statistics. It returns an ErrInvalidConfig-classified
 // error for a bad configuration, or an ErrShortTrace-classified
 // *ShortTraceError — alongside the contaminated partial Result — when the
-// source ends inside the warmup window.
+// source ends inside the warmup window. The source is read ahead on a
+// goroutine of its own (see Runner.Run).
 func Run(src trace.Source, pf prefetch.Prefetcher, cfg Config) (Result, error) {
 	r, err := NewRunner(cfg, pf)
 	if err != nil {
@@ -396,9 +392,13 @@ func Run(src trace.Source, pf prefetch.Prefetcher, cfg Config) (Result, error) {
 }
 
 // Run executes the runner's warmup and measurement windows. Records are
-// read through the batched-Source path (trace.FillBatch) so the hot loop
-// iterates a slice instead of paying one interface call per record; the
-// delivered record sequence is identical to the per-record path. If the
+// read through a trace.Ahead: one reader goroutine fills batches from
+// src, up to two batches past the batch being simulated, so trace
+// generation overlaps with simulation, and the hot loop iterates a slice
+// instead of paying one interface call per record. The delivered record
+// sequence is identical to the per-record path. src must not be touched
+// elsewhere until Run returns, and its position afterwards is
+// unspecified; the reader has exited by the time Run returns. If the
 // source is exhausted before the warmup window completes, Run returns
 // the partial Result — flagged WarmupIncomplete, statistics including
 // warmup — together with an ErrShortTrace-classified *ShortTraceError
@@ -410,13 +410,15 @@ func (r *Runner) Run(src trace.Source) (Result, error) {
 	if warmed {
 		r.resetStats()
 	}
+	ahead := trace.NewAhead([]trace.Source{src})
+	defer ahead.Close()
 loop:
 	for {
-		n := trace.FillBatch(src, r.batch)
-		if n == 0 {
+		batch := ahead.Next(0)
+		if len(batch) == 0 {
 			break
 		}
-		for _, rec := range r.batch[:n] {
+		for _, rec := range batch {
 			r.step(r.lane, rec)
 			if !warmed && r.lane.core.Insts() >= warmEnd {
 				r.resetStats()

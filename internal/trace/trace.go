@@ -26,10 +26,15 @@
 // throughput optimization, never a semantic one), must return 0 only at
 // end of stream, and need not fill dst completely on intermediate calls.
 // Slice, Limit and workload.Generator batch natively; FillBatch falls back
-// to Next for any other Source. The one sanctioned deviation: a wrapper
-// that truncates a stream (Limit) may leave its *underlying* source a few
-// records past the cut once the limit trips — the delivered sequence is
-// still exact.
+// to Next for any other Source.
+//
+// What is exact is the delivered sequence, not the position a source is
+// left at. sim.Run and sim.RunCMP read each source through an Ahead, on
+// one reader goroutine of their own, up to two batches past the batch
+// being simulated; a wrapper that truncates a stream (Limit) may
+// likewise pull a few records past the cut from its underlying source. A
+// source handed to Run or RunCMP must therefore not be touched elsewhere
+// until the call returns, and its position afterwards is unspecified.
 package trace
 
 import (
