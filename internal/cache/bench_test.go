@@ -37,3 +37,40 @@ func BenchmarkCache(b *testing.B) {
 	}
 	b.ReportMetric(c.Stats().MissRate(), "miss/op")
 }
+
+// BenchmarkPrefetchBuffer measures one prefetch and one demand probe of
+// the tuned 64-entry, 4-way buffer, driven by a fixed seeded line stream:
+// Contains, then Insert on a miss (as prefetch.Context.Prefetch does),
+// then a Hit probe for a line drawn independently from the same pool. The
+// pool holds four times as many distinct lines as the buffer.
+func BenchmarkPrefetchBuffer(b *testing.B) {
+	pb := must(NewPrefetchBuffer(64, 4))
+	rng := rand.New(rand.NewSource(1))
+	pool := make([]amo.Line, 4*64)
+	for i := range pool {
+		pool[i] = amo.Line(rng.Uint64() >> 24)
+	}
+	prefetched := make([]amo.Line, 1<<16)
+	demanded := make([]amo.Line, len(prefetched))
+	for i := range prefetched {
+		prefetched[i] = pool[rng.Intn(len(pool))]
+		demanded[i] = pool[rng.Intn(len(pool))]
+	}
+	step := func(i int) {
+		now := uint64(i)
+		if l := prefetched[i&(len(prefetched)-1)]; !pb.Contains(l) {
+			pb.Insert(l, PBEntry{ReadyAt: now + 4, IssuedAt: now, TableIndex: NoTableIndex})
+		}
+		pb.Hit(demanded[i&(len(demanded)-1)], now)
+	}
+	for i := range prefetched { // warm: a full buffer, as in a measured run
+		step(i)
+	}
+	pb.ResetStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+	st := pb.Stats()
+	b.ReportMetric(float64(st.Hits+st.PartialHits)/float64(b.N), "hit/op")
+}

@@ -79,12 +79,20 @@ const (
 // another) followed by its ways stamp words (valid, dirty and the LRU
 // stamp). A 4-way set is therefore 64 bytes, one host cache line, and a
 // simulated probe touches one host line.
+//
+// A missing Access also picks the way a Fill of that line would replace
+// and remembers it (pend, the index of its tag word, for pendLine), so
+// the Fill that follows a demand miss installs without scanning the set
+// again. Every other mutation clears the remembered way, so the way used
+// is always the one a full scan would choose.
 type Cache struct {
-	cfg     Config
-	words   []uint64
-	setMask uint64
-	stamp   uint64
-	stats   Stats
+	cfg      Config
+	words    []uint64
+	setMask  uint64
+	stamp    uint64
+	pend     int // tag-word index of the remembered victim, or -1
+	pendLine amo.Line
+	stats    Stats
 }
 
 // New builds a cache from cfg. It returns an ErrInvalidConfig-classified
@@ -98,6 +106,7 @@ func New(cfg Config) (*Cache, error) {
 		cfg:     cfg,
 		words:   make([]uint64, nSets*2*cfg.Ways),
 		setMask: uint64(nSets - 1),
+		pend:    -1,
 	}, nil
 }
 
@@ -114,14 +123,15 @@ func (c *Cache) Stats() Stats { return c.stats }
 // boundary) without disturbing cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// locate returns the tag and stamp words of the line's set.
+// locate returns the index of the line's set in words, and the set's tag
+// and stamp words.
 //
 //ebcp:hotpath
-func (c *Cache) locate(l amo.Line) (tags, stamps []uint64) {
+func (c *Cache) locate(l amo.Line) (base int, tags, stamps []uint64) {
 	w := c.cfg.Ways
-	base := int(uint64(l)&c.setMask) * 2 * w
+	base = int(uint64(l)&c.setMask) * 2 * w
 	set := c.words[base : base+2*w : base+2*w]
-	return set[:w], set[w:]
+	return base, set[:w], set[w:]
 }
 
 // find returns the way holding the line in the set, or -1.
@@ -136,71 +146,101 @@ func find(tags, stamps []uint64, l amo.Line) int {
 	return -1
 }
 
+// scan makes one pass over the set and returns the way holding the line,
+// or -1 and the way a fill would replace: the first invalid way, else the
+// least recently used one. An invalid way's key is 0 and a valid way's key
+// is its stamp word (at least validBit, and unique, so the flag bits never
+// decide), so the victim is the first way with the lowest key. The victim
+// selection is written branch-free, and in Access it compiles to
+// conditional moves: on a condensed trace nearly every probe misses
+// somewhere, and which way holds the minimum is unpredictable. A hit needs
+// no victim, so the scan stops there.
+//
+//ebcp:hotpath
+func scan(tags, stamps []uint64, l amo.Line) (hit, victim int) {
+	stamps = stamps[:len(tags)]
+	low := ^uint64(0)
+	for i, t := range tags {
+		s := stamps[i]
+		if t == uint64(l) && s&validBit != 0 {
+			return i, 0
+		}
+		key := s & -(s & validBit)
+		if key < low {
+			low = key
+			victim = i
+		}
+	}
+	return -1, victim
+}
+
 // Lookup probes for the line without updating statistics or LRU state.
 //
 //ebcp:hotpath
 func (c *Cache) Lookup(l amo.Line) bool {
-	tags, stamps := c.locate(l)
+	_, tags, stamps := c.locate(l)
 	return find(tags, stamps, l) >= 0
 }
 
 // Access probes for the line, counting the access and updating LRU on a
-// hit. It returns whether the line was present.
+// hit. It returns whether the line was present. A miss remembers the way
+// a Fill of the line would replace.
 //
 //ebcp:hotpath
 func (c *Cache) Access(l amo.Line) bool {
 	c.stats.Accesses++
-	tags, stamps := c.locate(l)
-	if i := find(tags, stamps, l); i >= 0 {
+	base, tags, stamps := c.locate(l)
+	i, vi := scan(tags, stamps, l)
+	if i >= 0 {
+		c.pend = -1
 		c.stamp++
 		stamps[i] = c.stamp<<stampShift | stamps[i]&(dirtyBit|validBit)
 		return true
 	}
 	c.stats.Misses++
+	c.pend, c.pendLine = base+vi, l
 	return false
 }
 
 // Fill installs the line (e.g. on a demand fill or a prefetch-buffer
 // promotion), evicting the LRU way if the set is full. It returns the
 // evicted line, whether an eviction occurred, and whether the victim was
-// dirty (needs a writeback).
+// dirty (needs a writeback). A Fill of the line the last Access missed,
+// with no mutating call since, installs into the way that miss picked.
 //
 //ebcp:hotpath
 func (c *Cache) Fill(l amo.Line, dirty bool) (victim amo.Line, evicted, victimDirty bool) {
-	tags, stamps := c.locate(l)
 	c.stamp++
 	var d uint64
 	if dirty {
 		d = dirtyBit
 	}
-	// Already present (e.g. racing fills): refresh, merging the dirty bit.
-	if i := find(tags, stamps, l); i >= 0 {
-		stamps[i] = c.stamp<<stampShift | stamps[i]&dirtyBit | d | validBit
-		return 0, false, false
+	// tw and sw index the tag and stamp words of the way to install into.
+	tw := c.pend
+	c.pend = -1
+	if tw < 0 || c.pendLine != l {
+		base, tags, stamps := c.locate(l)
+		i, vi := scan(tags, stamps, l)
+		// Already present (e.g. racing fills): refresh, merging the dirty bit.
+		if i >= 0 {
+			stamps[i] = c.stamp<<stampShift | stamps[i]&dirtyBit | d | validBit
+			return 0, false, false
+		}
+		tw = base + vi
 	}
 	c.stats.Fills++
-	// The victim is the first invalid way, else the least recently used
-	// one (stamps of valid ways are unique, so the flag bits never decide).
-	vi := 0
-	for i, s := range stamps {
-		if s&validBit == 0 {
-			vi = i
-			goto place
-		}
-		if s < stamps[vi] {
-			vi = i
+	sw := tw + c.cfg.Ways
+	if old := c.words[sw]; old&validBit != 0 {
+		victim = amo.Line(c.words[tw])
+		evicted = true
+		victimDirty = old&dirtyBit != 0
+		c.stats.Evictions++
+		if victimDirty {
+			c.stats.DirtyEvictions++
 		}
 	}
-	victim = amo.Line(tags[vi])
-	evicted = true
-	victimDirty = stamps[vi]&dirtyBit != 0
-	c.stats.Evictions++
-	if victimDirty {
-		c.stats.DirtyEvictions++
-	}
-place:
-	tags[vi] = uint64(l)
-	stamps[vi] = c.stamp<<stampShift | d | validBit
+	c.words[tw] = uint64(l)
+	c.words[sw] = c.stamp<<stampShift | d | validBit
 	return victim, evicted, victimDirty
 }
 
@@ -210,8 +250,9 @@ place:
 //
 //ebcp:hotpath
 func (c *Cache) Touch(l amo.Line) {
-	tags, stamps := c.locate(l)
+	_, tags, stamps := c.locate(l)
 	if i := find(tags, stamps, l); i >= 0 {
+		c.pend = -1
 		c.stamp++
 		stamps[i] = c.stamp<<stampShift | stamps[i]&(dirtyBit|validBit)
 	}
@@ -221,8 +262,9 @@ func (c *Cache) Touch(l amo.Line) {
 //
 //ebcp:hotpath
 func (c *Cache) Invalidate(l amo.Line) bool {
-	tags, stamps := c.locate(l)
+	_, tags, stamps := c.locate(l)
 	if i := find(tags, stamps, l); i >= 0 {
+		c.pend = -1
 		stamps[i] &^= validBit
 		return true
 	}

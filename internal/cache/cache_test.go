@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -204,6 +205,14 @@ func (r *refCache) invalidate(l amo.Line) bool {
 // and the statistics. The line pool mixes small lines with lines at the
 // top of the address range that share their low bits, so a lossy tag
 // encoding would alias them.
+//
+// A second stream then repeats the simulator's demand path: Access a
+// line, run 0-3 operations on other lines of its set, then Fill it. That
+// puts the way a missing Access remembers in each of its states on every
+// configuration: reused by the Fill, overwritten by another miss, and
+// cleared by an Access hit, a Touch, an Invalidate or a Fill of another
+// line. The model has no remembered way, so a stale one shows as a
+// wrong victim.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	configs := []Config{
 		{Name: "1way", SizeBytes: 1024, Ways: 1},
@@ -225,37 +234,118 @@ func TestCacheMatchesReferenceModel(t *testing.T) {
 				pool = append(pool, amo.Line(i), amo.Line(1<<62|uint64(i)), amo.Line(1<<63|set))
 			}
 			pool = append(pool, amo.Line(^uint64(0)), amo.Line(^uint64(0)-uint64(nSets)), amo.Line(1<<63))
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 20000; i++ {
-				l := pool[rng.Intn(len(pool))]
-				switch rng.Intn(6) {
-				case 0, 1:
+			bySet := map[int][]amo.Line{}
+			for _, l := range pool {
+				bySet[ref.set(l)] = append(bySet[ref.set(l)], l)
+			}
+
+			const (
+				opAccess = iota
+				opFill
+				opInvalidate
+				opTouch
+				opLookup
+			)
+			var step string
+			// do applies one operation to both and compares its results;
+			// it reports whether the line was present beforehand.
+			do := func(op int, l amo.Line, dirty bool) (present bool) {
+				present = ref.pos(l) >= 0
+				switch op {
+				case opAccess:
 					if got, want := c.Access(l), ref.access(l); got != want {
-						t.Fatalf("step %d: Access(%v) = %v, ref %v", i, l, got, want)
+						t.Fatalf("%s: Access(%v) = %v, ref %v", step, l, got, want)
 					}
-				case 2, 3:
-					dirty := rng.Intn(3) == 0
+				case opFill:
 					gv, ge, gd := c.Fill(l, dirty)
 					wv, we, wd := ref.fill(l, dirty)
 					if gv != wv || ge != we || gd != wd {
-						t.Fatalf("step %d: Fill(%v, %v) = (%v, %v, %v), ref (%v, %v, %v)", i, l, dirty, gv, ge, gd, wv, we, wd)
+						t.Fatalf("%s: Fill(%v, %v) = (%v, %v, %v), ref (%v, %v, %v)", step, l, dirty, gv, ge, gd, wv, we, wd)
 					}
-				case 4:
+				case opInvalidate:
 					if got, want := c.Invalidate(l), ref.invalidate(l); got != want {
-						t.Fatalf("step %d: Invalidate(%v) = %v, ref %v", i, l, got, want)
+						t.Fatalf("%s: Invalidate(%v) = %v, ref %v", step, l, got, want)
 					}
-				case 5:
+				case opTouch:
 					c.Touch(l)
 					ref.touch(l)
 					if got, want := c.Lookup(l), ref.pos(l) >= 0; got != want {
-						t.Fatalf("step %d: after Touch, Lookup(%v) = %v, ref %v", i, l, got, want)
+						t.Fatalf("%s: after Touch, Lookup(%v) = %v, ref %v", step, l, got, want)
 					}
 				}
 				if got, want := c.Lookup(l), ref.pos(l) >= 0; got != want {
-					t.Fatalf("step %d: Lookup(%v) = %v, ref %v", i, l, got, want)
+					t.Fatalf("%s: Lookup(%v) = %v, ref %v", step, l, got, want)
 				}
 				if c.Stats() != ref.stats {
-					t.Fatalf("step %d: stats %+v, ref %+v", i, c.Stats(), ref.stats)
+					t.Fatalf("%s: stats %+v, ref %+v", step, c.Stats(), ref.stats)
+				}
+				return present
+			}
+
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 20000; i++ {
+				step = fmt.Sprintf("step %d", i)
+				l := pool[rng.Intn(len(pool))]
+				switch rng.Intn(6) {
+				case 0, 1:
+					do(opAccess, l, false)
+				case 2, 3:
+					do(opFill, l, rng.Intn(3) == 0)
+				case 4:
+					do(opInvalidate, l, false)
+				case 5:
+					do(opTouch, l, false)
+				}
+			}
+
+			// The demand-path stream, tallying what happened to the way
+			// each missing Access remembered.
+			var reused, overwritten, byAccessHit, byTouch, byInvalidate, byFill int
+			rng = rand.New(rand.NewSource(8))
+			for i := 0; i < 20000; i++ {
+				l := pool[rng.Intn(len(pool))]
+				others := bySet[ref.set(l)]
+				step = fmt.Sprintf("demand %d: Access", i)
+				remembered := !do(opAccess, l, false)
+				for j, n := 0, rng.Intn(4); j < n; j++ {
+					o := others[rng.Intn(len(others))]
+					if o == l {
+						continue
+					}
+					op := rng.Intn(5)
+					step = fmt.Sprintf("demand %d: op %d", i, j)
+					present := do(op, o, rng.Intn(3) == 0)
+					if !remembered {
+						continue
+					}
+					switch {
+					case op == opAccess && !present:
+						overwritten++
+						remembered = false
+					case op == opAccess:
+						byAccessHit++
+						remembered = false
+					case op == opTouch && present:
+						byTouch++
+						remembered = false
+					case op == opInvalidate && present:
+						byInvalidate++
+						remembered = false
+					case op == opFill:
+						byFill++
+						remembered = false
+					}
+				}
+				step = fmt.Sprintf("demand %d: Fill", i)
+				do(opFill, l, rng.Intn(3) == 0)
+				if remembered {
+					reused++
+				}
+			}
+			for name, n := range map[string]int{"reused": reused, "overwritten": overwritten, "cleared by an Access hit": byAccessHit,
+				"cleared by a Touch": byTouch, "cleared by an Invalidate": byInvalidate, "cleared by a Fill": byFill} {
+				if n == 0 {
+					t.Errorf("the demand stream never had the remembered way %s", name)
 				}
 			}
 		})

@@ -29,18 +29,20 @@ const NoTableIndex int64 = -1
 
 // PBStats counts prefetch buffer events.
 type PBStats struct {
-	Inserts       uint64
-	Hits          uint64 // demand hits on arrived lines
-	PartialHits   uint64 // demand hits on in-flight lines
-	Evictions     uint64 // valid entries displaced before any use
+	Inserts     uint64
+	Hits        uint64 // demand hits on arrived lines
+	PartialHits uint64 // demand hits on in-flight lines
+	// Evictions counts valid entries displaced by an insert. A hit
+	// consumes its entry, so every displaced entry was never used.
+	Evictions     uint64
 	Replaced      uint64 // inserts that found the line already present
 	Invalidations uint64
 }
 
+// pbWay is one buffer entry. lru is its recency stamp (higher is more
+// recent); stamps start at 1, so 0 marks an empty way.
 type pbWay struct {
 	tag   uint64
-	valid bool
-	used  bool
 	lru   uint64
 	entry PBEntry
 }
@@ -49,13 +51,20 @@ type pbWay struct {
 // lines. It is organized 4-way set-associative (Section 5.2.3) and is
 // searched in parallel with the L2 cache. Lines are promoted to the
 // regular caches only when a demand request hits them.
+//
+// Like Cache, a missing Contains remembers the way an Insert of that line
+// would replace (pend, an index into slots, for pendLine), so the Insert
+// that follows a prefetch's redundancy check skips the second scan; every
+// mutation clears it.
 type PrefetchBuffer struct {
-	ways    int
-	nSets   int
-	setBits uint
-	sets    [][]pbWay
-	stamp   uint64
-	stats   PBStats
+	ways     int
+	nSets    int
+	setBits  uint
+	slots    []pbWay // set-major: set s is slots[s*ways : (s+1)*ways]
+	stamp    uint64
+	pend     int // slot of the remembered victim, or -1
+	pendLine amo.Line
+	stats    PBStats
 }
 
 // NewPrefetchBuffer creates a buffer with the given total entries and
@@ -73,12 +82,13 @@ func NewPrefetchBuffer(entries, ways int) (*PrefetchBuffer, error) {
 	if !amo.IsPow2(uint64(nSets)) {
 		return nil, ebcperr.Invalidf("cache: prefetch buffer sets %d not a power of two", nSets)
 	}
-	sets := make([][]pbWay, nSets)
-	backing := make([]pbWay, nSets*ways)
-	for i := range sets {
-		sets[i], backing = backing[:ways], backing[ways:]
-	}
-	return &PrefetchBuffer{ways: ways, nSets: nSets, setBits: amo.Log2(uint64(nSets)), sets: sets}, nil
+	return &PrefetchBuffer{
+		ways:    ways,
+		nSets:   nSets,
+		setBits: amo.Log2(uint64(nSets)),
+		slots:   make([]pbWay, nSets*ways),
+		pend:    -1,
+	}, nil
 }
 
 // Entries returns the total capacity.
@@ -90,34 +100,77 @@ func (b *PrefetchBuffer) Stats() PBStats { return b.stats }
 // ResetStats zeroes the counters without touching contents.
 func (b *PrefetchBuffer) ResetStats() { b.stats = PBStats{} }
 
+// locate returns the index of the line's set in slots, the set, and the
+// line's tag.
+//
 //ebcp:hotpath
-func (b *PrefetchBuffer) locate(l amo.Line) ([]pbWay, uint64) {
-	return b.sets[l.SetIndex(b.nSets)], l.Tag(b.setBits)
+func (b *PrefetchBuffer) locate(l amo.Line) (base int, set []pbWay, tag uint64) {
+	base = l.SetIndex(b.nSets) * b.ways
+	return base, b.slots[base : base+b.ways : base+b.ways], l.Tag(b.setBits)
 }
 
-// Contains probes for the line without side effects.
+// pbFind returns the way holding the tag in the set, or -1.
+//
+//ebcp:hotpath
+func pbFind(set []pbWay, tag uint64) int {
+	for i := range set {
+		if set[i].lru != 0 && set[i].tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
+// pbScan makes one pass over the set and returns the way holding the
+// tag, or -1 and the way an insert would replace: the first empty way,
+// else the least recently used one (the first way with the lowest stamp,
+// since an empty way's stamp is 0).
+//
+//ebcp:hotpath
+func pbScan(set []pbWay, tag uint64) (hit, victim int) {
+	low := ^uint64(0)
+	for i := range set {
+		w := &set[i]
+		if w.lru != 0 && w.tag == tag {
+			return i, 0
+		}
+		if w.lru < low {
+			low = w.lru
+			victim = i
+		}
+	}
+	return -1, victim
+}
+
+// Contains probes for the line without observable effects. A miss
+// remembers the way an Insert of the line would replace.
 //
 //ebcp:hotpath
 func (b *PrefetchBuffer) Contains(l amo.Line) bool {
-	set, tag := b.locate(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
+	base, set, tag := b.locate(l)
+	i, vi := pbScan(set, tag)
+	if i >= 0 {
+		return true
 	}
+	b.pend, b.pendLine = base+vi, l
 	return false
 }
 
 // Insert places a prefetched line in the buffer, evicting LRU if needed.
 // Inserting a line already present refreshes it (keeping the earlier
-// ReadyAt, since the data is already on its way).
+// ReadyAt, since the data is already on its way). An Insert of the line
+// the last Contains missed, with no mutating call since, installs into
+// the way that miss picked.
 //
 //ebcp:hotpath
 func (b *PrefetchBuffer) Insert(l amo.Line, e PBEntry) {
-	set, tag := b.locate(l)
 	b.stamp++
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	s := b.pend
+	b.pend = -1
+	if s < 0 || b.pendLine != l {
+		base, set, tag := b.locate(l)
+		i, vi := pbScan(set, tag)
+		if i >= 0 {
 			b.stats.Replaced++
 			if e.ReadyAt < set[i].entry.ReadyAt {
 				set[i].entry.ReadyAt = e.ReadyAt
@@ -127,23 +180,13 @@ func (b *PrefetchBuffer) Insert(l amo.Line, e PBEntry) {
 			set[i].lru = b.stamp
 			return
 		}
+		s = base + vi
 	}
 	b.stats.Inserts++
-	vi := 0
-	for i := range set {
-		if !set[i].valid {
-			vi = i
-			goto place
-		}
-		if set[i].lru < set[vi].lru {
-			vi = i
-		}
-	}
-	if !set[vi].used {
+	if b.slots[s].lru != 0 {
 		b.stats.Evictions++
 	}
-place:
-	set[vi] = pbWay{tag: tag, valid: true, lru: b.stamp, entry: e}
+	b.slots[s] = pbWay{tag: l.Tag(b.setBits), lru: b.stamp, entry: e}
 }
 
 // Hit checks for a demand hit at cycle now. On a hit the entry is consumed
@@ -154,21 +197,21 @@ place:
 //
 //ebcp:hotpath
 func (b *PrefetchBuffer) Hit(l amo.Line, now uint64) (e PBEntry, hit, partial bool) {
-	set, tag := b.locate(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			e = set[i].entry
-			partial = e.ReadyAt > now
-			if partial {
-				b.stats.PartialHits++
-			} else {
-				b.stats.Hits++
-			}
-			set[i].valid = false
-			return e, true, partial
-		}
+	_, set, tag := b.locate(l)
+	i := pbFind(set, tag)
+	if i < 0 {
+		return PBEntry{}, false, false
 	}
-	return PBEntry{}, false, false
+	b.pend = -1
+	e = set[i].entry
+	partial = e.ReadyAt > now
+	if partial {
+		b.stats.PartialHits++
+	} else {
+		b.stats.Hits++
+	}
+	set[i].lru = 0
+	return e, true, partial
 }
 
 // Invalidate removes the line if present (e.g. on a store to a prefetched
@@ -176,25 +219,23 @@ func (b *PrefetchBuffer) Hit(l amo.Line, now uint64) (e PBEntry, hit, partial bo
 //
 //ebcp:hotpath
 func (b *PrefetchBuffer) Invalidate(l amo.Line) bool {
-	set, tag := b.locate(l)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].valid = false
-			b.stats.Invalidations++
-			return true
-		}
+	_, set, tag := b.locate(l)
+	i := pbFind(set, tag)
+	if i < 0 {
+		return false
 	}
-	return false
+	b.pend = -1
+	set[i].lru = 0
+	b.stats.Invalidations++
+	return true
 }
 
 // Occupancy returns the number of valid entries (for tests/debugging).
 func (b *PrefetchBuffer) Occupancy() int {
 	n := 0
-	for _, set := range b.sets {
-		for i := range set {
-			if set[i].valid {
-				n++
-			}
+	for i := range b.slots {
+		if b.slots[i].lru != 0 {
+			n++
 		}
 	}
 	return n

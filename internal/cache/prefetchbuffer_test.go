@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"ebcp/internal/amo"
@@ -137,5 +139,199 @@ func TestPBSmallerThanWays(t *testing.T) {
 	b.Insert(amo.Line(3), PBEntry{})
 	if b.Occupancy() != 2 {
 		t.Errorf("Occupancy = %d, want 2", b.Occupancy())
+	}
+}
+
+// refPB is an independent model of the prefetch buffer: each set is a
+// recency list (MRU first) capped at the associativity, with no notion of
+// way positions.
+type refPB struct {
+	nSets, ways int
+	sets        map[int][]refPBLine
+	stats       PBStats
+}
+
+type refPBLine struct {
+	line  amo.Line
+	entry PBEntry
+}
+
+func newRefPB(entries, ways int) *refPB {
+	if entries < ways {
+		ways = entries
+	}
+	return &refPB{nSets: entries / ways, ways: ways, sets: map[int][]refPBLine{}}
+}
+
+func (r *refPB) set(l amo.Line) int { return int(uint64(l) & uint64(r.nSets-1)) }
+
+func (r *refPB) pos(l amo.Line) int {
+	for i, x := range r.sets[r.set(l)] {
+		if x.line == l {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *refPB) remove(l amo.Line, i int) refPBLine {
+	s := r.sets[r.set(l)]
+	x := s[i]
+	r.sets[r.set(l)] = append(s[:i:i], s[i+1:]...)
+	return x
+}
+
+func (r *refPB) contains(l amo.Line) bool { return r.pos(l) >= 0 }
+
+func (r *refPB) insert(l amo.Line, e PBEntry) {
+	if i := r.pos(l); i >= 0 {
+		r.stats.Replaced++
+		x := r.remove(l, i)
+		x.entry.ReadyAt = min(x.entry.ReadyAt, e.ReadyAt)
+		x.entry.IssuedAt, x.entry.TableIndex = e.IssuedAt, e.TableIndex
+		r.sets[r.set(l)] = append([]refPBLine{x}, r.sets[r.set(l)]...)
+		return
+	}
+	r.stats.Inserts++
+	s := r.sets[r.set(l)]
+	if len(s) == r.ways {
+		s = s[:len(s)-1]
+		r.stats.Evictions++
+	}
+	r.sets[r.set(l)] = append([]refPBLine{{l, e}}, s...)
+}
+
+func (r *refPB) hit(l amo.Line, now uint64) (PBEntry, bool, bool) {
+	i := r.pos(l)
+	if i < 0 {
+		return PBEntry{}, false, false
+	}
+	e := r.remove(l, i).entry
+	partial := e.ReadyAt > now
+	if partial {
+		r.stats.PartialHits++
+	} else {
+		r.stats.Hits++
+	}
+	return e, true, partial
+}
+
+func (r *refPB) invalidate(l amo.Line) bool {
+	i := r.pos(l)
+	if i < 0 {
+		return false
+	}
+	r.remove(l, i)
+	r.stats.Invalidations++
+	return true
+}
+
+// peek returns the entry resident for the line without touching the
+// buffer's state, the way a remembered victim would see it.
+func peek(b *PrefetchBuffer, l amo.Line) (PBEntry, bool) {
+	_, set, tag := b.locate(l)
+	if i := pbFind(set, tag); i >= 0 {
+		return set[i].entry, true
+	}
+	return PBEntry{}, false
+}
+
+// TestPrefetchBufferMatchesReferenceModel drives the buffer and the
+// recency-list model with one random stream: Context.Prefetch's pattern
+// (a missing Contains, 0-3 operations on lines of the same set, then
+// Insert), Insert of a present line (the earlier ReadyAt is kept,
+// IssuedAt and TableIndex are replaced), Hit at a random cycle (partial
+// and full hits), Invalidate and bare Contains. After every step it
+// compares every return value, the entry of every resident line,
+// Occupancy and the statistics. The model has no remembered victim way,
+// so one a Hit or an Invalidate should have cleared shows as a wrong
+// eviction.
+func TestPrefetchBufferMatchesReferenceModel(t *testing.T) {
+	for _, shape := range [][2]int{{64, 4}, {1024, 4}, {16, 1}, {2, 4}} {
+		entries, ways := shape[0], shape[1]
+		t.Run(fmt.Sprintf("%dx%d", entries, ways), func(t *testing.T) {
+			b := must(NewPrefetchBuffer(entries, ways))
+			ref := newRefPB(entries, ways)
+			var pool []amo.Line
+			for i := 0; i < 3*entries; i++ {
+				pool = append(pool, amo.Line(i), amo.Line(1<<63|uint64(i)))
+			}
+			bySet := map[int][]amo.Line{}
+			for _, l := range pool {
+				bySet[ref.set(l)] = append(bySet[ref.set(l)], l)
+			}
+			rng := rand.New(rand.NewSource(11))
+			entry := func() PBEntry {
+				return PBEntry{ReadyAt: uint64(rng.Intn(1000)), IssuedAt: uint64(rng.Intn(1000)), TableIndex: int64(rng.Intn(64)) - 1}
+			}
+			var step string
+			check := func() {
+				t.Helper()
+				resident := 0
+				for _, s := range ref.sets {
+					resident += len(s)
+					for _, x := range s {
+						if e, ok := peek(b, x.line); !ok || e != x.entry {
+							t.Fatalf("%s: %v holds (%+v, %v), ref %+v", step, x.line, e, ok, x.entry)
+						}
+					}
+				}
+				if got := b.Occupancy(); got != resident {
+					t.Fatalf("%s: Occupancy = %d, ref %d", step, got, resident)
+				}
+				if b.Stats() != ref.stats {
+					t.Fatalf("%s: stats %+v, ref %+v", step, b.Stats(), ref.stats)
+				}
+			}
+			var do func(op int, l amo.Line)
+			do = func(op int, l amo.Line) {
+				switch op {
+				case 0: // Context.Prefetch: a missing Contains, then Insert
+					if got, want := b.Contains(l), ref.contains(l); got != want {
+						t.Fatalf("%s: Contains(%v) = %v, ref %v", step, l, got, want)
+					}
+					check()
+					if ref.contains(l) {
+						return
+					}
+					others := bySet[ref.set(l)]
+					for j, n := 0, rng.Intn(4); j < n; j++ {
+						if o := others[rng.Intn(len(others))]; o != l {
+							do(1+rng.Intn(4), o)
+						}
+					}
+					e := entry()
+					b.Insert(l, e)
+					ref.insert(l, e)
+				case 1: // Insert, often of a present line
+					e := entry()
+					b.Insert(l, e)
+					ref.insert(l, e)
+				case 2:
+					now := uint64(rng.Intn(1000))
+					ge, gh, gp := b.Hit(l, now)
+					we, wh, wp := ref.hit(l, now)
+					if ge != we || gh != wh || gp != wp {
+						t.Fatalf("%s: Hit(%v, %d) = (%+v, %v, %v), ref (%+v, %v, %v)", step, l, now, ge, gh, gp, we, wh, wp)
+					}
+				case 3:
+					if got, want := b.Invalidate(l), ref.invalidate(l); got != want {
+						t.Fatalf("%s: Invalidate(%v) = %v, ref %v", step, l, got, want)
+					}
+				case 4:
+					if got, want := b.Contains(l), ref.contains(l); got != want {
+						t.Fatalf("%s: Contains(%v) = %v, ref %v", step, l, got, want)
+					}
+				}
+				check()
+			}
+			for i := 0; i < 20000; i++ {
+				step = fmt.Sprintf("step %d", i)
+				do(rng.Intn(5), pool[rng.Intn(len(pool))])
+			}
+			if st := b.Stats(); st.Evictions == 0 || st.Replaced == 0 || st.Hits == 0 || st.PartialHits == 0 || st.Invalidations == 0 {
+				t.Errorf("stream left an event unexercised: %+v", st)
+			}
+		})
 	}
 }
