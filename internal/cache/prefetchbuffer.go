@@ -51,20 +51,13 @@ type pbWay struct {
 // lines. It is organized 4-way set-associative (Section 5.2.3) and is
 // searched in parallel with the L2 cache. Lines are promoted to the
 // regular caches only when a demand request hits them.
-//
-// Like Cache, a missing Contains remembers the way an Insert of that line
-// would replace (pend, an index into slots, for pendLine), so the Insert
-// that follows a prefetch's redundancy check skips the second scan; every
-// mutation clears it.
 type PrefetchBuffer struct {
-	ways     int
-	nSets    int
-	setBits  uint
-	slots    []pbWay // set-major: set s is slots[s*ways : (s+1)*ways]
-	stamp    uint64
-	pend     int // slot of the remembered victim, or -1
-	pendLine amo.Line
-	stats    PBStats
+	ways    int
+	nSets   int
+	setBits uint
+	slots   []pbWay // set-major: set s is slots[s*ways : (s+1)*ways]
+	stamp   uint64
+	stats   PBStats
 }
 
 // NewPrefetchBuffer creates a buffer with the given total entries and
@@ -87,7 +80,6 @@ func NewPrefetchBuffer(entries, ways int) (*PrefetchBuffer, error) {
 		nSets:   nSets,
 		setBits: amo.Log2(uint64(nSets)),
 		slots:   make([]pbWay, nSets*ways),
-		pend:    -1,
 	}, nil
 }
 
@@ -100,13 +92,12 @@ func (b *PrefetchBuffer) Stats() PBStats { return b.stats }
 // ResetStats zeroes the counters without touching contents.
 func (b *PrefetchBuffer) ResetStats() { b.stats = PBStats{} }
 
-// locate returns the index of the line's set in slots, the set, and the
-// line's tag.
+// locate returns the line's set and tag.
 //
 //ebcp:hotpath
-func (b *PrefetchBuffer) locate(l amo.Line) (base int, set []pbWay, tag uint64) {
-	base = l.SetIndex(b.nSets) * b.ways
-	return base, b.slots[base : base+b.ways : base+b.ways], l.Tag(b.setBits)
+func (b *PrefetchBuffer) locate(l amo.Line) (set []pbWay, tag uint64) {
+	base := l.SetIndex(b.nSets) * b.ways
+	return b.slots[base : base+b.ways : base+b.ways], l.Tag(b.setBits)
 }
 
 // pbFind returns the way holding the tag in the set, or -1.
@@ -142,51 +133,38 @@ func pbScan(set []pbWay, tag uint64) (hit, victim int) {
 	return -1, victim
 }
 
-// Contains probes for the line without observable effects. A miss
-// remembers the way an Insert of the line would replace.
+// Contains probes for the line without side effects.
 //
 //ebcp:hotpath
 func (b *PrefetchBuffer) Contains(l amo.Line) bool {
-	base, set, tag := b.locate(l)
-	i, vi := pbScan(set, tag)
-	if i >= 0 {
-		return true
-	}
-	b.pend, b.pendLine = base+vi, l
-	return false
+	set, tag := b.locate(l)
+	return pbFind(set, tag) >= 0
 }
 
 // Insert places a prefetched line in the buffer, evicting LRU if needed.
 // Inserting a line already present refreshes it (keeping the earlier
-// ReadyAt, since the data is already on its way). An Insert of the line
-// the last Contains missed, with no mutating call since, installs into
-// the way that miss picked.
+// ReadyAt, since the data is already on its way).
 //
 //ebcp:hotpath
 func (b *PrefetchBuffer) Insert(l amo.Line, e PBEntry) {
 	b.stamp++
-	s := b.pend
-	b.pend = -1
-	if s < 0 || b.pendLine != l {
-		base, set, tag := b.locate(l)
-		i, vi := pbScan(set, tag)
-		if i >= 0 {
-			b.stats.Replaced++
-			if e.ReadyAt < set[i].entry.ReadyAt {
-				set[i].entry.ReadyAt = e.ReadyAt
-			}
-			set[i].entry.IssuedAt = e.IssuedAt
-			set[i].entry.TableIndex = e.TableIndex
-			set[i].lru = b.stamp
-			return
+	set, tag := b.locate(l)
+	i, vi := pbScan(set, tag)
+	if i >= 0 {
+		b.stats.Replaced++
+		if e.ReadyAt < set[i].entry.ReadyAt {
+			set[i].entry.ReadyAt = e.ReadyAt
 		}
-		s = base + vi
+		set[i].entry.IssuedAt = e.IssuedAt
+		set[i].entry.TableIndex = e.TableIndex
+		set[i].lru = b.stamp
+		return
 	}
 	b.stats.Inserts++
-	if b.slots[s].lru != 0 {
+	if set[vi].lru != 0 {
 		b.stats.Evictions++
 	}
-	b.slots[s] = pbWay{tag: l.Tag(b.setBits), lru: b.stamp, entry: e}
+	set[vi] = pbWay{tag: tag, lru: b.stamp, entry: e}
 }
 
 // Hit checks for a demand hit at cycle now. On a hit the entry is consumed
@@ -197,12 +175,11 @@ func (b *PrefetchBuffer) Insert(l amo.Line, e PBEntry) {
 //
 //ebcp:hotpath
 func (b *PrefetchBuffer) Hit(l amo.Line, now uint64) (e PBEntry, hit, partial bool) {
-	_, set, tag := b.locate(l)
+	set, tag := b.locate(l)
 	i := pbFind(set, tag)
 	if i < 0 {
 		return PBEntry{}, false, false
 	}
-	b.pend = -1
 	e = set[i].entry
 	partial = e.ReadyAt > now
 	if partial {
@@ -219,12 +196,11 @@ func (b *PrefetchBuffer) Hit(l amo.Line, now uint64) (e PBEntry, hit, partial bo
 //
 //ebcp:hotpath
 func (b *PrefetchBuffer) Invalidate(l amo.Line) bool {
-	_, set, tag := b.locate(l)
+	set, tag := b.locate(l)
 	i := pbFind(set, tag)
 	if i < 0 {
 		return false
 	}
-	b.pend = -1
 	set[i].lru = 0
 	b.stats.Invalidations++
 	return true

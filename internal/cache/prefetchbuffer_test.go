@@ -227,9 +227,9 @@ func (r *refPB) invalidate(l amo.Line) bool {
 }
 
 // peek returns the entry resident for the line without touching the
-// buffer's state, the way a remembered victim would see it.
+// buffer's state.
 func peek(b *PrefetchBuffer, l amo.Line) (PBEntry, bool) {
-	_, set, tag := b.locate(l)
+	set, tag := b.locate(l)
 	if i := pbFind(set, tag); i >= 0 {
 		return set[i].entry, true
 	}
@@ -243,9 +243,7 @@ func peek(b *PrefetchBuffer, l amo.Line) (PBEntry, bool) {
 // IssuedAt and TableIndex are replaced), Hit at a random cycle (partial
 // and full hits), Invalidate and bare Contains. After every step it
 // compares every return value, the entry of every resident line,
-// Occupancy and the statistics. The model has no remembered victim way,
-// so one a Hit or an Invalidate should have cleared shows as a wrong
-// eviction.
+// Occupancy and the statistics.
 func TestPrefetchBufferMatchesReferenceModel(t *testing.T) {
 	for _, shape := range [][2]int{{64, 4}, {1024, 4}, {16, 1}, {2, 4}} {
 		entries, ways := shape[0], shape[1]
