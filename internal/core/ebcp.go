@@ -35,8 +35,6 @@ type Config struct {
 	Degree int
 	// EMABEpochs is the Epoch Miss Address Buffer depth (4 in the paper).
 	EMABEpochs int
-	// EMABMaxAddrs bounds recorded misses per epoch entry.
-	EMABMaxAddrs int
 	// VirtualWindow is the instruction distance that separates virtual
 	// epochs once prefetching removes the real ones; it mirrors the reorder
 	// buffer size that bounds real epochs (128).
@@ -69,7 +67,6 @@ func DefaultConfig() Config {
 		TableMaxAddrs: 8,
 		Degree:        8,
 		EMABEpochs:    4,
-		EMABMaxAddrs:  32,
 		VirtualWindow: 128,
 		LRUWriteback:  true,
 	}
@@ -87,14 +84,17 @@ func (c Config) Validate() error {
 	if c.EMABEpochs < 3 {
 		return ebcperr.Invalidf("core: EMAB needs at least 3 epochs, got %d", c.EMABEpochs)
 	}
-	if c.EMABMaxAddrs <= 0 || c.VirtualWindow == 0 {
-		return ebcperr.Invalidf("core: EMAB addrs %d and virtual window %d must be positive", c.EMABMaxAddrs, c.VirtualWindow)
+	if c.VirtualWindow == 0 {
+		return ebcperr.Invalidf("core: virtual window must be positive")
 	}
 	if c.Cores < 0 {
 		return ebcperr.Invalidf("core: cores %d must be non-negative", c.Cores)
 	}
 	return nil
 }
+
+// emabMaxAddrs bounds the misses recorded per EMAB epoch entry.
+const emabMaxAddrs = 32
 
 // cores returns the effective hardware-thread count.
 func (c Config) cores() int {
@@ -169,8 +169,7 @@ type EBCP struct {
 	// copies out of it, so reuse across trainings is safe).
 	payload []amo.Line
 
-	active bool
-	stats  Stats
+	stats Stats
 }
 
 var _ prefetch.Prefetcher = (*EBCP)(nil)
@@ -185,7 +184,7 @@ func New(cfg Config) (*EBCP, error) {
 	for c := range cores {
 		emab := make([]emabEntry, cfg.EMABEpochs)
 		for i := range emab {
-			emab[i].misses = make([]amo.Line, 0, cfg.EMABMaxAddrs)
+			emab[i].misses = make([]amo.Line, 0, emabMaxAddrs)
 		}
 		cores[c].emab = emab
 	}
@@ -197,8 +196,7 @@ func New(cfg Config) (*EBCP, error) {
 		cfg:     cfg,
 		table:   table,
 		cores:   cores,
-		payload: make([]amo.Line, 0, 2*cfg.EMABMaxAddrs),
-		active:  true,
+		payload: make([]amo.Line, 0, 2*emabMaxAddrs),
 	}, nil
 }
 
@@ -246,21 +244,6 @@ func (e *EBCP) RestoreTable(t *corrtab.Table) error {
 	return nil
 }
 
-// Deactivate models the operating system reclaiming the table's physical
-// memory region (Section 3.4.1): the prefetcher enters the inactive state
-// and its table contents are lost.
-func (e *EBCP) Deactivate() {
-	e.active = false
-	e.table.Reclaim()
-}
-
-// Activate models a successful re-allocation of the table region: the
-// prefetcher resumes learning from an empty table.
-func (e *EBCP) Activate() { e.active = true }
-
-// Active reports whether the prefetcher is in the active state.
-func (e *EBCP) Active() bool { return e.active }
-
 // boundary decides whether this access begins a new (real or virtual)
 // epoch. Real epoch triggers do, and once prefetching removes whole
 // epochs the chain is sustained by prefetch-buffer hits: a hit or miss
@@ -288,7 +271,7 @@ func (e *EBCP) boundary(cs *coreState, a prefetch.Access) bool {
 
 // OnAccess implements prefetch.Prefetcher.
 func (e *EBCP) OnAccess(a prefetch.Access, ctx *prefetch.Context) {
-	if !e.active || a.L2Hit || a.MissMerged {
+	if a.L2Hit || a.MissMerged {
 		return
 	}
 	if a.Core < 0 || a.Core >= len(e.cores) {
@@ -318,7 +301,7 @@ func (e *EBCP) OnAccess(a prefetch.Access, ctx *prefetch.Context) {
 	switch {
 	case a.Miss && !a.MissMerged:
 		// Record the miss in the current epoch's EMAB entry.
-		if len(cur.misses) < e.cfg.EMABMaxAddrs {
+		if len(cur.misses) < emabMaxAddrs {
 			cur.misses = append(cur.misses, a.Line)
 		}
 	case a.PBHit:

@@ -32,7 +32,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.TableMaxAddrs = 0 },
 		func(c *Config) { c.Degree = 0 },
 		func(c *Config) { c.EMABEpochs = 2 },
-		func(c *Config) { c.EMABMaxAddrs = 0 },
 		func(c *Config) { c.VirtualWindow = 0 },
 	}
 	for i, mut := range bad {
@@ -223,30 +222,6 @@ func TestLRUWritebackDisabled(t *testing.T) {
 	}, ctx)
 	if got := e.Table().Lookup(key); got[0] == 3 {
 		t.Error("LRU writeback disabled: entry order must not change")
-	}
-}
-
-func TestDeactivateReclaimsTable(t *testing.T) {
-	ctx := testCtx()
-	e := must(New(smallConfig()))
-	e.Table().Update(amo.Line(5), []amo.Line{1})
-	e.Deactivate()
-	if e.Active() {
-		t.Error("should be inactive")
-	}
-	if e.Table().Occupancy() != 0 {
-		t.Error("deactivation must reclaim the table region")
-	}
-	// Inactive: accesses are ignored.
-	now, inst := uint64(0), uint64(0)
-	epoch(e, ctx, &now, &inst, 10, 11)
-	if e.Stats().Boundaries != 0 {
-		t.Error("inactive prefetcher must ignore accesses")
-	}
-	e.Activate()
-	epoch(e, ctx, &now, &inst, 10, 11)
-	if e.Stats().Boundaries != 1 {
-		t.Error("reactivated prefetcher must resume")
 	}
 }
 

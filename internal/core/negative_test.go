@@ -45,7 +45,6 @@ func TestNegativeConfigs(t *testing.T) {
 		{"zero table addrs", mut(func(c *Config) { c.TableMaxAddrs = 0 })},
 		{"zero degree", mut(func(c *Config) { c.Degree = 0 })},
 		{"EMAB too shallow", mut(func(c *Config) { c.EMABEpochs = 2 })},
-		{"zero EMAB addrs", mut(func(c *Config) { c.EMABMaxAddrs = 0 })},
 		{"zero virtual window", mut(func(c *Config) { c.VirtualWindow = 0 })},
 		{"negative cores", mut(func(c *Config) { c.Cores = -1 })},
 	}

@@ -48,7 +48,7 @@ func Encode(w io.Writer, t *Table) error {
 		Schema:   SchemaV1,
 		Entries:  t.cfg.Entries,
 		MaxAddrs: t.cfg.MaxAddrs,
-		Rows:     make([]RowV1, 0, t.live),
+		Rows:     make([]RowV1, 0, t.Occupancy()),
 	}
 	for _, row := range t.Rows() {
 		wire := RowV1{Tag: uint64(row.Tag), Addrs: make([]uint64, len(row.Addrs))}

@@ -13,17 +13,15 @@
 //
 // Storage is sparse (only touched indices are materialized) but flat:
 // entries live in dense pages of fixed-size slots, each slot one
-// contiguous record — the tag, a generation stamp and length, and an
-// inline MaxAddrs-line address array — so a simulated lookup reads one
-// run of words, as the modelled hardware reads one 64B entry. A small
+// contiguous record — the tag, the address count and an inline
+// MaxAddrs-line address array — so a simulated lookup reads one run of
+// words, as the modelled hardware reads one 64B entry. A small
 // open-addressed index of packed words maps touched table indices to
-// slots. An 8M-entry idealized table
-// therefore still costs memory proportional to its working set, not its
-// architected size, while the steady state (update, lookup, touch) runs
-// without pointer chasing or per-entry allocation; new storage is only
-// allocated one page (or one index doubling) at a time. Reclaim is a
-// generation bump: stale slots are recycled in place the next time their
-// index is written.
+// slots; every indexed slot holds a live entry. An 8M-entry idealized
+// table therefore still costs memory proportional to its working set,
+// not its architected size, while the steady state (update, lookup,
+// touch) runs without pointer chasing or per-entry allocation; new
+// storage is only allocated one page (or one index doubling) at a time.
 package corrtab
 
 import (
@@ -99,10 +97,8 @@ const (
 )
 
 // A slot's record is recAddrs+MaxAddrs words: the full key line, the
-// generation stamp and address count packed as gen<<32|len, then the
-// addresses, MRU first (their order encodes the 64B entry's LRU
-// information). A slot is live when its stamp matches the table's
-// generation.
+// address count, then the addresses, MRU first (their order encodes the
+// 64B entry's LRU information).
 const (
 	recTag   = 0
 	recMeta  = 1
@@ -114,8 +110,6 @@ type Table struct {
 	cfg    Config
 	mask   uint64
 	stride int // words per record
-	gen    uint32
-	live   int
 
 	// pages is the append-only slot arena, each page pageSize records
 	// back to back; nextSlot is the first unused slot (pages are filled
@@ -125,8 +119,7 @@ type Table struct {
 
 	// Open-addressed index: table index -> arena slot, one
 	// index<<32 | slot+1 word per binding, so the zero word means empty.
-	// The index only grows (slots of reclaimed generations are recycled
-	// in place).
+	// The index only grows.
 	idx     []uint64
 	idxMask uint64
 	idxLen  int
@@ -145,7 +138,6 @@ func New(cfg Config) (*Table, error) {
 		cfg:     cfg,
 		mask:    uint64(cfg.Entries - 1),
 		stride:  recAddrs + cfg.MaxAddrs,
-		gen:     1,
 		idx:     make([]uint64, initIdx),
 		idxMask: initIdx - 1,
 	}, nil
@@ -242,15 +234,6 @@ func (t *Table) newSlot() uint32 {
 	return s
 }
 
-// liveLen returns rec's address count and whether rec belongs to
-// generation gen.
-//
-//ebcp:hotpath
-func liveLen(rec []amo.Line, gen uint32) (int, bool) {
-	m := uint64(rec[recMeta])
-	return int(uint32(m)), uint32(m>>32) == gen
-}
-
 // Lookup returns the prefetch addresses stored under key (MRU first), or
 // nil when the indexed entry holds a different tag or is empty. The
 // returned slice aliases table state and must not be retained across
@@ -264,19 +247,20 @@ func (t *Table) Lookup(key amo.Line) []amo.Line {
 		return nil
 	}
 	rec := t.record(s)
-	n, ok := liveLen(rec, t.gen)
-	if !ok || rec[recTag] != key {
+	if rec[recTag] != key {
 		return nil
 	}
 	t.stats.Hits++
-	return rec[recAddrs : recAddrs+n]
+	return rec[recAddrs : recAddrs+int(rec[recMeta])]
 }
 
 // Update merges addrs into the entry for key, in the order given (highest
 // priority first — the paper gives priority to the misses of the older
 // epoch). Present addresses move to MRU; new ones are inserted at MRU,
 // displacing the LRU addresses when the entry is full. A tag mismatch
-// reallocates the entry (direct-mapped conflict overwrite).
+// reallocates the entry (direct-mapped conflict overwrite). A fresh
+// entry is told apart by its index not being bound yet, never by a zero
+// tag: line 0 is a valid key.
 //
 //ebcp:hotpath
 func (t *Table) Update(key amo.Line, addrs []amo.Line) {
@@ -288,12 +272,10 @@ func (t *Table) Update(key amo.Line, addrs []amo.Line) {
 		t.indexSlot(idx, s)
 	}
 	rec := t.record(s)
-	n, isLive := liveLen(rec, t.gen)
-	if !isLive || rec[recTag] != key {
-		if isLive {
+	n := int(rec[recMeta])
+	if !indexed || rec[recTag] != key {
+		if indexed {
 			t.stats.ConflictEvictions++
-		} else {
-			t.live++
 		}
 		t.stats.Allocations++
 		rec[recTag] = key
@@ -308,7 +290,7 @@ func (t *Table) Update(key amo.Line, addrs []amo.Line) {
 	for i := len(addrs) - 1; i >= 0; i-- {
 		n = promote(span, n, addrs[i])
 	}
-	rec[recMeta] = amo.Line(uint64(t.gen)<<32 | uint64(n))
+	rec[recMeta] = amo.Line(n)
 }
 
 // promote moves a to the MRU position of the n-entry span, inserting it if
@@ -345,11 +327,7 @@ func (t *Table) Touch(index uint64, used amo.Line) {
 		return
 	}
 	rec := t.record(s)
-	n, ok := liveLen(rec, t.gen)
-	if !ok {
-		return
-	}
-	span := rec[recAddrs:]
+	n, span := int(rec[recMeta]), rec[recAddrs:]
 	for i := 0; i < n; i++ {
 		if span[i] == used {
 			copy(span[1:i+1], span[:i])
@@ -360,25 +338,9 @@ func (t *Table) Touch(index uint64, used amo.Line) {
 	}
 }
 
-// Reclaim drops all table contents, modelling the operating system
-// reclaiming the physical memory region (Section 3.4.1). The prefetcher
-// re-learns from scratch when a region is granted again. Storage is kept
-// for recycling: live entries are invalidated by a generation bump and
-// their slots rewritten in place when their index is next updated.
-func (t *Table) Reclaim() {
-	t.gen++
-	t.live = 0
-	if t.gen == 0 { // generation counter wrapped: hard-reset stamps
-		for s := uint32(0); s < t.nextSlot; s++ {
-			t.record(s)[recMeta] = 0
-		}
-		t.gen = 1
-	}
-}
-
 // Occupancy returns how many distinct indices are materialized (for tests
-// and memory accounting).
-func (t *Table) Occupancy() int { return t.live }
+// and memory accounting): every allocated slot holds one live entry.
+func (t *Table) Occupancy() int { return int(t.nextSlot) }
 
 // Row is one live entry in export form: the full key line (whose
 // direct-mapped index is Tag & (Entries-1)) and its prefetch addresses,
@@ -394,16 +356,12 @@ type Row struct {
 // of insertion order and arena layout. The serializer depends on this
 // determinism for byte-stable output.
 func (t *Table) Rows() []Row {
-	rows := make([]Row, 0, t.live)
+	rows := make([]Row, 0, t.nextSlot)
 	for s := uint32(0); s < t.nextSlot; s++ {
 		rec := t.record(s)
-		n, ok := liveLen(rec, t.gen)
-		if !ok {
-			continue
-		}
 		rows = append(rows, Row{
 			Tag:   rec[recTag],
-			Addrs: append([]amo.Line(nil), rec[recAddrs:recAddrs+n]...),
+			Addrs: append([]amo.Line(nil), rec[recAddrs:recAddrs+int(rec[recMeta])]...),
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool {

@@ -137,42 +137,6 @@ func TestTouchPromotes(t *testing.T) {
 	}
 }
 
-func TestReclaim(t *testing.T) {
-	tb := table(64, 4)
-	tb.Update(amo.Line(1), lines(5))
-	tb.Reclaim()
-	if tb.Lookup(amo.Line(1)) != nil {
-		t.Error("reclaimed table should be empty")
-	}
-	if tb.Occupancy() != 0 {
-		t.Errorf("occupancy = %d", tb.Occupancy())
-	}
-}
-
-// TestReclaimGenerationWrap forces the generation stamp to wrap: every
-// record written before the wrap must read as dead afterwards, and the
-// recycled slots must work as fresh ones.
-func TestReclaimGenerationWrap(t *testing.T) {
-	tb := table(64, 4)
-	tb.gen = ^uint32(0)
-	tb.Update(amo.Line(1), lines(5, 6))
-	tb.Update(amo.Line(2), lines(7))
-	tb.Reclaim()
-	if tb.gen != 1 {
-		t.Fatalf("gen after wrap = %d, want 1", tb.gen)
-	}
-	if tb.Lookup(amo.Line(1)) != nil || tb.Lookup(amo.Line(2)) != nil || len(tb.Rows()) != 0 {
-		t.Fatal("entries survived a wrapped reclaim")
-	}
-	tb.Update(amo.Line(1), lines(9))
-	if got := tb.Lookup(amo.Line(1)); len(got) != 1 || got[0] != 9 {
-		t.Errorf("Lookup after wrap = %v, want [9]", got)
-	}
-	if tb.Occupancy() != 1 || tb.Stats().ConflictEvictions != 0 {
-		t.Errorf("occupancy %d, conflicts %d; want 1, 0", tb.Occupancy(), tb.Stats().ConflictEvictions)
-	}
-}
-
 // TestLargestTable runs the largest accepted table (2^32 entries, still
 // sparse) with keys whose indices and tags sit at the top of the range,
 // where the packed index words use all 32 bits of each half.
@@ -443,10 +407,9 @@ func (t *legacyTable) Touch(index uint64, used amo.Line) {
 	}
 }
 
-func (t *legacyTable) Reclaim()       { t.entries = make(map[uint64]*legacyEntry) }
 func (t *legacyTable) Occupancy() int { return len(t.entries) }
 
-// TestDifferentialLegacyVsPaged fuzzes update/lookup/touch/reclaim
+// TestDifferentialLegacyVsPaged fuzzes update/lookup/touch
 // sequences into the paged table and the legacy map-backed layout and
 // asserts identical observable behaviour: returned address lists, the
 // full stats struct, and occupancy.
@@ -491,15 +454,10 @@ func TestDifferentialLegacyVsPaged(t *testing.T) {
 							t.Fatalf("cfg %+v seed %d step %d: Lookup(%v) = %v, legacy %v", cfg, seed, i, key, got, want)
 						}
 					}
-				case op < 9: // touch
+				default: // touch
 					key, a := keyFor(), amo.Line(rng.Intn(128))
 					tb.Touch(tb.Index(key), a)
 					ref.Touch(tb.Index(key), a)
-				default:
-					if rng.Intn(200) == 0 { // rare, as in real runs
-						tb.Reclaim()
-						ref.Reclaim()
-					}
 				}
 				if tb.Stats() != ref.stats {
 					t.Fatalf("cfg %+v seed %d step %d: stats %+v, legacy %+v", cfg, seed, i, tb.Stats(), ref.stats)

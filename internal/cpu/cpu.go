@@ -186,9 +186,6 @@ func (m *Model) EpochID() uint64 { return m.epochID }
 // InEpoch reports whether an epoch is open.
 func (m *Model) InEpoch() bool { return m.inEpoch }
 
-// Outstanding returns the number of off-chip accesses in the open epoch.
-func (m *Model) Outstanding() int { return m.outstanding }
-
 // Stats returns a copy of the counters for the current measurement window
 // (since the last ResetStats).
 func (m *Model) Stats() Stats {

@@ -127,9 +127,6 @@ type Stats struct {
 	WriteBusyCycles uint64
 }
 
-// Class returns the stats for one priority class.
-func (s Stats) Class(p Priority) ClassStats { return s.PerClass[p] }
-
 // TotalReads sums reads across classes.
 func (s Stats) TotalReads() uint64 {
 	var n uint64

@@ -22,7 +22,6 @@ type ebcpParams struct {
 	TableMaxAddrs   *int    `json:"table_max_addrs"`
 	Degree          *int    `json:"degree"`
 	EMABEpochs      *int    `json:"emab_epochs"`
-	EMABMaxAddrs    *int    `json:"emab_max_addrs"`
 	VirtualWindow   *uint64 `json:"virtual_window"`
 	Minus           *bool   `json:"minus"`
 	LRUWriteback    *bool   `json:"lru_writeback"`
@@ -46,9 +45,6 @@ func newEBCP(params json.RawMessage, cores int) (prefetch.Prefetcher, error) {
 	}
 	if p.EMABEpochs != nil {
 		cfg.EMABEpochs = *p.EMABEpochs
-	}
-	if p.EMABMaxAddrs != nil {
-		cfg.EMABMaxAddrs = *p.EMABMaxAddrs
 	}
 	if p.VirtualWindow != nil {
 		cfg.VirtualWindow = *p.VirtualWindow

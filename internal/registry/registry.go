@@ -5,11 +5,11 @@
 // this package, so adding a contender or a workload touches exactly one
 // place — its registration — instead of every experiment definition.
 //
-// The built-in entries live in builtin.go as map literals (duplicate
-// names are then a compile error); RegisterPrefetcher/RegisterWorkload
-// let extension packages self-register additional entries at init time.
-// The specsync analyzer (internal/analysis) keeps the built-in names
-// and the committed spec files under internal/exp/specs in sync.
+// The entries live in builtin.go as map literals (duplicate names are
+// then a compile error) and are read-only after package initialization,
+// so lookups need no locking. The specsync analyzer (internal/analysis)
+// keeps the built-in names and the committed spec files under
+// internal/exp/specs in sync.
 package registry
 
 import (
@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"sort"
 	"strings"
-	"sync"
 
 	"ebcp/internal/ebcperr"
 	"ebcp/internal/prefetch"
@@ -43,48 +42,14 @@ type WorkloadEntry struct {
 }
 
 var (
-	mu          sync.RWMutex
 	prefetchers = builtinPrefetchers()
 	workloads   = builtinWorkloads()
 )
 
-// RegisterPrefetcher adds a contender under its Name. Registering an
-// empty name, a nil constructor or a name already taken is an
-// ErrInvalidConfig error; built-ins cannot be replaced.
-func RegisterPrefetcher(e PrefetcherEntry) error {
-	if e.Name == "" || e.New == nil {
-		return ebcperr.Invalidf("registry: prefetcher entry needs a name and a constructor")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := prefetchers[e.Name]; dup {
-		return ebcperr.Invalidf("registry: prefetcher %q already registered", e.Name)
-	}
-	prefetchers[e.Name] = e
-	return nil
-}
-
-// RegisterWorkload adds a workload under its Name, with the same rules
-// as RegisterPrefetcher.
-func RegisterWorkload(e WorkloadEntry) error {
-	if e.Name == "" || e.Params == nil {
-		return ebcperr.Invalidf("registry: workload entry needs a name and a params factory")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := workloads[e.Name]; dup {
-		return ebcperr.Invalidf("registry: workload %q already registered", e.Name)
-	}
-	workloads[e.Name] = e
-	return nil
-}
-
 // Prefetcher resolves a contender name. Unknown names are
 // ErrInvalidConfig errors listing what is registered.
 func Prefetcher(name string) (PrefetcherEntry, error) {
-	mu.RLock()
 	e, ok := prefetchers[name]
-	mu.RUnlock()
 	if !ok {
 		return PrefetcherEntry{}, ebcperr.Invalidf("registry: unknown prefetcher %q (registered: %s)",
 			name, strings.Join(PrefetcherNames(), ", "))
@@ -95,9 +60,7 @@ func Prefetcher(name string) (PrefetcherEntry, error) {
 // Workload resolves a workload name, with the same error contract as
 // Prefetcher.
 func Workload(name string) (WorkloadEntry, error) {
-	mu.RLock()
 	e, ok := workloads[name]
-	mu.RUnlock()
 	if !ok {
 		return WorkloadEntry{}, ebcperr.Invalidf("registry: unknown workload %q (registered: %s)",
 			name, strings.Join(WorkloadNames(), ", "))
@@ -107,15 +70,11 @@ func Workload(name string) (WorkloadEntry, error) {
 
 // PrefetcherNames returns every registered contender name, sorted.
 func PrefetcherNames() []string {
-	mu.RLock()
-	defer mu.RUnlock()
 	return sortedKeys(prefetchers)
 }
 
 // WorkloadNames returns every registered workload name, sorted.
 func WorkloadNames() []string {
-	mu.RLock()
-	defer mu.RUnlock()
 	return sortedKeys(workloads)
 }
 

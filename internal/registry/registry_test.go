@@ -113,35 +113,6 @@ func TestStrictParams(t *testing.T) {
 	}
 }
 
-// TestRegisterExtension: a package can self-register a new contender;
-// duplicates and incomplete entries are rejected.
-func TestRegisterExtension(t *testing.T) {
-	entry := PrefetcherEntry{
-		Name: "test-custom",
-		Doc:  "test-only entry",
-		New: func(json.RawMessage, int) (prefetch.Prefetcher, error) {
-			return prefetch.None{}, nil
-		},
-	}
-	if err := RegisterPrefetcher(entry); err != nil {
-		t.Fatalf("registering: %v", err)
-	}
-	if _, err := Prefetcher("test-custom"); err != nil {
-		t.Errorf("resolving registered entry: %v", err)
-	}
-	if err := RegisterPrefetcher(entry); err == nil {
-		t.Error("duplicate registration succeeded")
-	} else if !errors.Is(err, ebcperr.ErrInvalidConfig) {
-		t.Errorf("duplicate registration error not ErrInvalidConfig: %v", err)
-	}
-	if err := RegisterPrefetcher(PrefetcherEntry{Name: "incomplete"}); err == nil {
-		t.Error("nil-constructor registration succeeded")
-	}
-	if err := RegisterWorkload(WorkloadEntry{Name: "Database"}); err == nil {
-		t.Error("workload registration without params factory succeeded")
-	}
-}
-
 // TestWrapFilter pins the filter block's contract: nil means no
 // wrapping, {} wraps with the tuned defaults, unknown fields and bad
 // shapes are strict ErrInvalidConfig rejections.

@@ -202,9 +202,13 @@ func RunCMP(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) (CMPResu
 			if !measuring && !warmed[li] {
 				// The lane's trace ended inside its warmup window: the grid
 				// can never warm fully. Count it as warmed so the remaining
-				// lanes proceed to a (flagged) measurement.
+				// lanes proceed to a (flagged) measurement. With no lane
+				// left running there is nothing to measure, so the partial
+				// statistics are kept rather than reset.
 				shortWarm = true
-				markWarm(li)
+				if active > 0 {
+					markWarm(li)
+				}
 			}
 			continue
 		}

@@ -130,11 +130,14 @@ func TestWarmupIncompleteCMP(t *testing.T) {
 		short       int    // lane whose source is truncated
 		limit       uint64 // its instruction budget; 0 leaves it endless
 		wantFlagged bool
+		allShort    bool // truncate every lane's source, not just lane short
 	}{
-		{"2lanes/mid-warmup", 2, 1_000_000, 0, 100_000, true},
-		{"2lanes/endless", 2, 1_000_000, 0, 0, false},
-		{"64lanes/mid-warmup", 64, 20_000, 17, 1_000, true},
-		{"64lanes/mid-measurement", 64, 20_000, 17, 60_000, false},
+		{"2lanes/mid-warmup", 2, 1_000_000, 0, 100_000, true, false},
+		{"2lanes/endless", 2, 1_000_000, 0, 0, false, false},
+		{"64lanes/mid-warmup", 64, 20_000, 17, 1_000, true, false},
+		{"64lanes/mid-measurement", 64, 20_000, 17, 60_000, false, false},
+		{"1lane/all-short", 1, 1_000_000, 0, 100_000, true, true},
+		{"2lanes/all-short", 2, 1_000_000, 0, 100_000, true, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -142,8 +145,10 @@ func TestWarmupIncompleteCMP(t *testing.T) {
 			cfg.Core.OnChipCPI = b.OnChipCPI
 			cfg.WarmInsts, cfg.MeasureInsts = c.warm, c.warm
 			sources := cmpSources(b, c.lanes)
-			if c.limit > 0 {
-				sources[c.short] = trace.NewLimit(sources[c.short], c.limit)
+			for i := range sources {
+				if c.limit > 0 && (c.allShort || i == c.short) {
+					sources[i] = trace.NewLimit(sources[i], c.limit)
+				}
 			}
 			before := runtime.NumGoroutine()
 			res, err := RunCMP(sources, prefetch.None{}, cfg)
@@ -165,6 +170,20 @@ func TestWarmupIncompleteCMP(t *testing.T) {
 			for i, pc := range res.PerCore {
 				if pc.WarmupIncomplete != c.wantFlagged {
 					t.Errorf("lane %d: WarmupIncomplete = %v, want %v", i, pc.WarmupIncomplete, c.wantFlagged)
+				}
+				// With no lane left running, the partial result keeps every
+				// instruction since the start rather than a reset to zero.
+				if c.allShort && pc.Core.Instructions == 0 {
+					t.Errorf("lane %d: partial result reports 0 instructions", i)
+				}
+			}
+			if c.allShort && c.lanes == 1 {
+				single, err := Run(trace.NewLimit(cmpSources(b, 1)[0], c.limit), prefetch.None{}, cfg)
+				if !errors.Is(err, ebcperr.ErrShortTrace) {
+					t.Fatalf("Run on the short source: err = %v, want ErrShortTrace", err)
+				}
+				if res.PerCore[0].Core != single.Core {
+					t.Errorf("1-lane partial core stats %+v differ from Run's %+v", res.PerCore[0].Core, single.Core)
 				}
 			}
 		})
