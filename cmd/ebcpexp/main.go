@@ -20,11 +20,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"ebcp/internal/ebcperr"
@@ -104,8 +107,16 @@ func main() {
 		Workers:     *workers,
 		LoadCorrtab: *loadTable,
 	}
+	// Every distinct failure reason reaches stderr once, -v or not: the
+	// reports' n/a footnote sends the reader there for it.
+	var fails failureReasons
+	opts.Progress = fails.note
 	if *verbose {
-		opts.Progress = exp.ProgressWriter(os.Stderr)
+		progress := exp.ProgressWriter(os.Stderr)
+		opts.Progress = func(u exp.RunUpdate) {
+			fails.note(u)
+			progress(u)
+		}
 	}
 
 	var todo []exp.Experiment
@@ -194,9 +205,10 @@ func main() {
 		session.Runs(), session.SharedHits())
 	// Failed or cancelled cells render as "n/a", never as plausible
 	// numbers; account for them on stderr and refuse a clean exit.
-	if fails := session.Failures(); fails > 0 || naCells > 0 {
+	fails.write(os.Stderr, session.FirstError())
+	if n := session.Failures(); n > 0 || naCells > 0 {
 		fmt.Fprintf(os.Stderr, "ebcpexp: %d simulation(s) failed or were cancelled; %d report cell(s) rendered as n/a\n",
-			fails, naCells)
+			n, naCells)
 	}
 	if err := session.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "ebcpexp: %v — reports above are partial (unsimulated cells render as n/a)\n", err)
@@ -206,6 +218,46 @@ func main() {
 	if session.Failures() > 0 || naCells > 0 {
 		stopProfiles()
 		os.Exit(1)
+	}
+}
+
+// failureReasons tallies the failed simulations by error message.
+type failureReasons struct {
+	mu    sync.Mutex
+	count map[string]int
+}
+
+// note is an exp.Options.Progress callback.
+func (f *failureReasons) note(u exp.RunUpdate) {
+	if u.Err == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.count == nil {
+		f.count = map[string]int{}
+	}
+	f.count[u.Err.Error()]++
+}
+
+// write prints each distinct reason once with its simulation count,
+// sorted so the output does not depend on completion order. When no
+// simulation failed, it prints first instead (the session's first cell
+// error, if any): a cell whose key could not be built never simulates,
+// so it reaches no Progress callback.
+func (f *failureReasons) write(w io.Writer, first error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.count) == 0 && first != nil {
+		fmt.Fprintf(w, "ebcpexp: %v\n", first)
+	}
+	msgs := make([]string, 0, len(f.count))
+	for msg := range f.count {
+		msgs = append(msgs, msg)
+	}
+	sort.Strings(msgs)
+	for _, msg := range msgs {
+		fmt.Fprintf(w, "ebcpexp: %d simulation(s) failed: %s\n", f.count[msg], msg)
 	}
 }
 

@@ -83,6 +83,11 @@ func TestShortTraceRendersNAAndExitsNonZero(t *testing.T) {
 	if !strings.Contains(out, "rendered as n/a") {
 		t.Errorf("stderr accounting missing:\n%s", out)
 	}
+	// The footnote points to stderr for the reason, so it must be there
+	// without -v.
+	if !strings.Contains(out, "failed: sim: trace ended after") {
+		t.Errorf("stderr lacks the failure reason without -v:\n%s", out)
+	}
 	if strings.Contains(out, "0.00") {
 		// No contaminated zeros should masquerade as measured values in
 		// the measured rows (paper reference rows are unaffected).
@@ -91,6 +96,25 @@ func TestShortTraceRendersNAAndExitsNonZero(t *testing.T) {
 				t.Errorf("suspicious zero-valued measured row: %q", line)
 			}
 		}
+	}
+}
+
+// TestUnsimulatedCellsExplainNA covers cells that fail before any
+// simulation runs: their key cannot be built when the warm-start table
+// is unreadable, so no simulation reports a reason, and stderr must
+// still carry one for the n/a footnote to point to.
+func TestUnsimulatedCellsExplainNA(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	out, code := runCLI(t,
+		"-exp", "table1", "-scale", "0.001", "-load-corrtab", missing)
+	if code == 0 {
+		t.Errorf("unreadable warm-start table exited 0; output:\n%s", out)
+	}
+	if !strings.Contains(out, "rendered as n/a") {
+		t.Errorf("stderr accounting missing:\n%s", out)
+	}
+	if !strings.Contains(out, "reading warm-start table") {
+		t.Errorf("stderr lacks the reason the cells did not simulate:\n%s", out)
 	}
 }
 

@@ -23,28 +23,40 @@ const (
 // one region). run identifies the motif run the step belongs to, so
 // emission knows when to re-roll the variant.
 //
-// The variant line groups live in the generator's shared line arena
-// (g.lineArena), addressed through spans (g.varSpans): a step holds the
-// index of its first span and its variant count. This flat layout keeps
-// a chain library of hundreds of thousands of steps to a handful of
-// amortized-growth allocations instead of two small slices per step.
+// A variant's lines are a pure function of the head, the load site, the
+// variant index and the group size (see siblings), so a step stores only
+// those and emission recomputes the chosen variant: 16 bytes per step.
 type step struct {
-	varOff uint32 // index of the step's first variant span in g.varSpans
-	nv     uint16 // number of variants (each span starts with the head)
-	dep    bool
-	run    int32
+	head int32 // head line minus amo.LineOf(dataBase); a stride run may start below it
+	run  int32
+	nv   uint16 // number of variants
 	// pcIdx selects the load PC (and thereby the record layout) of the
 	// step within the transaction type's PC pool: the code site
 	// determines the record layout, which is what PC-indexed prefetchers
 	// (SMS, GHB PC/DC) key on.
-	pcIdx uint16
+	pcIdx uint8
+	dep   bool
+	// size is the group size (head plus siblings), capped at 255; the cap
+	// never binds, because siblings stops after 1+len(layout) <= 7 lines.
+	size uint8
 }
 
-// lineSpan is one variant's line group inside the generator's line arena.
-type lineSpan struct {
-	off uint32
-	n   uint16
+// newStep packs a step; head is an absolute data line.
+func newStep(head amo.Line, size, nv, pcIdx, run int, dep bool) step {
+	return step{
+		head:  int32(int64(head) - int64(amo.LineOf(dataBase))),
+		run:   int32(run),
+		nv:    uint16(nv),
+		pcIdx: uint8(pcIdx),
+		dep:   dep,
+		size:  uint8(min(size, 255)),
+	}
 }
+
+// headLine decodes the step's head line.
+//
+//ebcp:hotpath
+func (s step) headLine() amo.Line { return amo.LineOf(dataBase).Add(int64(s.head)) }
 
 // pcPool is the number of distinct load sites per transaction type.
 const pcPool = 16
@@ -76,17 +88,11 @@ type Generator struct {
 	typePick *skewPicker
 	layouts  [][]int // sibling line-offset deltas within a region
 
-	// Flat step storage: every variant's line group is a span of
-	// lineArena; steps reference contiguous runs of varSpans.
-	lineArena []amo.Line
-	varSpans  []lineSpan
-
-	// Emission queue and steady-state scratch buffers (reused so the
-	// endless stream allocates nothing after the first few steps).
-	queue    []trace.Record
-	qpos     int
-	noiseBuf []amo.Line
-	coldBuf  []amo.Line
+	// Emission queue and the visited step's line group, both reused so
+	// the endless stream allocates nothing after the first few steps.
+	queue []trace.Record
+	qpos  int
+	lines []amo.Line
 
 	// Transaction state.
 	t          *txnType
@@ -122,14 +128,7 @@ func New(p Params) (*Generator, error) {
 		p:       p,
 		rng:     rand.New(rand.NewSource(p.Seed)),
 		hotRing: make([]amo.Line, 2048),
-		// Pre-size the step arena near its final size so chain
-		// construction doesn't repeatedly double-and-copy it, without
-		// zeroing much it never uses: the shipped benchmarks take 1.7-3.6
-		// lines and 1.3-1.6 variant spans per step, so reserve 4 lines
-		// and 2 spans per step of the mean chain length.
-		lineArena: make([]amo.Line, 0, 2*(p.ChainSteps[0]+p.ChainSteps[1])*p.Chains),
-		varSpans:  make([]lineSpan, 0, (p.ChainSteps[0]+p.ChainSteps[1])*p.Chains),
-		queue:     make([]trace.Record, 0, 64),
+		queue:   make([]trace.Record, 0, 64),
 	}
 	g.buildLayouts()
 	g.buildChains()
@@ -206,51 +205,39 @@ func (g *Generator) buildChains() {
 	}
 }
 
-// siblingsSpan appends head plus layout-determined sibling lines in
-// head's 2KB region to the line arena and returns their span, choosing
-// count offsets starting from the layout position sel (different sel
-// values model different field/subobject access paths through the same
-// record — the spatial correlation SMS exploits, and the data-dependent
-// divergence that bounds prefetcher accuracy). The layout is selected by
-// the accessing code site (pcIdx), which is what makes trigger-PC-indexed
-// pattern prediction possible.
-func (g *Generator) siblingsSpan(head amo.Line, pcIdx, sel, count int) lineSpan {
-	off := len(g.lineArena)
-	g.lineArena = append(g.lineArena, head)
+// siblings appends head plus layout-determined sibling lines in head's
+// 2KB region to dst, choosing count offsets starting from the layout
+// position sel (different sel values model different field/subobject
+// access paths through the same record — the spatial correlation SMS
+// exploits, and the data-dependent divergence that bounds prefetcher
+// accuracy). The layout is selected by the accessing code site (pcIdx),
+// which is what makes trigger-PC-indexed pattern prediction possible.
+// With count 0 the group is the head alone.
+//
+//ebcp:hotpath
+func (g *Generator) siblings(dst []amo.Line, head amo.Line, pcIdx, sel, count int) []amo.Line {
+	off := len(dst)
+	dst = append(dst, head)
 	layout := g.layouts[pcIdx%len(g.layouts)]
 	regionFirst := head - amo.Line(uint64(head)%linesPerRegion)
 	headOff := int(uint64(head) % linesPerRegion)
-	for j := 0; len(g.lineArena)-off < count+1 && j < len(layout); j++ {
+	for j := 0; len(dst)-off < count+1 && j < len(layout); j++ {
 		o := (headOff + layout[(sel+j)%len(layout)]) % linesPerRegion
 		sib := regionFirst + amo.Line(o)
 		if sib != head {
 			dup := false
-			for _, l := range g.lineArena[off:] {
+			for _, l := range dst[off:] {
 				if l == sib {
 					dup = true
 					break
 				}
 			}
 			if !dup {
-				g.lineArena = append(g.lineArena, sib)
+				dst = append(dst, sib)
 			}
 		}
 	}
-	return lineSpan{off: uint32(off), n: uint16(len(g.lineArena) - off)}
-}
-
-// singleSpan appends one line to the arena as a one-line variant span.
-func (g *Generator) singleSpan(line amo.Line) lineSpan {
-	off := len(g.lineArena)
-	g.lineArena = append(g.lineArena, line)
-	return lineSpan{off: uint32(off), n: 1}
-}
-
-// spanLines resolves a variant span to its lines in the arena.
-//
-//ebcp:hotpath
-func (g *Generator) spanLines(sp lineSpan) []amo.Line {
-	return g.lineArena[sp.off : uint32(sp.off)+uint32(sp.n)]
+	return dst
 }
 
 // scatteredStep is a pointer-chased record fetch. The head line (the
@@ -272,11 +259,7 @@ func (g *Generator) scatteredStep(dep bool, run int) step {
 		head -= amo.Line(uint64(head) % 128)
 	}
 	pcIdx := g.rng.Intn(pcPool)
-	varOff := uint32(len(g.varSpans))
-	for v := 0; v < nv; v++ {
-		g.varSpans = append(g.varSpans, g.siblingsSpan(head, pcIdx, v*2, size-1))
-	}
-	return step{varOff: varOff, nv: uint16(nv), dep: dep, run: int32(run), pcIdx: uint16(pcIdx)}
+	return newStep(head, size, nv, pcIdx, run, dep)
 }
 
 // appendWalk adds a run of steps inside one 2KB region (an index-leaf
@@ -300,15 +283,7 @@ func (g *Generator) appendWalk(steps []step, limit, run int) []step {
 	stride := 1 + pcIdx%3
 	for i := 0; i < k; i++ {
 		line := regionFirst + amo.Line((off+i*stride)%linesPerRegion)
-		varOff := uint32(len(g.varSpans))
-		g.varSpans = append(g.varSpans, g.singleSpan(line))
-		steps = append(steps, step{
-			varOff: varOff,
-			nv:     1,
-			dep:    len(steps) > 0 || i > 0,
-			run:    int32(run),
-			pcIdx:  uint16(pcIdx),
-		})
+		steps = append(steps, newStep(line, 1, 1, pcIdx, run, len(steps) > 0 || i > 0))
 	}
 	return steps
 }
@@ -327,15 +302,7 @@ func (g *Generator) appendStride(steps []step, limit, run int) []step {
 	for i := 0; i < k; i++ {
 		// The first access of the run is pointer-derived; the rest are
 		// address arithmetic and overlap freely.
-		varOff := uint32(len(g.varSpans))
-		g.varSpans = append(g.varSpans, g.singleSpan(base.Add(stride*int64(i))))
-		steps = append(steps, step{
-			varOff: varOff,
-			nv:     1,
-			dep:    i == 0 && len(steps) > 0,
-			run:    int32(run),
-			pcIdx:  uint16(pcIdx),
-		})
+		steps = append(steps, newStep(base.Add(stride*int64(i)), 1, 1, pcIdx, run, i == 0 && len(steps) > 0))
 	}
 	return steps
 }
@@ -458,21 +425,19 @@ func (g *Generator) synthStep() {
 		g.runVariant = g.rng.Intn(int(st.nv))
 		g.runNoise = g.rng.Float64() < p.NoiseFrac
 	}
-	lines := g.spanLines(g.varSpans[st.varOff+uint32(g.runVariant%int(st.nv))])
+	// Variant v walks the record's layout from position 2v.
+	g.lines = g.siblings(g.lines[:0], st.headLine(), int(st.pcIdx), 2*(g.runVariant%int(st.nv)), int(st.size)-1)
 	if g.runNoise {
-		g.noiseBuf = g.noiseBuf[:0]
-		for range lines {
-			g.noiseBuf = append(g.noiseBuf, g.randDataLine()) //ebcp:allow hotpathalloc amortized: noiseBuf is [:0]-reset and reused, capped at the widest span
+		for i := range g.lines {
+			g.lines[i] = g.randDataLine()
 		}
-		lines = g.noiseBuf
 	}
 	if g.rng.Float64() < p.ColdExtra {
 		// A freshly allocated line joins the step's group: it overlaps
 		// with the head but never recurs.
-		g.coldBuf = append(g.coldBuf[:0], lines...) //ebcp:allow hotpathalloc amortized: coldBuf is [:0]-reset and reused, capped at the widest span plus one (this allow covers the next line too)
-		g.coldBuf = append(g.coldBuf, g.randDataLine())
-		lines = g.coldBuf
+		g.lines = append(g.lines, g.randDataLine()) //ebcp:allow hotpathalloc amortized: lines is [:0]-reset and reused, capped at the widest group plus one
 	}
+	lines := g.lines
 	stepInsts := g.between(p.InstsPerStep)
 	nb := g.between(p.BlocksPerStep)
 	share := stepInsts / (nb + 1)

@@ -45,6 +45,7 @@ func TestNegativeConfigs(t *testing.T) {
 		{"zero chains", mut(func(p *Params) { p.Chains = 0 })},
 		{"zero txn types", mut(func(p *Params) { p.TxnTypes = 0 })},
 		{"bad align fraction", mut(func(p *Params) { p.AlignFrac = 2 })},
+		{"data space beyond a 32-bit head offset", mut(func(p *Params) { p.DataLines = 1<<30 + 1 })},
 		{"unknown benchmark", func() error { _, err := ByName("no-such-benchmark"); return err }},
 		{"scale zero", func() error { _, err := Scaled(Database(), 0); return err }},
 		{"scale above one", func() error { _, err := Scaled(Database(), 1.5); return err }},

@@ -102,7 +102,8 @@ type Params struct {
 	// record-packed database workloads.
 	AlignFrac float64
 
-	// DataLines is the size of the data address space in 64B lines.
+	// DataLines is the size of the data address space in 64B lines, at
+	// most 1<<30 (64GB).
 	DataLines uint64
 
 	// CodeLinesPerType and PathBlocks shape the instruction footprint:
@@ -137,6 +138,11 @@ type Params struct {
 	SerializeEvery int
 }
 
+// maxDataLines bounds DataLines so every head line, stored as a signed
+// 32-bit offset from the data base, fits with room for a stride run that
+// starts up to 14 lines below its base or reaches 28 lines past it.
+const maxDataLines = 1 << 30
+
 // Validate reports parameter errors. All errors match
 // ebcperr.ErrInvalidConfig under errors.Is.
 func (p Params) Validate() error {
@@ -165,6 +171,8 @@ func (p Params) Validate() error {
 		return ebcperr.Invalidf("workload %s: bad code jump fraction %v", p.Name, p.CodeJump)
 	case p.DataLines == 0 || p.CodeLinesPerType <= 0 || p.PathBlocks <= 0:
 		return ebcperr.Invalidf("workload %s: footprints must be positive", p.Name)
+	case p.DataLines > maxDataLines:
+		return ebcperr.Invalidf("workload %s: %d data lines exceed %d (a step's head is a 32-bit offset)", p.Name, p.DataLines, maxDataLines)
 	case p.Layouts <= 0:
 		return ebcperr.Invalidf("workload %s: layouts must be positive", p.Name)
 	case p.AlignFrac < 0 || p.AlignFrac > 1:

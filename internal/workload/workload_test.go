@@ -36,6 +36,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.BranchBreak = 1.5 },
 		func(p *Params) { p.WalkFrac = 0.9; p.StrideFrac = 0.2 },
 		func(p *Params) { p.DataLines = 0 },
+		func(p *Params) { p.DataLines = 1<<30 + 1 },
 		func(p *Params) { p.CodeLinesPerType = 0 },
 		func(p *Params) { p.Layouts = 0 },
 		func(p *Params) { p.AlignFrac = -0.2 },
@@ -342,5 +343,19 @@ func TestScaled(t *testing.T) {
 	}
 	if _, err := Scaled(p, 1.5); err == nil {
 		t.Error("scale factor > 1 should return an error")
+	}
+}
+
+// TestStepHeadRange checks that a step's 32-bit head offset decodes
+// every head the largest valid data space can produce: a stride run's
+// first steps up to 14 lines below the data base (base 0, stride -2) and
+// its last up to 28 lines past the top (stride 4, eight steps).
+func TestStepHeadRange(t *testing.T) {
+	base := amo.LineOf(dataBase)
+	for _, off := range []int64{-14, -1, 0, 1, maxDataLines - 1, maxDataLines + 28} {
+		head := base.Add(off)
+		if got := newStep(head, 1, 1, 0, 0, false).headLine(); got != head {
+			t.Errorf("offset %d: head decodes to %v, want %v", off, got, head)
+		}
 	}
 }
