@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"ebcp/internal/trace"
@@ -10,7 +11,9 @@ import (
 var genSink *Generator
 
 // BenchmarkGeneratorNew builds each benchmark's generator: the set-up
-// cost of every simulation, and (as B/op) the size of its chain library.
+// cost of every simulation. B/op counts everything a build allocates,
+// its scratch included; MB-retained is what one generator keeps live,
+// read as the change in HeapAlloc after a GC.
 func BenchmarkGeneratorNew(b *testing.B) {
 	for _, p := range All() {
 		b.Run(p.Name, func(b *testing.B) {
@@ -18,8 +21,22 @@ func BenchmarkGeneratorNew(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				genSink = must(New(p))
 			}
+			b.StopTimer()
+			b.ReportMetric(retainedMB(p), "MB-retained")
 		})
 	}
+}
+
+// retainedMB is the heap one generator for p keeps live after a GC.
+func retainedMB(p Params) float64 {
+	var before, after runtime.MemStats
+	genSink = nil
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	genSink = must(New(p))
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (1 << 20)
 }
 
 // BenchmarkGeneratorReadBatch times the steady-state stream in the

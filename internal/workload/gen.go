@@ -18,39 +18,46 @@ const (
 
 // step is one data step of a chain: a head line (optionally dependent on
 // the previous step's head — pointer chasing) plus sibling lines that
-// overlap with it. Each step has nv alternative line groups (variants); a
-// visit takes one, rolled per motif run (so a region walk stays inside
-// one region). run identifies the motif run the step belongs to, so
-// emission knows when to re-roll the variant.
+// overlap with it. A branchy step has Params.Variants alternative line
+// groups (variants), any other step one; a visit takes one, rolled per
+// motif run (so a region walk stays inside one region). run identifies
+// the motif run the step belongs to, so emission knows when to re-roll
+// the variant.
 //
 // A variant's lines are a pure function of the head, the load site, the
 // variant index and the group size (see siblings), so a step stores only
-// those and emission recomputes the chosen variant: 16 bytes per step.
+// those and emission recomputes the chosen variant: 8 bytes per step.
 type step struct {
-	head int32 // head line minus amo.LineOf(dataBase); a stride run may start below it
-	run  int32
-	nv   uint16 // number of variants
+	head int32  // head line minus amo.LineOf(dataBase); a stride run may start below it
+	run  uint16 // Params.Validate bounds ChainSteps so a chain's runs fit
 	// pcIdx selects the load PC (and thereby the record layout) of the
 	// step within the transaction type's PC pool: the code site
 	// determines the record layout, which is what PC-indexed prefetchers
 	// (SMS, GHB PC/DC) key on.
 	pcIdx uint8
-	dep   bool
-	// size is the group size (head plus siblings), capped at 255; the cap
-	// never binds, because siblings stops after 1+len(layout) <= 7 lines.
-	size uint8
+	// flags: the group size (head plus siblings) capped at 7 in the low
+	// bits (siblings stops after 1+len(layout) <= 7 lines, so the cap
+	// never binds), then stepDep and stepBranchy.
+	flags uint8
 }
 
+const (
+	stepSizeMask = 7
+	stepDep      = 1 << 3 // the head depends on the previous step's head
+	stepBranchy  = 1 << 4 // the step has Params.Variants variants, not one
+)
+
 // newStep packs a step; head is an absolute data line.
-func newStep(head amo.Line, size, nv, pcIdx, run int, dep bool) step {
-	return step{
-		head:  int32(int64(head) - int64(amo.LineOf(dataBase))),
-		run:   int32(run),
-		nv:    uint16(nv),
-		pcIdx: uint8(pcIdx),
-		dep:   dep,
-		size:  uint8(min(size, 255)),
+func newStep(head amo.Line, size, pcIdx, run int, dep, branchy bool) step {
+	s := step{run: uint16(run), pcIdx: uint8(pcIdx), flags: uint8(min(size, stepSizeMask))}
+	s.head = int32(int64(head) - int64(amo.LineOf(dataBase)))
+	if dep {
+		s.flags |= stepDep
 	}
+	if branchy {
+		s.flags |= stepBranchy
+	}
+	return s
 }
 
 // headLine decodes the step's head line.
@@ -58,21 +65,18 @@ func newStep(head amo.Line, size, nv, pcIdx, run int, dep bool) step {
 //ebcp:hotpath
 func (s step) headLine() amo.Line { return amo.LineOf(dataBase).Add(int64(s.head)) }
 
+func (s step) size() int     { return int(s.flags & stepSizeMask) }
+func (s step) dep() bool     { return s.flags&stepDep != 0 }
+func (s step) branchy() bool { return s.flags&stepBranchy != 0 }
+
 // pcPool is the number of distinct load sites per transaction type.
 const pcPool = 16
-
-// chainDef is a fixed, recurring sequence of steps with mostly
-// deterministic succession.
-type chainDef struct {
-	steps []step
-	succ  []int // succ[0] is the primary successor
-}
 
 // txnType is one transaction type: a recurring code path over its own
 // instruction lines, an entry set of chains, and its load/store PC pool.
 type txnType struct {
 	codePath []amo.Line
-	chainSet []int
+	chainSet []int32
 	headPCs  [pcPool]amo.PC
 	storePC  amo.PC
 }
@@ -83,7 +87,12 @@ type Generator struct {
 	p   Params
 	rng *rand.Rand
 
-	chains   []chainDef
+	// The chain library: chain c is steps[chainStart[c]:chainStart[c+1]],
+	// and its Branch successors are succ[c*Branch:], the primary first.
+	steps      []step
+	chainStart []int32
+	succ       []int32
+
 	types    []txnType
 	typePick *skewPicker
 	layouts  [][]int // sibling line-offset deltas within a region
@@ -98,7 +107,7 @@ type Generator struct {
 	t          *txnType
 	chainsLeft int
 	chain      int
-	stepIdx    int
+	stepIdx    int // index into steps
 	codePos    int
 	firstStep  bool
 	pendingGap uint64
@@ -171,37 +180,40 @@ func (g *Generator) buildLayouts() {
 // buildChains constructs the chain library from the three step motifs.
 func (g *Generator) buildChains() {
 	p := g.p
-	g.chains = make([]chainDef, p.Chains)
-	for ci := range g.chains {
-		n := g.between(p.ChainSteps)
-		steps := make([]step, 0, n)
+	g.chainStart = make([]int32, p.Chains+1)
+	g.succ = make([]int32, p.Chains*p.Branch)
+	g.steps = make([]step, 0, p.Chains*p.ChainSteps[1])
+	for ci := range p.Chains {
+		start := len(g.steps)
+		end := start + g.between(p.ChainSteps)
 		run := 0
-		for len(steps) < n {
+		for len(g.steps) < end {
 			r := g.rng.Float64()
 			switch {
 			case r < p.WalkFrac:
-				steps = g.appendWalk(steps, n, run)
+				g.appendWalk(start, end, run)
 			case r < p.WalkFrac+p.StrideFrac:
-				steps = g.appendStride(steps, n, run)
+				g.appendStride(start, end, run)
 			default:
-				steps = append(steps, g.scatteredStep(len(steps) > 0, run))
+				g.steps = append(g.steps, g.scatteredStep(len(g.steps) > start, run))
 			}
 			run++
 		}
-		succ := make([]int, p.Branch)
-		for k := range succ {
-			succ[k] = g.rng.Intn(p.Chains)
+		g.chainStart[ci+1] = int32(end)
+		for k := range p.Branch {
+			g.succ[ci*p.Branch+k] = int32(g.rng.Intn(p.Chains))
 		}
-		g.chains[ci] = chainDef{steps: steps, succ: succ}
 	}
+	// Trim the steps to their exact size: the spare capacity of a slice
+	// sized for the longest possible library would stay live with it.
+	g.steps = append(make([]step, 0, len(g.steps)), g.steps...)
 	// Make the primary successor relation a permutation: every chain has
 	// in-degree one under deterministic succession, so the stationary
 	// visit distribution stays near-uniform and reuse distances stay far
 	// beyond the L2 (a random mapping would concentrate visits on a small
 	// attractor core, which the L2 would then capture).
-	perm := g.rng.Perm(p.Chains)
-	for ci := range g.chains {
-		g.chains[ci].succ[0] = perm[ci]
+	for ci, next := range g.rng.Perm(p.Chains) {
+		g.succ[ci*p.Branch] = int32(next)
 	}
 }
 
@@ -248,10 +260,7 @@ func (g *Generator) siblings(dst []amo.Line, head amo.Line, pcIdx, sel, count in
 // variant).
 func (g *Generator) scatteredStep(dep bool, run int) step {
 	size := g.between(g.p.GroupSize)
-	nv := g.p.Variants
-	if size <= 1 || g.rng.Float64() < g.p.CommonFrac {
-		nv = 1
-	}
+	branchy := size > 1 && g.rng.Float64() >= g.p.CommonFrac
 	head := g.randDataLine()
 	if g.rng.Float64() < g.p.AlignFrac {
 		// Slab/page-aligned header: 8KB-aligned heads all map to the same
@@ -259,22 +268,20 @@ func (g *Generator) scatteredStep(dep bool, run int) step {
 		head -= amo.Line(uint64(head) % 128)
 	}
 	pcIdx := g.rng.Intn(pcPool)
-	return newStep(head, size, nv, pcIdx, run, dep)
+	return newStep(head, size, pcIdx, run, dep, branchy)
 }
 
 // appendWalk adds a run of steps inside one 2KB region (an index-leaf
 // scan): consecutive heads in the same region, chained by dependence.
-// Walks are deterministic (a page scan revisits the same lines).
-func (g *Generator) appendWalk(steps []step, limit, run int) []step {
+// Walks are deterministic (a page scan revisits the same lines). The
+// current chain spans steps[start:end].
+func (g *Generator) appendWalk(start, end, run int) {
 	// The scan geometry is a property of the scanning code site: a given
 	// loop walks its pages with a fixed stride and length (this is the
 	// regularity Spatial Memory Streaming's PC+offset-indexed patterns
 	// rely on).
 	pcIdx := g.rng.Intn(pcPool)
-	k := 3 + pcIdx%4 // 3..6 steps
-	if rem := limit - len(steps); k > rem {
-		k = rem
-	}
+	k := min(3+pcIdx%4, end-len(g.steps)) // 3..6 steps
 	// A scan enters its page at the code-determined header offset and
 	// walks with the code-determined stride.
 	head := g.randDataLine()
@@ -283,18 +290,15 @@ func (g *Generator) appendWalk(steps []step, limit, run int) []step {
 	stride := 1 + pcIdx%3
 	for i := 0; i < k; i++ {
 		line := regionFirst + amo.Line((off+i*stride)%linesPerRegion)
-		steps = append(steps, newStep(line, 1, 1, pcIdx, run, len(steps) > 0 || i > 0))
+		g.steps = append(g.steps, newStep(line, 1, pcIdx, run, len(g.steps) > start, false))
 	}
-	return steps
 }
 
 // appendStride adds a strided run: independent heads at a fixed line
-// stride (the regular fraction a stream prefetcher can catch).
-func (g *Generator) appendStride(steps []step, limit, run int) []step {
-	k := 4 + g.rng.Intn(5) // 4..8 steps
-	if rem := limit - len(steps); k > rem {
-		k = rem
-	}
+// stride (the regular fraction a stream prefetcher can catch). The
+// current chain spans steps[start:end].
+func (g *Generator) appendStride(start, end, run int) {
+	k := min(4+g.rng.Intn(5), end-len(g.steps)) // 4..8 steps
 	strides := []int64{1, 2, 3, 4, -1, -2}
 	base := g.randDataLine()
 	stride := strides[g.rng.Intn(len(strides))]
@@ -302,9 +306,8 @@ func (g *Generator) appendStride(steps []step, limit, run int) []step {
 	for i := 0; i < k; i++ {
 		// The first access of the run is pointer-derived; the rest are
 		// address arithmetic and overlap freely.
-		steps = append(steps, newStep(base.Add(stride*int64(i)), 1, 1, pcIdx, run, i == 0 && len(steps) > 0))
+		g.steps = append(g.steps, newStep(base.Add(stride*int64(i)), 1, pcIdx, run, i == 0 && len(g.steps) > start, false))
 	}
-	return steps
 }
 
 func (g *Generator) buildTypes() {
@@ -320,9 +323,9 @@ func (g *Generator) buildTypes() {
 		for i := range path {
 			path[i] = amo.LineOf(base + amo.Addr(g.rng.Intn(p.CodeLinesPerType)*amo.LineSize))
 		}
-		set := make([]int, perType)
+		set := make([]int32, perType)
 		for i := range set {
-			set[i] = g.rng.Intn(p.Chains)
+			set[i] = int32(g.rng.Intn(p.Chains))
 		}
 		tt := txnType{
 			codePath: path,
@@ -342,8 +345,8 @@ func (g *Generator) beginTxn() {
 	ti := g.typePick.pick(g.rng)
 	g.t = &g.types[ti]
 	g.chainsLeft = g.between(g.p.ChainsPerTxn)
-	g.chain = g.t.chainSet[g.rng.Intn(len(g.t.chainSet))]
-	g.stepIdx = 0
+	g.chain = int(g.t.chainSet[g.rng.Intn(len(g.t.chainSet))])
+	g.stepIdx = int(g.chainStart[g.chain])
 	g.codePos = 0
 	g.firstStep = true
 	g.runChain = -1
@@ -396,37 +399,39 @@ func (g *Generator) push(r trace.Record) {
 //
 //ebcp:hotpath
 func (g *Generator) synthStep() {
-	if g.stepIdx >= len(g.chains[g.chain].steps) {
+	p := g.p
+	if g.stepIdx >= int(g.chainStart[g.chain+1]) {
 		// Chain finished: follow the successor graph or end the txn.
 		g.chainsLeft--
 		if g.chainsLeft <= 0 {
 			g.beginTxn()
 		} else {
-			c := &g.chains[g.chain]
-			if g.rng.Float64() < g.p.PFollow {
-				g.chain = c.succ[0]
-			} else {
-				g.chain = c.succ[g.rng.Intn(len(c.succ))]
+			k := 0
+			if g.rng.Float64() >= p.PFollow {
+				k = g.rng.Intn(p.Branch)
 			}
-			g.stepIdx = 0
+			g.chain = int(g.succ[g.chain*p.Branch+k])
+			g.stepIdx = int(g.chainStart[g.chain])
 		}
 	}
-	st := g.chains[g.chain].steps[g.stepIdx]
+	st := g.steps[g.stepIdx]
 	g.stepIdx++
-
-	p := g.p
 
 	// Variant and noise are rolled once per motif run: a data-dependent
 	// branch picks which alternative group the visit dereferences, and
 	// with NoiseFrac probability the run touches fresh never-recurring
 	// lines instead (churn, cold data).
+	nv := 1
+	if st.branchy() {
+		nv = p.Variants
+	}
 	if g.chain != g.runChain || int(st.run) != g.runID {
 		g.runChain, g.runID = g.chain, int(st.run)
-		g.runVariant = g.rng.Intn(int(st.nv))
+		g.runVariant = g.rng.Intn(nv)
 		g.runNoise = g.rng.Float64() < p.NoiseFrac
 	}
 	// Variant v walks the record's layout from position 2v.
-	g.lines = g.siblings(g.lines[:0], st.headLine(), int(st.pcIdx), 2*(g.runVariant%int(st.nv)), int(st.size)-1)
+	g.lines = g.siblings(g.lines[:0], st.headLine(), int(st.pcIdx), 2*(g.runVariant%nv), st.size()-1)
 	if g.runNoise {
 		for i := range g.lines {
 			g.lines[i] = g.randDataLine()
@@ -472,7 +477,7 @@ func (g *Generator) synthStep() {
 	}
 
 	// Head load (the epoch trigger when it misses).
-	dep := st.dep && !g.firstStep
+	dep := st.dep() && !g.firstStep
 	g.firstStep = false
 	headGap := stepInsts - share*nb
 	if headGap < 1 {

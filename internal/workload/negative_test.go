@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"ebcp/internal/ebcperr"
@@ -46,6 +47,13 @@ func TestNegativeConfigs(t *testing.T) {
 		{"zero txn types", mut(func(p *Params) { p.TxnTypes = 0 })},
 		{"bad align fraction", mut(func(p *Params) { p.AlignFrac = 2 })},
 		{"data space beyond a 32-bit head offset", mut(func(p *Params) { p.DataLines = 1<<30 + 1 })},
+		{"chain beyond a 16-bit run index", mut(func(p *Params) { p.ChainSteps = [2]int{10, 1<<16 + 1} })},
+		{"library beyond a 32-bit step offset", mut(func(p *Params) { p.Chains = math.MaxInt32/40 + 1 })},
+		{"successor table beyond 2^31-1 entries", mut(func(p *Params) { p.Branch = 1 << 62 })},
+		{"inverted txn gap", mut(func(p *Params) { p.TxnGap = [2]int{800, 200} })},
+		{"negative txn gap", mut(func(p *Params) { p.TxnGap = [2]int{-1, 200} })},
+		{"NaN zipf theta", mut(func(p *Params) { p.ZipfTheta = math.NaN() })},
+		{"infinite zipf theta", mut(func(p *Params) { p.ZipfTheta = math.Inf(-1) })},
 		{"unknown benchmark", func() error { _, err := ByName("no-such-benchmark"); return err }},
 		{"scale zero", func() error { _, err := Scaled(Database(), 0); return err }},
 		{"scale above one", func() error { _, err := Scaled(Database(), 1.5); return err }},

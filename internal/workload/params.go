@@ -29,6 +29,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"ebcp/internal/ebcperr"
 )
@@ -143,6 +144,10 @@ type Params struct {
 // starts up to 14 lines below its base or reaches 28 lines past it.
 const maxDataLines = 1 << 30
 
+// maxChainSteps bounds ChainSteps so a chain's motif runs (at most one
+// per step) fit a step's 16-bit run index.
+const maxChainSteps = 1 << 16
+
 // Validate reports parameter errors. All errors match
 // ebcperr.ErrInvalidConfig under errors.Is.
 func (p Params) Validate() error {
@@ -155,6 +160,14 @@ func (p Params) Validate() error {
 		return ebcperr.Invalidf("workload %s: types and chains must be positive", p.Name)
 	case p.ChainSteps[0] <= 0 || p.ChainSteps[1] < p.ChainSteps[0]:
 		return ebcperr.Invalidf("workload %s: bad chain steps %v", p.Name, p.ChainSteps)
+	case p.ChainSteps[1] > maxChainSteps:
+		return ebcperr.Invalidf("workload %s: %d chain steps exceed %d (a step's motif run is 16 bits)", p.Name, p.ChainSteps[1], maxChainSteps)
+	case p.Chains > math.MaxInt32/p.ChainSteps[1]:
+		return ebcperr.Invalidf("workload %s: %d chains of up to %d steps exceed 2^31-1 steps (chain offsets are 32 bits)", p.Name, p.Chains, p.ChainSteps[1])
+	case p.TxnGap[0] < 0 || p.TxnGap[1] < p.TxnGap[0]:
+		return ebcperr.Invalidf("workload %s: bad transaction gap %v", p.Name, p.TxnGap)
+	case math.IsNaN(p.ZipfTheta) || math.IsInf(p.ZipfTheta, 0):
+		return ebcperr.Invalidf("workload %s: Zipf theta %v is not finite", p.Name, p.ZipfTheta)
 	case p.GroupSize[0] <= 0 || p.GroupSize[1] < p.GroupSize[0]:
 		return ebcperr.Invalidf("workload %s: bad group size %v", p.Name, p.GroupSize)
 	case p.ChainsPerTxn[0] <= 0 || p.ChainsPerTxn[1] < p.ChainsPerTxn[0]:
@@ -165,6 +178,8 @@ func (p Params) Validate() error {
 		return ebcperr.Invalidf("workload %s: bad blocks per step %v", p.Name, p.BlocksPerStep)
 	case p.PFollow < 0 || p.PFollow > 1 || p.Branch < 1:
 		return ebcperr.Invalidf("workload %s: bad succession %v/%d", p.Name, p.PFollow, p.Branch)
+	case p.Branch > math.MaxInt32/p.Chains:
+		return ebcperr.Invalidf("workload %s: %d chains of %d successors exceed 2^31-1 successors", p.Name, p.Chains, p.Branch)
 	case p.WalkFrac+p.StrideFrac > 1 || p.WalkFrac < 0 || p.StrideFrac < 0:
 		return ebcperr.Invalidf("workload %s: bad motif mix", p.Name)
 	case p.CodeJump < 0 || p.CodeJump > 1:
@@ -386,19 +401,14 @@ func SPECjAppServer2004() Params {
 // prefetchers the way the paper's 150M-instruction warmup does at full
 // scale. Cache-pressure relationships change slightly (smaller
 // footprints), so Scaled is intended for tests and quick exploration,
-// not for regenerating the paper's numbers. A factor outside (0,1]
-// returns an ErrInvalidConfig-classified error.
+// not for regenerating the paper's numbers. Chains and TxnTypes keep
+// floors of 200 and 8, but never grow past their unscaled values. A
+// factor outside (0,1] returns an ErrInvalidConfig-classified error.
 func Scaled(p Params, f float64) (Params, error) {
 	if f <= 0 || f > 1 {
 		return Params{}, ebcperr.Invalidf("workload: scale factor %v must be in (0, 1]", f)
 	}
-	scale := func(v int, min int) int {
-		n := int(float64(v) * f)
-		if n < min {
-			n = min
-		}
-		return n
-	}
+	scale := func(v, floor int) int { return max(int(float64(v)*f), min(v, floor)) }
 	p.Name = fmt.Sprintf("%s (x%.2f)", p.Name, f)
 	p.Chains = scale(p.Chains, 200)
 	p.TxnTypes = scale(p.TxnTypes, 8)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -23,12 +24,19 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.TxnTypes = 0 },
 		func(p *Params) { p.Chains = 0 },
 		func(p *Params) { p.ChainSteps = [2]int{5, 2} },
+		func(p *Params) { p.ChainSteps = [2]int{10, 1<<16 + 1} },
+		func(p *Params) { p.Chains = math.MaxInt32/40 + 1 },
+		func(p *Params) { p.TxnGap = [2]int{800, 200} },
+		func(p *Params) { p.TxnGap = [2]int{-1, 200} },
+		func(p *Params) { p.ZipfTheta = math.NaN() },
+		func(p *Params) { p.ZipfTheta = math.Inf(1) },
 		func(p *Params) { p.GroupSize = [2]int{0, 2} },
 		func(p *Params) { p.ChainsPerTxn = [2]int{3, 1} },
 		func(p *Params) { p.InstsPerStep = [2]int{0, 10} },
 		func(p *Params) { p.BlocksPerStep = [2]int{2, 1} },
 		func(p *Params) { p.PFollow = 1.5 },
 		func(p *Params) { p.Branch = 0 },
+		func(p *Params) { p.Branch = 1 << 62 },
 		func(p *Params) { p.Variants = 0 },
 		func(p *Params) { p.CommonFrac = -0.1 },
 		func(p *Params) { p.NoiseFrac = 2 },
@@ -336,6 +344,25 @@ func TestScaled(t *testing.T) {
 	if tiny.Chains < 200 || tiny.TxnTypes < 8 {
 		t.Errorf("floors violated: %d chains, %d types", tiny.Chains, tiny.TxnTypes)
 	}
+	// A floor never grows a workload that is already below it.
+	small := p
+	small.Chains, small.TxnTypes = 100, 5
+	for _, f := range []float64{0.0001, 0.5, 1} {
+		if s := must(Scaled(small, f)); s.Chains > 100 || s.TxnTypes > 5 {
+			t.Errorf("x%v grew 100 chains/5 types to %d/%d", f, s.Chains, s.TxnTypes)
+		}
+	}
+	// The shipped benchmarks sit above both floors, so they scale as
+	// with a plain max(v*f, floor).
+	for _, b := range All() {
+		for _, f := range []float64{0.0001, 0.02, 0.05, 0.25, 1} {
+			s := must(Scaled(b, f))
+			wantC, wantT := max(int(float64(b.Chains)*f), 200), max(int(float64(b.TxnTypes)*f), 8)
+			if s.Chains != wantC || s.TxnTypes != wantT {
+				t.Errorf("%s x%v: %d chains/%d types, want %d/%d", b.Name, f, s.Chains, s.TxnTypes, wantC, wantT)
+			}
+		}
+	}
 	// The scaled generator still produces a usable trace.
 	st := trace.Measure(trace.NewLimit(must(New(s)), 200000))
 	if st.Loads == 0 || st.IFetches == 0 {
@@ -354,8 +381,67 @@ func TestStepHeadRange(t *testing.T) {
 	base := amo.LineOf(dataBase)
 	for _, off := range []int64{-14, -1, 0, 1, maxDataLines - 1, maxDataLines + 28} {
 		head := base.Add(off)
-		if got := newStep(head, 1, 1, 0, 0, false).headLine(); got != head {
+		if got := newStep(head, 1, 0, 0, false, false).headLine(); got != head {
 			t.Errorf("offset %d: head decodes to %v, want %v", off, got, head)
+		}
+	}
+}
+
+// TestStepPacking round-trips every field of the 8-byte step through
+// its packing: the run index at both ends of its 16 bits, every load
+// site, every group size (a size above 7 caps at 7) and the two flag
+// bits, each set alone.
+func TestStepPacking(t *testing.T) {
+	head := amo.LineOf(dataBase).Add(12345)
+	check := func(s step, size, pcIdx, run int, dep, branchy bool) {
+		t.Helper()
+		if s.headLine() != head || s.size() != size || int(s.pcIdx) != pcIdx || int(s.run) != run || s.dep() != dep || s.branchy() != branchy {
+			t.Errorf("step %+v: want size %d pcIdx %d run %d dep %v branchy %v", s, size, pcIdx, run, dep, branchy)
+		}
+	}
+	for _, run := range []int{0, 65535} {
+		check(newStep(head, 1, 0, run, false, false), 1, 0, run, false, false)
+	}
+	for pc := range pcPool {
+		check(newStep(head, 1, pc, 0, false, false), 1, pc, 0, false, false)
+	}
+	for size := 1; size <= 7; size++ {
+		check(newStep(head, size, 0, 0, false, false), size, 0, 0, false, false)
+	}
+	check(newStep(head, 12, 0, 0, false, false), 7, 0, 0, false, false)
+	check(newStep(head, 3, 5, 9, true, false), 3, 5, 9, true, false)
+	check(newStep(head, 3, 5, 9, false, true), 3, 5, 9, false, true)
+}
+
+// TestChainLibraryLayout checks the flat chain library New leaves
+// behind: the steps trimmed to their exact size, one start offset per
+// chain plus the end, Branch successors per chain, every offset and
+// successor in range, and a build that allocates per structure rather
+// than per chain.
+func TestChainLibraryLayout(t *testing.T) {
+	for _, p := range All() {
+		g := must(New(p))
+		if len(g.steps) != cap(g.steps) {
+			t.Errorf("%s: steps len %d, cap %d", p.Name, len(g.steps), cap(g.steps))
+		}
+		if len(g.chainStart) != p.Chains+1 || len(g.succ) != p.Chains*p.Branch {
+			t.Fatalf("%s: %d chain starts, %d successors for %d chains", p.Name, len(g.chainStart), len(g.succ), p.Chains)
+		}
+		if g.chainStart[0] != 0 || int(g.chainStart[p.Chains]) != len(g.steps) {
+			t.Errorf("%s: chain offsets span [%d, %d), steps %d", p.Name, g.chainStart[0], g.chainStart[p.Chains], len(g.steps))
+		}
+		for c := range p.Chains {
+			if n := int(g.chainStart[c+1] - g.chainStart[c]); n < p.ChainSteps[0] || n > p.ChainSteps[1] {
+				t.Fatalf("%s: chain %d has %d steps, want %v", p.Name, c, n, p.ChainSteps)
+			}
+		}
+		for _, s := range g.succ {
+			if s < 0 || int(s) >= p.Chains {
+				t.Fatalf("%s: successor %d out of range", p.Name, s)
+			}
+		}
+		if allocs := testing.AllocsPerRun(2, func() { must(New(p)) }); allocs >= 200 {
+			t.Errorf("%s: New allocates %.0f objects, want under 200", p.Name, allocs)
 		}
 	}
 }
