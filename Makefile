@@ -67,8 +67,6 @@ race-short: lint
 # `go test -fuzz` accepts only one.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime 10s ./internal/metrics
-	go test -run '^$$' -fuzz '^FuzzCorrtabCodec$$' -fuzztime 10s ./internal/corrtab
-	go test -run '^$$' -fuzz '^FuzzDecodeRobust$$' -fuzztime 10s ./internal/corrtab
 	go test -run '^$$' -fuzz '^FuzzDecodeRobust$$' -fuzztime 10s ./internal/spec
 	go test -run '^$$' -fuzz '^FuzzRunRequestDecode$$' -fuzztime 10s ./internal/serve
 	go test -run '^$$' -fuzz '^FuzzStatsDecode$$' -fuzztime 10s ./internal/serve

@@ -1,117 +1,20 @@
 package ebcp
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation at the paper's full 150M+100M instruction windows and prints
-// the same rows/series the paper reports, with the paper's published
-// values inline where the paper states them.
+// Host-speed benchmarks of the simulator and the experiment scheduler:
+// serial versus parallel sessions over one experiment grid, single-core
+// simulation throughput, and CMP throughput across lane counts. The
+// paper's tables and figures are regenerated by `ebcpexp -exp <id>`,
+// not here.
 //
-// Run a single artifact:
-//
-//	go test -bench BenchmarkTable1 -benchtime 1x
-//
-// Regenerate everything (several minutes):
-//
-//	go test -bench . -benchmem -benchtime 1x
-//
-// Each benchmark executes its experiment once per iteration, so
-// -benchtime 1x is the intended setting; key headline numbers are also
-// exposed as benchmark metrics (improvement percentages etc.).
+//	go test -run '^$' -bench . -benchtime 1x
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
 	"ebcp/internal/exp"
 )
-
-// benchSession memoizes runs across benchmarks in one `go test -bench`
-// process (Figure 5 reuses Figure 4's simulations, every figure reuses
-// the baselines).
-var benchSession = exp.NewSession(exp.Options{})
-
-func runExperiment(b *testing.B, id string, metrics func(*exp.Report, *testing.B)) {
-	b.Helper()
-	e, err := exp.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		rep := e.Run(benchSession)
-		if i == 0 {
-			rep.Render(os.Stdout)
-			if metrics != nil {
-				metrics(rep, b)
-			}
-		}
-	}
-}
-
-func metric(rep *exp.Report, b *testing.B, label, column, name string) {
-	if v, ok := rep.Value(label, column); ok {
-		b.ReportMetric(v, name)
-	}
-}
-
-// BenchmarkTable1 regenerates Table 1: the baseline CPI, epochs per 1000
-// instructions and L2 miss rates of the four commercial workloads.
-func BenchmarkTable1(b *testing.B) {
-	runExperiment(b, "table1", func(rep *exp.Report, b *testing.B) {
-		metric(rep, b, "CPI overall", "Database", "db-CPI")
-		metric(rep, b, "Epochs per 1000 insts", "Database", "db-EPKI")
-	})
-}
-
-// BenchmarkFig4 regenerates Figure 4: overall performance improvement
-// versus prefetch degree for the idealized EBCP.
-func BenchmarkFig4(b *testing.B) {
-	runExperiment(b, "fig4", func(rep *exp.Report, b *testing.B) {
-		metric(rep, b, "Database", "deg 32", "db-d32-%")
-		metric(rep, b, "SPECjbb2005", "deg 32", "jbb-d32-%")
-	})
-}
-
-// BenchmarkFig5 regenerates Figure 5: EPI reduction, miss rates, coverage
-// and accuracy versus prefetch degree (shares Figure 4's runs).
-func BenchmarkFig5(b *testing.B) {
-	runExperiment(b, "fig5", nil)
-}
-
-// BenchmarkFig6 regenerates Figure 6: performance versus correlation
-// table entries.
-func BenchmarkFig6(b *testing.B) {
-	runExperiment(b, "fig6", func(rep *exp.Report, b *testing.B) {
-		metric(rep, b, "Database", "1M", "db-1M-%")
-	})
-}
-
-// BenchmarkFig7 regenerates Figure 7: performance versus prefetch buffer
-// entries; its 64-entry column is the paper's tuned configuration
-// (23/13/31/26%).
-func BenchmarkFig7(b *testing.B) {
-	runExperiment(b, "fig7", func(rep *exp.Report, b *testing.B) {
-		metric(rep, b, "Database", "64", "db-tuned-%")
-		metric(rep, b, "TPC-W", "64", "tpcw-tuned-%")
-		metric(rep, b, "SPECjbb2005", "64", "jbb-tuned-%")
-		metric(rep, b, "SPECjAppServer2004", "64", "japp-tuned-%")
-	})
-}
-
-// BenchmarkFig8 regenerates Figure 8: sensitivity to available memory
-// bandwidth (60 simulations; the slowest artifact).
-func BenchmarkFig8(b *testing.B) {
-	runExperiment(b, "fig8", nil)
-}
-
-// BenchmarkFig9 regenerates Figure 9: the comparison of EBCP with GHB,
-// TCP, stream, SMS, Solihin and EBCP-minus.
-func BenchmarkFig9(b *testing.B) {
-	runExperiment(b, "fig9", func(rep *exp.Report, b *testing.B) {
-		metric(rep, b, "EBCP", "Database", "ebcp-db-%")
-		metric(rep, b, "Solihin 6,1", "Database", "sol61-db-%")
-	})
-}
 
 // benchmarkSession times the table1 grid on a fresh session (no memo
 // carry-over between iterations) at 20%-length windows with the given
@@ -161,28 +64,6 @@ func BenchmarkSimThroughput(b *testing.B) {
 		insts += res.Core.Instructions
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minsts/s")
-}
-
-// BenchmarkCMP runs this reproduction's extension experiment: the paper's
-// Section 6 future work (EBCP on a chip multiprocessor) and a quantitative
-// test of the Section 3.3.1 placement argument — per-thread EBCP tracking
-// at the crossbar retains its benefit as cores scale, while the
-// memory-side Solihin prefetcher degrades on the interleaved miss stream.
-func BenchmarkCMP(b *testing.B) {
-	runExperiment(b, "cmp", func(rep *exp.Report, b *testing.B) {
-		metric(rep, b, "SPECjbb2005: EBCP", "4 cores", "ebcp-4core-%")
-		metric(rep, b, "SPECjbb2005: Solihin 6,1", "4 cores", "sol-4core-%")
-	})
-}
-
-// BenchmarkAblations regenerates the EBCP design-choice ablation table
-// (extension): the tuned prefetcher with one Section 3 design choice
-// removed at a time.
-func BenchmarkAblations(b *testing.B) {
-	runExperiment(b, "ablations", func(rep *exp.Report, b *testing.B) {
-		metric(rep, b, "tuned EBCP", "Database", "tuned-db-%")
-		metric(rep, b, "no PB-hit lookups", "Database", "noPBhit-db-%")
-	})
 }
 
 // BenchmarkCMPThroughput measures RunCMP's aggregate simulation speed

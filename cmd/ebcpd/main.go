@@ -42,7 +42,6 @@ func main() {
 		simWorkers   = flag.Int("sim-workers", 1, "per-request simulation parallelism")
 		queueDepth   = flag.Int("queue", 64, "max waiting requests per priority class before 429")
 		cacheMB      = flag.Int64("cache-mb", 256, "shared result cache budget in MiB (0 = unbounded)")
-		corrtabDir   = flag.String("corrtab-dir", "", "directory request-named warm-start tables resolve inside (empty: disabled)")
 		timeout      = flag.Duration("timeout", 0, "default per-request deadline (0 = none; requests may set timeout_ms)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight requests")
 	)
@@ -62,7 +61,6 @@ func main() {
 		SimWorkers:     *simWorkers,
 		QueueDepth:     *queueDepth,
 		CacheBytes:     budget,
-		CorrtabDir:     *corrtabDir,
 		DefaultTimeout: *timeout,
 	})
 	if err != nil {

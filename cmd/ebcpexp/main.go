@@ -48,7 +48,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit one ebcp.report/v1 JSON document for all experiments instead of rendered tables")
 		outFile    = flag.String("o", "", "write reports to a file instead of stdout")
 		workers    = flag.Int("workers", 0, "concurrent simulations (0 = all CPU cores)")
-		loadTable  = flag.String("load-corrtab", "", "warm-start every EBCP cell from this ebcp.corrtab/v1 table file")
 		timeout    = flag.Duration("timeout", 0, "stop scheduling new simulations after this long and render partial reports (0 = no limit)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -101,11 +100,10 @@ func main() {
 	}
 
 	opts := exp.Options{
-		Warm:        uint64(150e6 * *scale),
-		Measure:     uint64(100e6 * *scale),
-		MaxInsts:    limit,
-		Workers:     *workers,
-		LoadCorrtab: *loadTable,
+		Warm:     uint64(150e6 * *scale),
+		Measure:  uint64(100e6 * *scale),
+		MaxInsts: limit,
+		Workers:  *workers,
 	}
 	// Every distinct failure reason reaches stderr once, -v or not: the
 	// reports' n/a footnote sends the reader there for it.
@@ -243,7 +241,7 @@ func (f *failureReasons) note(u exp.RunUpdate) {
 // write prints each distinct reason once with its simulation count,
 // sorted so the output does not depend on completion order. When no
 // simulation failed, it prints first instead (the session's first cell
-// error, if any): a cell whose key could not be built never simulates,
+// error, if any): a cell cancelled before it started never simulates,
 // so it reaches no Progress callback.
 func (f *failureReasons) write(w io.Writer, first error) {
 	f.mu.Lock()

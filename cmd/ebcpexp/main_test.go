@@ -99,21 +99,22 @@ func TestShortTraceRendersNAAndExitsNonZero(t *testing.T) {
 	}
 }
 
-// TestUnsimulatedCellsExplainNA covers cells that fail before any
-// simulation runs: their key cannot be built when the warm-start table
-// is unreadable, so no simulation reports a reason, and stderr must
-// still carry one for the n/a footnote to point to.
+// TestUnsimulatedCellsExplainNA covers cells that never simulate: a
+// -timeout that expires before the first cell starts cancels every
+// cell, so no simulation reports a reason, and stderr must still carry
+// one for the n/a footnote to point to.
 func TestUnsimulatedCellsExplainNA(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "missing.json")
-	out, code := runCLI(t,
-		"-exp", "table1", "-scale", "0.001", "-load-corrtab", missing)
+	out, code := runCLI(t, "-exp", "table1", "-scale", "0.001", "-timeout", "1ns")
 	if code == 0 {
-		t.Errorf("unreadable warm-start table exited 0; output:\n%s", out)
+		t.Errorf("cancelled run exited 0; output:\n%s", out)
+	}
+	if !strings.Contains(out, "total simulations executed: 0") {
+		t.Errorf("a cell simulated before the deadline:\n%s", out)
 	}
 	if !strings.Contains(out, "rendered as n/a") {
 		t.Errorf("stderr accounting missing:\n%s", out)
 	}
-	if !strings.Contains(out, "reading warm-start table") {
+	if !strings.Contains(out, "not simulated: context deadline exceeded") {
 		t.Errorf("stderr lacks the reason the cells did not simulate:\n%s", out)
 	}
 }

@@ -82,8 +82,6 @@ func main() {
 		writeGBps    = flag.Float64("write-gbps", 4.8, "memory write bandwidth")
 		noBase       = flag.Bool("nobase", false, "skip the baseline run")
 		jsonOut      = flag.Bool("json", false, "emit an ebcp.report/v1 JSON document on stdout instead of text")
-		loadCorrtab  = flag.String("load-corrtab", "", "warm-start an EBCP-family prefetcher from this ebcp.corrtab/v1 table file")
-		saveCorrtab  = flag.String("save-corrtab", "", "after the measured run, write the trained correlation table to this file (EBCP family only)")
 		timeout      = flag.Duration("timeout", 0, "hard wall-clock limit; exceeding it aborts the process (0 = no limit)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -128,19 +126,6 @@ func main() {
 			die("-filter: %v", err)
 		}
 	}
-	// The table flags only make sense for prefetchers that have a
-	// correlation table; reject mismatches up front rather than silently
-	// doing nothing.
-	ebcpPF, hasTable := pf.(*ebcp.EBCP)
-	if (*loadCorrtab != "" || *saveCorrtab != "") && !hasTable {
-		die("-load-corrtab/-save-corrtab require an EBCP-family prefetcher (got %s)", pf.Name())
-	}
-	if *loadCorrtab != "" {
-		if err := restoreCorrtab(ebcpPF, *loadCorrtab); err != nil {
-			die("-load-corrtab: %v", err)
-		}
-	}
-
 	// The baseline is independent of the measured run; overlap the two
 	// simulations. Output stays in the same (deterministic) order.
 	type runOut struct {
@@ -175,13 +160,6 @@ func main() {
 	res, runErr := ebcp.Run(src, pf, cfg)
 	if runErr != nil && !errors.Is(runErr, ebcp.ErrShortTrace) {
 		die("%v", runErr)
-	}
-	// Persist the trained table even after a short trace: a truncated
-	// training run is still a (weaker) warm start.
-	if *saveCorrtab != "" {
-		if err := writeCorrtab(ebcpPF, *saveCorrtab); err != nil {
-			die("-save-corrtab: %v", err)
-		}
 	}
 	rep := ebcp.ReportV1{Schema: ebcp.ReportSchemaV1, Tool: "ebcpsim"}
 	if *jsonOut {
@@ -359,32 +337,4 @@ func printEBCP(e *ebcp.EBCP) {
 	fmt.Printf("  EBCP trainings    %d (lost %d), LRU touches %d\n", st.Trainings, st.LostUpdates, st.LRUTouches)
 	fmt.Printf("  table             allocs %d conflicts %d updates %d occupancy %d\n",
 		ts.Allocations, ts.ConflictEvictions, ts.Updates, e.Table().Occupancy())
-}
-
-// restoreCorrtab warm-starts the prefetcher from a serialized
-// ebcp.corrtab/v1 table file.
-func restoreCorrtab(e *ebcp.EBCP, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	tab, err := ebcp.DecodeCorrtab(f)
-	if err != nil {
-		return err
-	}
-	return e.RestoreTable(tab)
-}
-
-// writeCorrtab persists the prefetcher's trained correlation table.
-func writeCorrtab(e *ebcp.EBCP, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ebcp.EncodeCorrtab(f, e.Table()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

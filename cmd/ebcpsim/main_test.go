@@ -3,7 +3,6 @@ package main
 import (
 	"os"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -141,41 +140,17 @@ func TestJSONOmitsTextReport(t *testing.T) {
 	}
 }
 
-// TestCorrtabSaveLoadRoundTrip trains a table via -save-corrtab, then
-// warm-starts a second run from it via -load-corrtab; the table flags
-// must also fail loudly on prefetchers without a correlation table.
-func TestCorrtabSaveLoadRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "table.json")
-	out, code := runCLI(t,
-		"-warm", "200000", "-measure", "200000", "-nobase", "-table-entries", "65536",
-		"-save-corrtab", path)
-	if code != 0 {
-		t.Fatalf("training run exit code = %d; output:\n%s", code, out)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("training run did not write the table: %v", err)
-	}
-	if !strings.Contains(string(data), "ebcp.corrtab/v1") {
-		t.Errorf("saved table is not an ebcp.corrtab/v1 document:\n%.200s", data)
-	}
-
-	out, code = runCLI(t,
-		"-warm", "200000", "-measure", "200000", "-nobase", "-table-entries", "65536",
-		"-load-corrtab", path)
-	if code != 0 {
-		t.Errorf("warm-started run exit code = %d; output:\n%s", code, out)
-	}
-
-	out, code = runCLI(t, "-prefetcher", "none", "-load-corrtab", path)
-	if code != 1 || !strings.Contains(out, "EBCP-family") {
-		t.Errorf("loading a table into a table-less prefetcher must fail; code %d, output:\n%s", code, out)
-	}
-
-	out, code = runCLI(t,
-		"-warm", "200000", "-measure", "200000", "-nobase",
-		"-load-corrtab", path) // default -table-entries is 1<<20: geometry mismatch
-	if code != 1 || !strings.Contains(out, "geometry") {
-		t.Errorf("geometry mismatch must fail the run; code %d, output:\n%s", code, out)
+// TestRetiredTableFlagsRejected: ebcpsim has no way to save or load a
+// correlation table, so a script still passing the old table flags must
+// fail loudly at flag parsing rather than run with a cold table.
+func TestRetiredTableFlagsRejected(t *testing.T) {
+	for _, flag := range []string{"-load-corrtab", "-save-corrtab"} {
+		out, code := runCLI(t, flag, "x")
+		if code == 0 {
+			t.Errorf("%s x exited 0; output:\n%s", flag, out)
+		}
+		if !strings.Contains(out, "flag provided but not defined: "+flag) {
+			t.Errorf("%s x: missing the unknown-flag diagnostic:\n%s", flag, out)
+		}
 	}
 }

@@ -171,28 +171,13 @@ func RunCMP(sources []TraceSource, pf Prefetcher, cfg SystemConfig) (CMPResult, 
 	return sim.RunCMP(sources, pf, cfg)
 }
 
-// Correlation-table serialization (warm start): a trained EBCP table
-// round-trips through the schema-versioned ebcp.corrtab/v1 JSON form, so
-// a long training run's table can seed later runs
-// (EBCP.RestoreTable). EncodeCorrtab writes EBCP.Table();
-// DecodeCorrtab strictly parses a document (unknown fields, wrong
-// schemas and non-canonical row order are rejected) into a table with
-// fresh statistics.
+// The correlation table an EBCP trains on-line (EBCP.Table), for
+// reading its occupancy and statistics.
 type (
 	// CorrelationTable is the EBCP main-memory correlation table.
 	CorrelationTable = corrtab.Table
 	// CorrelationTableConfig describes a correlation table's geometry.
 	CorrelationTableConfig = corrtab.Config
-)
-
-// CorrtabSchemaV1 identifies version 1 of the correlation-table schema.
-const CorrtabSchemaV1 = corrtab.SchemaV1
-
-var (
-	// EncodeCorrtab serializes a correlation table as ebcp.corrtab/v1.
-	EncodeCorrtab = corrtab.Encode
-	// DecodeCorrtab strictly parses an ebcp.corrtab/v1 document.
-	DecodeCorrtab = corrtab.Decode
 )
 
 // Baseline returns the no-prefetching prefetcher.

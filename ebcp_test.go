@@ -1,7 +1,6 @@
 package ebcp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -119,72 +118,5 @@ func TestExperimentFacade(t *testing.T) {
 	}
 	if _, ok := rep.Value("CPI overall", "Database"); !ok {
 		t.Error("missing Database CPI")
-	}
-}
-
-// TestPublicCorrtabWarmStart drives the warm-start surface the way a
-// downstream user would: train, serialize, restore into a fresh
-// prefetcher, and check through RunCMP that the restored table predicts
-// more than a cold one on the same traces.
-func TestPublicCorrtabWarmStart(t *testing.T) {
-	bench := Database()
-	cfg := DefaultSystem(bench)
-	cfg.WarmInsts, cfg.MeasureInsts = 1e6, 1e6
-
-	ecfg := TunedEBCP()
-	ecfg.TableEntries = 1 << 16
-	trained := must(NewEBCP(ecfg))
-	must(Run(must(NewTrace(bench)), trained, cfg))
-
-	var buf bytes.Buffer
-	if err := EncodeCorrtab(&buf, trained.Table()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), CorrtabSchemaV1) {
-		t.Errorf("serialized table does not carry schema %q", CorrtabSchemaV1)
-	}
-	tab, err := DecodeCorrtab(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	warm := must(NewEBCP(ecfg))
-	if err := warm.RestoreTable(tab); err != nil {
-		t.Fatal(err)
-	}
-	if warm.Table().Occupancy() != trained.Table().Occupancy() {
-		t.Errorf("restored occupancy %d != trained %d",
-			warm.Table().Occupancy(), trained.Table().Occupancy())
-	}
-
-	// Geometry mismatches must be rejected, not silently accepted.
-	small := must(NewEBCP(TunedEBCP()))
-	if err := small.RestoreTable(tab); err == nil {
-		t.Error("restoring a 64K-entry table into a 1M-entry prefetcher must fail")
-	}
-
-	// On a CMP run over the same traces, the restored table must match
-	// more epoch triggers than a cold table that starts from nothing.
-	const lanes = 4
-	ecfg.Cores = lanes
-	newSources := func() []TraceSource {
-		srcs := make([]TraceSource, lanes)
-		for i := range srcs {
-			b := bench
-			b.Seed += int64(i) * 7919
-			srcs[i] = must(NewTrace(b))
-		}
-		return srcs
-	}
-	cfg.WarmInsts, cfg.MeasureInsts = 500e3, 500e3
-	warmCMP := must(NewEBCP(ecfg))
-	if err := warmCMP.RestoreTable(must(DecodeCorrtab(bytes.NewReader(buf.Bytes())))); err != nil {
-		t.Fatal(err)
-	}
-	coldCMP := must(NewEBCP(ecfg))
-	must(RunCMP(newSources(), warmCMP, cfg))
-	must(RunCMP(newSources(), coldCMP, cfg))
-	if w, c := warmCMP.Stats().Matches, coldCMP.Stats().Matches; w <= c {
-		t.Errorf("warm-started table matched %d epoch triggers, cold table %d; warm start must help", w, c)
 	}
 }

@@ -1,8 +1,7 @@
 // Package corrtabcodec is a determinism fixture loaded under the virtual
-// path internal/corrtab: the table serializer must emit rows in index
-// order, so a map range feeding the encoder's writer is a diagnostic.
-// The real codec iterates Rows() (a sorted slice) for exactly this
-// reason.
+// path internal/corrtab: anything in that package that writes a table's
+// rows must emit them in index order, so a map range feeding a writer
+// is a diagnostic.
 package corrtabcodec
 
 import (

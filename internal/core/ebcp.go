@@ -227,23 +227,6 @@ func (e *EBCP) ResetStats() {
 // Table exposes the correlation table (tests, reporting).
 func (e *EBCP) Table() *corrtab.Table { return e.table }
 
-// RestoreTable replaces the correlation table with one deserialized from
-// a prior run (warm start): training resumes from the restored contents
-// instead of an empty table. The restored table's serialized geometry
-// (entries, addresses per entry) must match this prefetcher's
-// configuration; a mismatch returns an error wrapping ErrInvalidConfig
-// and leaves the current table in place.
-func (e *EBCP) RestoreTable(t *corrtab.Table) error {
-	got, want := t.Config(), e.table.Config()
-	if got.Entries != want.Entries || got.MaxAddrs != want.MaxAddrs {
-		return ebcperr.Invalidf(
-			"core: restored table geometry %dx%d does not match configured %dx%d",
-			got.Entries, got.MaxAddrs, want.Entries, want.MaxAddrs)
-	}
-	e.table = t
-	return nil
-}
-
 // boundary decides whether this access begins a new (real or virtual)
 // epoch. Real epoch triggers do, and once prefetching removes whole
 // epochs the chain is sustained by prefetch-buffer hits: a hit or miss

@@ -9,7 +9,9 @@
 // on-chip prefetcher control computes entry addresses by adding the index
 // to the table's base physical address; here we model the entry *contents*
 // and leave the memory traffic (reads, update writes, LRU writes) to the
-// caller, which charges it against the interconnect model.
+// caller, which charges it against the interconnect model. As in the
+// paper, the table is trained only by the miss stream it later
+// predicts: every table starts empty, and none is saved or restored.
 //
 // Storage is sparse (only touched indices are materialized) but flat:
 // entries live in dense pages of fixed-size slots, each slot one
@@ -25,8 +27,6 @@
 package corrtab
 
 import (
-	"sort"
-
 	"ebcp/internal/amo"
 	"ebcp/internal/ebcperr"
 )
@@ -142,9 +142,6 @@ func New(cfg Config) (*Table, error) {
 		idxMask: initIdx - 1,
 	}, nil
 }
-
-// Config returns the table's configuration.
-func (t *Table) Config() Config { return t.cfg }
 
 // Stats returns a copy of the counters.
 func (t *Table) Stats() Stats { return t.stats }
@@ -341,31 +338,3 @@ func (t *Table) Touch(index uint64, used amo.Line) {
 // Occupancy returns how many distinct indices are materialized (for tests
 // and memory accounting): every allocated slot holds one live entry.
 func (t *Table) Occupancy() int { return int(t.nextSlot) }
-
-// Row is one live entry in export form: the full key line (whose
-// direct-mapped index is Tag & (Entries-1)) and its prefetch addresses,
-// MRU first — exactly the order Lookup returns.
-type Row struct {
-	Tag   amo.Line
-	Addrs []amo.Line
-}
-
-// Rows exports every live entry, sorted by table index. Since the table
-// is direct-mapped, at most one live entry exists per index, making the
-// order a deterministic function of the table's contents — independent
-// of insertion order and arena layout. The serializer depends on this
-// determinism for byte-stable output.
-func (t *Table) Rows() []Row {
-	rows := make([]Row, 0, t.nextSlot)
-	for s := uint32(0); s < t.nextSlot; s++ {
-		rec := t.record(s)
-		rows = append(rows, Row{
-			Tag:   rec[recTag],
-			Addrs: append([]amo.Line(nil), rec[recAddrs:recAddrs+int(rec[recMeta])]...),
-		})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		return t.Index(rows[i].Tag) < t.Index(rows[j].Tag)
-	})
-	return rows
-}

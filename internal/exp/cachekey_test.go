@@ -2,8 +2,6 @@ package exp
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -18,7 +16,7 @@ import (
 // Options field fails TestCacheKeyFieldClassification until it is
 // classified here AND exercised in the matching behavioural test.
 var (
-	seedFields    = map[string]bool{"Warm": true, "Measure": true, "MaxInsts": true, "LoadCorrtab": true, "SpecJSON": true}
+	seedFields    = map[string]bool{"Warm": true, "Measure": true, "MaxInsts": true, "SpecJSON": true}
 	perCellFields = map[string]bool{"Benchmarks": true}
 	ignoredFields = map[string]bool{"Workers": true, "Progress": true, "Cache": true}
 )
@@ -43,45 +41,29 @@ func TestCacheKeyFieldClassification(t *testing.T) {
 	}
 }
 
-// keyOf computes one cell key, failing the test on error.
-func keyOf(t *testing.T, o Options) string {
-	t.Helper()
-	k, err := o.CellKey("sim", "cell/db/ebcp", workload.Database())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return k
-}
-
-func writeCorrtabStub(t *testing.T, dir, name, content string) string {
-	t.Helper()
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+// keyOf computes one cell key.
+func keyOf(o Options) string {
+	return o.CellKey("sim", "cell/db/ebcp", workload.Database())
 }
 
 // TestCacheKeySemanticFieldsChangeKey: every seed-classified field,
 // when changed, must move the key.
 func TestCacheKeySemanticFieldsChangeKey(t *testing.T) {
-	dir := t.TempDir()
 	base := Options{Warm: 1e6, Measure: 1e6}
 	mutations := map[string]Options{
-		"Warm":        {Warm: 2e6, Measure: 1e6},
-		"Measure":     {Warm: 1e6, Measure: 2e6},
-		"MaxInsts":    {Warm: 1e6, Measure: 1e6, MaxInsts: 5e5},
-		"LoadCorrtab": {Warm: 1e6, Measure: 1e6, LoadCorrtab: writeCorrtabStub(t, dir, "t.corrtab", "table-bytes")},
-		"SpecJSON":    {Warm: 1e6, Measure: 1e6, SpecJSON: `{"schema": "ebcp.spec/v1", "id": "x"}`},
+		"Warm":     {Warm: 2e6, Measure: 1e6},
+		"Measure":  {Warm: 1e6, Measure: 2e6},
+		"MaxInsts": {Warm: 1e6, Measure: 1e6, MaxInsts: 5e5},
+		"SpecJSON": {Warm: 1e6, Measure: 1e6, SpecJSON: `{"schema": "ebcp.spec/v1", "id": "x"}`},
 	}
 	for name := range seedFields {
 		if _, ok := mutations[name]; !ok {
 			t.Errorf("seed field %s has no mutation case — add one", name)
 		}
 	}
-	baseKey := keyOf(t, base)
+	baseKey := keyOf(base)
 	for name, mutated := range mutations {
-		if keyOf(t, mutated) == baseKey {
+		if keyOf(mutated) == baseKey {
 			t.Errorf("changing Options.%s did not change the cell key", name)
 		}
 	}
@@ -101,9 +83,9 @@ func TestCacheKeyIgnoredFieldsKeepKey(t *testing.T) {
 			t.Errorf("ignored field %s has no mutation case — add one", name)
 		}
 	}
-	baseKey := keyOf(t, base)
+	baseKey := keyOf(base)
 	for name, mutated := range mutations {
-		if keyOf(t, mutated) != baseKey {
+		if keyOf(mutated) != baseKey {
 			t.Errorf("Options.%s is documented as ignored but changed the cell key", name)
 		}
 	}
@@ -115,17 +97,14 @@ func TestCacheKeyIgnoredFieldsKeepKey(t *testing.T) {
 func TestCacheKeyPerCellIdentity(t *testing.T) {
 	o := Options{Warm: 1e6, Measure: 1e6}
 	db, web := workload.Database(), workload.TPCW()
-	k1, err := o.CellKey("sim", "cell/x", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k2, _ := o.CellKey("sim", "cell/x", web); k2 == k1 {
+	k1 := o.CellKey("sim", "cell/x", db)
+	if o.CellKey("sim", "cell/x", web) == k1 {
 		t.Error("different workload params share a key")
 	}
-	if k2, _ := o.CellKey("cmp", "cell/x", db); k2 == k1 {
+	if o.CellKey("cmp", "cell/x", db) == k1 {
 		t.Error("sim and cmp cells share a key")
 	}
-	if k2, _ := o.CellKey("sim", "cell/y", db); k2 == k1 {
+	if o.CellKey("sim", "cell/y", db) == k1 {
 		t.Error("different cell identities share a key")
 	}
 	// A scaled variant is a different workload, hence a different key.
@@ -133,7 +112,7 @@ func TestCacheKeyPerCellIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k2, _ := o.CellKey("sim", "cell/x", scaled); k2 == k1 {
+	if o.CellKey("sim", "cell/x", scaled) == k1 {
 		t.Error("scaled workload shares the full-size key")
 	}
 }
@@ -141,30 +120,8 @@ func TestCacheKeyPerCellIdentity(t *testing.T) {
 // TestCacheKeyDefaultsCanonicalize: zero windows and the explicit paper
 // defaults are the same semantics, so they must digest identically.
 func TestCacheKeyDefaultsCanonicalize(t *testing.T) {
-	if keyOf(t, Options{}) != keyOf(t, Options{Warm: 150_000_000, Measure: 100_000_000}) {
+	if keyOf(Options{}) != keyOf(Options{Warm: 150_000_000, Measure: 100_000_000}) {
 		t.Error("implicit and explicit default windows produce different keys")
-	}
-}
-
-// TestCacheKeyCorrtabByContent: the warm-start table is identified by
-// what's in it, not where it is.
-func TestCacheKeyCorrtabByContent(t *testing.T) {
-	dir := t.TempDir()
-	a := writeCorrtabStub(t, dir, "a.corrtab", "same-bytes")
-	b := writeCorrtabStub(t, dir, "b.corrtab", "same-bytes")
-	c := writeCorrtabStub(t, dir, "c.corrtab", "other-bytes")
-
-	ka := keyOf(t, Options{Warm: 1e6, Measure: 1e6, LoadCorrtab: a})
-	if kb := keyOf(t, Options{Warm: 1e6, Measure: 1e6, LoadCorrtab: b}); kb != ka {
-		t.Error("identical table content at two paths produced different keys")
-	}
-	if kc := keyOf(t, Options{Warm: 1e6, Measure: 1e6, LoadCorrtab: c}); kc == ka {
-		t.Error("different table content produced the same key")
-	}
-
-	o := Options{Warm: 1e6, Measure: 1e6, LoadCorrtab: filepath.Join(dir, "absent.corrtab")}
-	if _, err := o.CellKey("sim", "cell/x", workload.Database()); !errors.Is(err, ebcperr.ErrInvalidConfig) {
-		t.Errorf("unreadable table: err = %v, want ErrInvalidConfig class", err)
 	}
 }
 

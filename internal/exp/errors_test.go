@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -13,18 +12,16 @@ import (
 
 // TestCancelledCellsRenderNA locks the cancelled-cell contract: cells
 // skipped because the session's context was cancelled must render as
-// "n/a" with the footnote, be counted by Failures, and never
-// masquerade as measured zeros.
+// "n/a" with the footnote, count once each in Failures however often
+// the grid is collected, and never masquerade as measured zeros.
 func TestCancelledCellsRenderNA(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // every cell is cancelled before it can run
 	s := NewSessionContext(ctx, Options{Warm: 1e5, Measure: 1e5, Workers: 1})
 
-	e, err := ByID("table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := e.Run(s)
+	c := mustCompiled(t, "table1")
+	rep := c.run(s)
+	rep = c.run(s) // a second run must not count the cells again
 
 	total := 0
 	for _, row := range rep.Rows {
@@ -38,8 +35,11 @@ func TestCancelledCellsRenderNA(t *testing.T) {
 	if rep.NACells() != total {
 		t.Errorf("NACells = %d, want %d", rep.NACells(), total)
 	}
-	if s.Failures() == 0 {
-		t.Error("cancelled cells must count as failures")
+	if cells := len(c.plan(c.benchmarks(s))); s.Failures() != cells {
+		t.Errorf("Failures = %d, want %d (every planned cell, once)", s.Failures(), cells)
+	}
+	if s.Runs() != 0 {
+		t.Errorf("Runs = %d, want 0", s.Runs())
 	}
 	if s.Err() == nil {
 		t.Error("cancelled session must report Err")
@@ -118,39 +118,4 @@ func TestValidReportHasNoFootnote(t *testing.T) {
 	if s.Failures() != 0 {
 		t.Errorf("valid run counted %d failures", s.Failures())
 	}
-}
-
-// TestUnreadableCorrtabFailsEveryCell: a warm-start table that cannot
-// be read makes every cell key unbuildable, so every cell — baselines
-// included — fails with ErrInvalidConfig, renders n/a and counts once
-// in Failures, although nothing simulated.
-func TestUnreadableCorrtabFailsEveryCell(t *testing.T) {
-	s := NewSession(Options{Warm: 1e5, Measure: 1e5, Workers: 1,
-		LoadCorrtab: filepath.Join(t.TempDir(), "absent.json")})
-	c := mustCompiled(t, "table1")
-	rep := c.run(s)
-	rep = c.run(s) // a second run must not count the cells again
-
-	cells := len(c.plan(c.benchmarks(s)))
-	if s.Failures() != cells {
-		t.Errorf("Failures = %d, want %d (every planned cell)", s.Failures(), cells)
-	}
-	if s.Runs() != 0 {
-		t.Errorf("Runs = %d, want 0", s.Runs())
-	}
-	if rep.NACells() == 0 || rep.NACells() != countValues(rep) {
-		t.Errorf("NACells = %d of %d values, want all", rep.NACells(), countValues(rep))
-	}
-	if !errors.Is(s.FirstError(), ebcperr.ErrInvalidConfig) {
-		t.Errorf("FirstError = %v, want ErrInvalidConfig class", s.FirstError())
-	}
-}
-
-// countValues counts a report's value cells.
-func countValues(rep *Report) int {
-	n := 0
-	for _, row := range rep.Rows {
-		n += len(row.Values)
-	}
-	return n
 }

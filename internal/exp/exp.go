@@ -13,7 +13,6 @@
 package exp
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -21,8 +20,6 @@ import (
 	"runtime"
 	"sync"
 
-	"ebcp/internal/core"
-	"ebcp/internal/corrtab"
 	"ebcp/internal/ebcperr"
 	"ebcp/internal/prefetch"
 	"ebcp/internal/sim"
@@ -55,13 +52,6 @@ type Options struct {
 	// Benchmarks overrides the workload set (nil = the paper's four
 	// commercial benchmarks). Tests use workload.Scaled variants here.
 	Benchmarks []workload.Params
-	// LoadCorrtab, when non-empty, warm-starts every EBCP-family cell
-	// from the serialized correlation table (ebcp.corrtab/v1) at this
-	// path. The file is read once per session and decoded afresh for
-	// each cell, so cells never share mutable table state; the table's
-	// geometry must match the cell's prefetcher configuration. Cells
-	// whose prefetcher is not an EBCP are unaffected.
-	LoadCorrtab string
 	// Cache, when non-nil, is the result store the session shares with
 	// other sessions (nil = a store of the session's own): cells whose
 	// canonical content-hash key (CellKey) matches an earlier
@@ -169,32 +159,7 @@ type Session struct {
 
 	progressMu sync.Mutex
 
-	loadOnce sync.Once
-	corrtab  []byte // the LoadCorrtab bytes, read once per session
-	seed     string // the key seed, hashed from those same bytes
-	loadErr  error
-}
-
-// warmStart restores the Options.LoadCorrtab table into an EBCP-family
-// prefetcher (other prefetchers pass through untouched). Each call
-// decodes a fresh table from the session's one read of the file, so
-// concurrent cells never share mutable state.
-func (s *Session) warmStart(pf prefetch.Prefetcher) error {
-	if s.opts.LoadCorrtab == "" {
-		return nil
-	}
-	e, ok := pf.(*core.EBCP)
-	if !ok {
-		return nil
-	}
-	if err := s.load(); err != nil {
-		return err
-	}
-	tab, err := corrtab.Decode(bytes.NewReader(s.corrtab))
-	if err != nil {
-		return err
-	}
-	return e.RestoreTable(tab)
+	seed string // the session-level part of every cell key (cacheSeed)
 }
 
 // outcome is the stored result of one cell together with the error that
@@ -231,7 +196,7 @@ func NewSessionContext(ctx context.Context, opts Options) *Session {
 	if opts.Cache == nil {
 		opts.Cache = NewCache(0, nil)
 	}
-	return &Session{opts: opts, ctx: ctx}
+	return &Session{opts: opts, ctx: ctx, seed: opts.cacheSeed()}
 }
 
 // Runs returns how many simulations actually executed.
@@ -258,8 +223,7 @@ func (s *Session) Err() error { return s.ctx.Err() }
 
 // Failures returns how many executed simulations ended in an error
 // (each failed cell is counted once, like Runs), plus the distinct
-// cells that never simulated: skipped by cancellation, or failed
-// because their key could not be built.
+// cells that never simulated because cancellation skipped them.
 func (s *Session) Failures() int {
 	s.statMu.Lock()
 	defer s.statMu.Unlock()
@@ -330,9 +294,6 @@ func (s *Session) simulate(r cellReq) *outcome {
 	}
 	pf, err := r.pf()
 	if err != nil {
-		return &outcome{err: err}
-	}
-	if err := s.warmStart(pf); err != nil {
 		return &outcome{err: err}
 	}
 	if r.cores > 0 {

@@ -51,16 +51,11 @@ func (s *Session) forEach(n int, f func(int)) {
 // simulating it when no session has stored or is computing its key.
 // Failed cells are stored too — they are as deterministic as successes,
 // and recomputing a failure per request would defeat the store exactly
-// when requests are misconfigured. A cell whose key cannot be built, or
-// that the store refused to start under a cancelled context, is not
-// stored: it fails with the key error or an ErrCancelled-classified
-// one, and counts once per cell in Failures.
+// when requests are misconfigured. A cell the store refused to start
+// under a cancelled context is not stored: it fails with an
+// ErrCancelled-classified error and counts once per cell in Failures.
 func (s *Session) resolve(r cellReq) *outcome {
-	key, err := s.cellKey(r)
-	if err != nil {
-		return s.skip(r.key, err)
-	}
-	v, hit, err := s.opts.Cache.Do(s.ctx, key, func() (any, int) {
+	v, hit, err := s.opts.Cache.Do(s.ctx, s.cellKey(r), func() (any, int) {
 		o := s.simulate(r)
 		s.noteRun(r, o)
 		return o, o.cost()

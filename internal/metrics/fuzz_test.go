@@ -1,9 +1,8 @@
 package metrics
 
-// Robustness fuzzing for the report codec this package owns, following
-// the corrtab fuzz idiom: arbitrary bytes must come back as a clean
-// error or a document that round-trips byte-for-byte through the
-// canonical encoder. The committed seeds under testdata/fuzz cover the
+// Robustness fuzzing for the report codec this package owns: arbitrary
+// bytes must come back as a clean error or a document that round-trips
+// byte-for-byte through the canonical encoder. The committed seeds under testdata/fuzz cover the
 // accept path, schema rejection, and the unknown-field rejection the
 // strict decoder promises; the codecstrict analyzer fails the lint if
 // the corpus goes missing.

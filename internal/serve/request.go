@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"path/filepath"
-	"strings"
 
 	"ebcp/internal/ebcperr"
 	"ebcp/internal/exp"
@@ -49,12 +47,6 @@ type RunRequestV1 struct {
 	// (0, 1] via workload.Scaled — the fast preview knob. 0 means full
 	// size.
 	BenchScale float64 `json:"bench_scale,omitempty"`
-	// LoadCorrtab warm-starts EBCP cells from a serialized
-	// ebcp.corrtab/v1 table. It names a file *inside the server's
-	// configured corrtab directory* (Config.CorrtabDir); requests cannot
-	// reach outside it, and the feature is disabled (rejected) when no
-	// directory is configured.
-	LoadCorrtab string `json:"load_corrtab,omitempty"`
 	// Priority is "interactive" (default) or "batch".
 	Priority string `json:"priority,omitempty"`
 	// TimeoutMS bounds the request's wall-clock time; cells not
@@ -129,23 +121,6 @@ func (rq RunRequestV1) validate() error {
 	return nil
 }
 
-// corrtabPath resolves the request's warm-start table name inside the
-// server's corrtab directory, refusing escapes: the request controls a
-// file *name*, never a path.
-func (rq RunRequestV1) corrtabPath(dir string) (string, error) {
-	if rq.LoadCorrtab == "" {
-		return "", nil
-	}
-	if dir == "" {
-		return "", ebcperr.Invalidf("serve: load_corrtab is disabled (the server has no -corrtab-dir)")
-	}
-	clean := filepath.Clean(rq.LoadCorrtab)
-	if filepath.IsAbs(clean) || clean == ".." || strings.HasPrefix(clean, ".."+string(filepath.Separator)) {
-		return "", ebcperr.Invalidf("serve: load_corrtab %q escapes the corrtab directory", rq.LoadCorrtab)
-	}
-	return filepath.Join(dir, clean), nil
-}
-
 // options maps a validated request onto the exp.Options its session
 // runs with. simWorkers is the server's per-request simulation
 // parallelism; the shared cache is attached by the worker. restricted
@@ -181,11 +156,6 @@ func (rq RunRequestV1) options(cfg Config, restricted []string) (exp.Options, er
 		}
 		opts.Benchmarks = scaled
 	}
-	path, err := rq.corrtabPath(cfg.CorrtabDir)
-	if err != nil {
-		return exp.Options{}, err
-	}
-	opts.LoadCorrtab = path
 	return opts, nil
 }
 

@@ -34,10 +34,6 @@ type Config struct {
 	// CacheBytes is the shared result cache's eviction budget (default
 	// 256 MiB; < 0 disables the budget).
 	CacheBytes int64
-	// CorrtabDir, when non-empty, is the directory request-named
-	// warm-start tables (load_corrtab) are resolved inside. Empty
-	// disables warm-start over HTTP.
-	CorrtabDir string
 	// DefaultTimeout bounds requests that do not set timeout_ms
 	// (default: no limit).
 	DefaultTimeout time.Duration

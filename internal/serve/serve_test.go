@@ -230,7 +230,7 @@ func TestRequestValidation(t *testing.T) {
 		{"bad scale", `{"schema":"ebcp.runreq/v1","experiment":"table1","bench_scale":2}`, 400, "bench_scale"},
 		{"bad priority", `{"schema":"ebcp.runreq/v1","experiment":"table1","priority":"urgent"}`, 400, "unknown priority"},
 		{"negative timeout", `{"schema":"ebcp.runreq/v1","experiment":"table1","timeout_ms":-5}`, 400, "timeout_ms"},
-		{"corrtab disabled", smallBody(`,"load_corrtab":"t.corrtab"`), 400, "load_corrtab is disabled"},
+		{"retired load_corrtab", smallBody(`,"load_corrtab":"t.corrtab"`), 400, `unknown field \"load_corrtab\"`},
 		{"not json", `go away`, 400, "decoding request"},
 	}
 	for _, c := range cases {
@@ -243,18 +243,6 @@ func TestRequestValidation(t *testing.T) {
 				t.Errorf("body %q does not mention %q", body, c.mention)
 			}
 		})
-	}
-}
-
-// TestCorrtabEscapeRejected: load_corrtab is a name inside the
-// configured directory, never a path out of it.
-func TestCorrtabEscapeRejected(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, CorrtabDir: t.TempDir()})
-	for _, name := range []string{"../secret", "/etc/passwd", "a/../../x"} {
-		resp, body := post(t, ts.URL, smallBody(`,"load_corrtab":"`+name+`"`))
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "escapes") {
-			t.Errorf("load_corrtab %q: status %d body %q, want 400 escape rejection", name, resp.StatusCode, body)
-		}
 	}
 }
 

@@ -7,11 +7,11 @@
 // `ebcpexp -spec file.json` and an inline `spec` in ebcp.runreq/v1 run
 // ad-hoc ones.
 //
-// The codec follows the repo's schema idiom (ebcp.report/v1,
-// ebcp.corrtab/v1): Decode rejects unknown fields and wrong schema
-// strings, Encode writes through the shared metrics.WriteJSON encoder
-// so canonical bytes round-trip byte-for-byte, and Decode validates so
-// no malformed spec reaches the compiler (internal/exp.FromSpec).
+// The codec follows the repo's schema idiom (ebcp.report/v1): Decode
+// rejects unknown fields and wrong schema strings, Encode writes
+// through the shared metrics.WriteJSON encoder so canonical bytes
+// round-trip byte-for-byte, and Decode validates so no malformed spec
+// reaches the compiler (internal/exp.FromSpec).
 package spec
 
 import (

@@ -234,9 +234,9 @@ func TestDecodeRejectsCMPShapes(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRobust is the raw-bytes robustness target (the corrtab
-// codec pattern): any input either fails with a typed error or decodes
-// to a spec whose canonical form is a byte-stable fixed point.
+// FuzzDecodeRobust is the raw-bytes robustness target: any input
+// either fails with a typed error or decodes to a spec whose canonical
+// form is a byte-stable fixed point.
 func FuzzDecodeRobust(f *testing.F) {
 	f.Add([]byte(validSweep))
 	f.Add([]byte(validCMP))

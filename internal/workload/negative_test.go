@@ -52,8 +52,12 @@ func TestNegativeConfigs(t *testing.T) {
 		{"successor table beyond 2^31-1 entries", mut(func(p *Params) { p.Branch = 1 << 62 })},
 		{"inverted txn gap", mut(func(p *Params) { p.TxnGap = [2]int{800, 200} })},
 		{"negative txn gap", mut(func(p *Params) { p.TxnGap = [2]int{-1, 200} })},
+		{"txn gap wider than an int", mut(func(p *Params) { p.TxnGap = [2]int{0, math.MaxInt} })},
+		{"txn gap beyond a 32-bit record gap", mut(func(p *Params) { p.TxnGap = [2]int{300, maxGap + 1} })},
+		{"step beyond a 32-bit record gap", mut(func(p *Params) { p.InstsPerStep = [2]int{200, maxGap + 1} })},
 		{"NaN zipf theta", mut(func(p *Params) { p.ZipfTheta = math.NaN() })},
 		{"infinite zipf theta", mut(func(p *Params) { p.ZipfTheta = math.Inf(-1) })},
+		{"zipf weights overflow", mut(func(p *Params) { p.ZipfTheta = -2000 })},
 		{"unknown benchmark", func() error { _, err := ByName("no-such-benchmark"); return err }},
 		{"scale zero", func() error { _, err := Scaled(Database(), 0); return err }},
 		{"scale above one", func() error { _, err := Scaled(Database(), 1.5); return err }},

@@ -148,6 +148,12 @@ const maxDataLines = 1 << 30
 // per step) fit a step's 16-bit run index.
 const maxChainSteps = 1 << 16
 
+// maxGap bounds TxnGap[1] and InstsPerStep[1]. A step's records carry
+// gaps below InstsPerStep[1], and the first record of a transaction also
+// carries the pending transaction gap, so with both bounded the sum
+// fits the record's 32-bit Gap.
+const maxGap = 1 << 30
+
 // Validate reports parameter errors. All errors match
 // ebcperr.ErrInvalidConfig under errors.Is.
 func (p Params) Validate() error {
@@ -176,6 +182,12 @@ func (p Params) Validate() error {
 		return ebcperr.Invalidf("workload %s: bad insts per step %v", p.Name, p.InstsPerStep)
 	case p.BlocksPerStep[0] <= 0 || p.BlocksPerStep[1] < p.BlocksPerStep[0]:
 		return ebcperr.Invalidf("workload %s: bad blocks per step %v", p.Name, p.BlocksPerStep)
+	case tooWide(p.ChainSteps, p.TxnGap, p.GroupSize, p.ChainsPerTxn, p.InstsPerStep, p.BlocksPerStep):
+		return ebcperr.Invalidf("workload %s: a [lo, hi] range holds more than %d values", p.Name, math.MaxInt)
+	case p.TxnGap[1] > maxGap || p.InstsPerStep[1] > maxGap:
+		return ebcperr.Invalidf("workload %s: transaction gap %v or insts per step %v exceeds %d (their sum is a record's 32-bit gap)", p.Name, p.TxnGap, p.InstsPerStep, maxGap)
+	case !skewFinite(p.TxnTypes, p.ZipfTheta):
+		return ebcperr.Invalidf("workload %s: Zipf theta %v overflows the weights of %d transaction types", p.Name, p.ZipfTheta, p.TxnTypes)
 	case p.PFollow < 0 || p.PFollow > 1 || p.Branch < 1:
 		return ebcperr.Invalidf("workload %s: bad succession %v/%d", p.Name, p.PFollow, p.Branch)
 	case p.Branch > math.MaxInt32/p.Chains:
@@ -204,6 +216,18 @@ func (p Params) Validate() error {
 		return ebcperr.Invalidf("workload %s: bad branch-break fraction %v", p.Name, p.BranchBreak)
 	}
 	return nil
+}
+
+// tooWide reports whether any range's width hi-lo+1, which
+// Generator.between draws from, overflows an int. Validate calls it
+// once every range has 0 <= lo <= hi, so hi-lo itself cannot overflow.
+func tooWide(ranges ...[2]int) bool {
+	for _, r := range ranges {
+		if r[1]-r[0] == math.MaxInt {
+			return true
+		}
+	}
+	return false
 }
 
 // Database is the large-scale OLTP workload: the biggest data working set

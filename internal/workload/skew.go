@@ -26,6 +26,18 @@ func newSkewPicker(n int, theta float64) *skewPicker {
 	return &skewPicker{cum: cum}
 }
 
+// skewFinite reports whether newSkewPicker's weights over n >= 1 types
+// sum to a finite total. The total is at most n times the largest weight
+// (n^-theta when theta < 0, else 1); keeping that bound under half the
+// float64 range leaves room for the running sum's rounding as well.
+func skewFinite(n int, theta float64) bool {
+	w := 1.0
+	if theta < 0 {
+		w = math.Pow(float64(n), -theta)
+	}
+	return float64(n)*w < math.MaxFloat64/2
+}
+
 func (s *skewPicker) pick(rng *rand.Rand) int {
 	r := rng.Float64()
 	lo, hi := 0, len(s.cum)-1

@@ -28,8 +28,12 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.Chains = math.MaxInt32/40 + 1 },
 		func(p *Params) { p.TxnGap = [2]int{800, 200} },
 		func(p *Params) { p.TxnGap = [2]int{-1, 200} },
+		func(p *Params) { p.TxnGap = [2]int{0, math.MaxInt} },
+		func(p *Params) { p.TxnGap = [2]int{300, maxGap + 1} },
+		func(p *Params) { p.InstsPerStep = [2]int{200, maxGap + 1} },
 		func(p *Params) { p.ZipfTheta = math.NaN() },
 		func(p *Params) { p.ZipfTheta = math.Inf(1) },
+		func(p *Params) { p.ZipfTheta = -2000 },
 		func(p *Params) { p.GroupSize = [2]int{0, 2} },
 		func(p *Params) { p.ChainsPerTxn = [2]int{3, 1} },
 		func(p *Params) { p.InstsPerStep = [2]int{0, 10} },
@@ -55,6 +59,14 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		mut(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
+		}
+	}
+	// Thetas near 0 and strong but finite skews stay valid.
+	for _, theta := range []float64{-1e-12, 1e-12, -2, 2000} {
+		p := Database()
+		p.ZipfTheta = theta
+		if err := p.Validate(); err != nil {
+			t.Errorf("theta %v rejected: %v", theta, err)
 		}
 	}
 }
