@@ -68,11 +68,13 @@ func BenchmarkSimThroughput(b *testing.B) {
 
 // BenchmarkCMPThroughput measures RunCMP's aggregate simulation speed
 // across lane counts (fixed total work: the per-lane window shrinks as
-// lanes grow). RunCMP interleaves the lanes on the calling goroutine, so
-// the Minsts/s curve is the per-record cost of the lowest-clock loop plus
-// the extra cache and table pressure of more threads; it does not scale
-// with host cores. `lanes` rides along as a metric so each -bench output
-// line is self-describing.
+// lanes grow). Run and RunCMP share one lowest-clock loop, so lanes=1 is
+// the single-core path. The loop interleaves the lanes on the calling
+// goroutine, a lane keeping its turn until its clock passes the next
+// lane's, so the Minsts/s curve is the per-turn scan cost plus the extra
+// cache and table pressure of more threads; it does not scale with host
+// cores. `lanes` rides along as a metric so each -bench output line is
+// self-describing.
 func BenchmarkCMPThroughput(b *testing.B) {
 	bench := Database()
 	for _, lanes := range []int{1, 2, 4, 8, 16, 32, 64} {

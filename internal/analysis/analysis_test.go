@@ -73,7 +73,6 @@ func TestAnalyzerGoldens(t *testing.T) {
 		{"hotpathalloc", "internal/hot"},
 		{"errwrap", "internal/fake"},
 		{"determinism", "internal/exp"},
-		{"corrtabcodec", "internal/corrtab"},
 		{"driver", "internal/driver"},
 		{"servectx", "internal/fakeserve"},
 		{"specsync", "internal/registry"},

@@ -38,7 +38,6 @@ var globalRandFuncs = map[string]bool{
 // renderPathPkgs are the packages whose output must be byte-stable and
 // where a map range feeding a writer is therefore a diagnostic.
 var renderPathPkgs = map[string]bool{
-	"internal/corrtab": true,
 	"internal/exp":     true,
 	"internal/metrics": true,
 }

@@ -25,7 +25,6 @@ import (
 //     committed spec (the canonical set includes the full Figure 9
 //     contender comparison, so an unreferenced registration means the
 //     canonical coverage — or the registration — is wrong);
-//   - each builtin table's map key equals its entry's Name field;
 //   - each spec file's id equals its file name (which also makes ids
 //     unique, since file names are).
 //
@@ -49,13 +48,12 @@ type looseSpec struct {
 }
 
 // registryNames is what Check extracts from the registry's builtin
-// tables: each table's keys with their positions, the position of the
-// table-building function (the anchor for spec-side findings about that
-// table's namespace), and any key/Name mismatches.
+// tables: each table's keys with their positions and the position of
+// the table-building function (the anchor for spec-side findings about
+// that table's namespace).
 type registryNames struct {
-	keys     map[string]token.Position
-	fn       token.Position
-	mismatch []Diagnostic
+	keys map[string]token.Position
+	fn   token.Position
 }
 
 // Check implements Analyzer.
@@ -68,7 +66,7 @@ func (SpecSync) Check(p *Pkg) []Diagnostic {
 	if prefs == nil || works == nil {
 		return nil // not the real registry shape; nothing to sync
 	}
-	out := append(prefs.mismatch, works.mismatch...)
+	var out []Diagnostic
 
 	// The spec files live at <module root>/internal/exp/specs. The root
 	// is the package directory minus Rel — and when the package was
@@ -144,9 +142,8 @@ func (SpecSync) Check(p *Pkg) []Diagnostic {
 }
 
 // collectBuiltins finds the named table-building function and extracts
-// every map-literal key with its position, flagging keys whose entry
-// declares a different Name. A nil return means the function or its map
-// literal is missing.
+// every map-literal key with its position. A nil return means the
+// function or its map literal is missing.
 func collectBuiltins(p *Pkg, fnName string) *registryNames {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
@@ -173,10 +170,6 @@ func collectBuiltins(p *Pkg, fnName string) *registryNames {
 						continue
 					}
 					r.keys[key] = p.Fset.Position(kv.Key.Pos())
-					if name, ok := entryNameField(kv.Value); ok && name != key {
-						r.mismatch = append(r.mismatch, Diagnostic{p.Fset.Position(kv.Key.Pos()), "specsync",
-							fmt.Sprintf("entry registered under %q declares Name %q", key, name)})
-					}
 				}
 				return false // the entry values hold no nested name maps
 			})
@@ -186,25 +179,6 @@ func collectBuiltins(p *Pkg, fnName string) *registryNames {
 		}
 	}
 	return nil
-}
-
-// entryNameField extracts the Name: "..." field of an entry literal.
-func entryNameField(v ast.Expr) (string, bool) {
-	lit, ok := v.(*ast.CompositeLit)
-	if !ok {
-		return "", false
-	}
-	for _, el := range lit.Elts {
-		kv, ok := el.(*ast.KeyValueExpr)
-		if !ok {
-			continue
-		}
-		if id, ok := kv.Key.(*ast.Ident); !ok || id.Name != "Name" {
-			continue
-		}
-		return stringLit(kv.Value)
-	}
-	return "", false
 }
 
 // stringLit unquotes a string literal expression.

@@ -4,27 +4,21 @@
 // rel "internal/registry" with this directory playing the module root.
 package registry // want "spec mismatch.json declares id" // want "spec notjson.json is not parseable JSON"
 
-type entry struct {
-	Name string
-	Doc  string
-}
+type entry struct{}
 
 // Two spec-side findings anchor on the function whose namespace they
 // miss in: bad-name.json references a prefetcher nobody registered.
 func builtinPrefetchers() map[string]entry { // want `references unregistered prefetcher "markov"`
 	return map[string]entry{
-		"none":  {Name: "none", Doc: "baseline"},
-		"ebcp":  {Name: "ebcp", Doc: "the epoch-based prefetcher"},
-		"ghost": {Name: "ghost", Doc: "registered but never exercised"}, // want "not exercised by any canonical spec"
-		"tcp":   {Name: "tcp-large", Doc: "key and Name disagree"},      // want `registered under "tcp" declares Name "tcp-large"`
+		"none":  {},
+		"ebcp":  {},
+		"ghost": {}, // want "not exercised by any canonical spec"
 	}
 }
 
-// ...and bad-name.json also names a workload nobody registered. The
-// "tcp" entry above is referenced by good.json, so only the key/Name
-// mismatch fires for it, not the unreferenced-entry check.
+// ...and bad-name.json also names a workload nobody registered.
 func builtinWorkloads() map[string]entry { // want `names unregistered workload "SPECweb99"`
 	return map[string]entry{
-		"Database": {Name: "Database", Doc: "OLTP miss stream"},
+		"Database": {},
 	}
 }

@@ -196,8 +196,7 @@ func degreeFactory(name string, build func(degree int) (prefetch.Prefetcher, err
 
 func builtinPrefetchers() map[string]PrefetcherEntry {
 	entries := map[string]PrefetcherEntry{
-		"none": {
-			Name: "none", Doc: "no prefetching (the baseline machine)",
+		"none": { // no prefetching (the baseline machine)
 			New: func(params json.RawMessage, _ int) (prefetch.Prefetcher, error) {
 				if _, err := decodeParams[struct{}]("none", params); err != nil {
 					return nil, err
@@ -205,36 +204,28 @@ func builtinPrefetchers() map[string]PrefetcherEntry {
 				return prefetch.None{}, nil
 			},
 		},
-		"ebcp": {
-			Name: "ebcp", Doc: "the epoch-based correlation prefetcher (tuned defaults; every knob overridable)",
+		"ebcp": { // the epoch-based correlation prefetcher (tuned defaults; every knob overridable)
 			New: newEBCP,
 		},
-		"chain": {
-			Name: "chain", Doc: "chaining correlation prefetcher: trigger→successor pairs, chains on prefetch hits",
+		"chain": { // chaining correlation prefetcher: trigger→successor pairs, chains on prefetch hits
 			New: newChain,
 		},
-		"hermes": {
-			Name: "hermes", Doc: "Hermes-style perceptron off-chip predictor (early dispatch, no address prefetching)",
+		"hermes": { // Hermes-style perceptron off-chip predictor (early dispatch, no address prefetching)
 			New: newHermes,
 		},
-		"ghb-small": {
-			Name: "ghb-small", Doc: "global history buffer, 16K-entry index and buffer",
+		"ghb-small": { // global history buffer, 16K-entry index and buffer
 			New: degreeFactory("ghb-small", func(d int) (prefetch.Prefetcher, error) { return prefetch.GHBSmall(d) }),
 		},
-		"ghb-large": {
-			Name: "ghb-large", Doc: "global history buffer, 256K-entry index and buffer",
+		"ghb-large": { // global history buffer, 256K-entry index and buffer
 			New: degreeFactory("ghb-large", func(d int) (prefetch.Prefetcher, error) { return prefetch.GHBLarge(d) }),
 		},
-		"tcp-small": {
-			Name: "tcp-small", Doc: "tag correlating prefetcher, 2K-set pattern history table",
+		"tcp-small": { // tag correlating prefetcher, 2K-set pattern history table
 			New: degreeFactory("tcp-small", func(d int) (prefetch.Prefetcher, error) { return prefetch.TCPSmall(d) }),
 		},
-		"tcp-large": {
-			Name: "tcp-large", Doc: "tag correlating prefetcher, 32K-set pattern history table",
+		"tcp-large": { // tag correlating prefetcher, 32K-set pattern history table
 			New: degreeFactory("tcp-large", func(d int) (prefetch.Prefetcher, error) { return prefetch.TCPLarge(d) }),
 		},
-		"stream": {
-			Name: "stream", Doc: "sequential stream prefetcher",
+		"stream": { // sequential stream prefetcher
 			New: func(params json.RawMessage, _ int) (prefetch.Prefetcher, error) {
 				p, err := decodeParams[streamParams]("stream", params)
 				if err != nil {
@@ -243,8 +234,7 @@ func builtinPrefetchers() map[string]PrefetcherEntry {
 				return prefetch.NewStream(p.Streams, p.Degree)
 			},
 		},
-		"sms": {
-			Name: "sms", Doc: "spatial memory streaming",
+		"sms": { // spatial memory streaming
 			New: func(params json.RawMessage, _ int) (prefetch.Prefetcher, error) {
 				if _, err := decodeParams[struct{}]("sms", params); err != nil {
 					return nil, err
@@ -252,8 +242,7 @@ func builtinPrefetchers() map[string]PrefetcherEntry {
 				return prefetch.NewSMS(), nil
 			},
 		},
-		"solihin": {
-			Name: "solihin", Doc: "Solihin's memory-side pair-correlation engine",
+		"solihin": { // Solihin's memory-side pair-correlation engine
 			New: func(params json.RawMessage, _ int) (prefetch.Prefetcher, error) {
 				p, err := decodeParams[solihinParams]("solihin", params)
 				if err != nil {
@@ -268,21 +257,9 @@ func builtinPrefetchers() map[string]PrefetcherEntry {
 
 func builtinWorkloads() map[string]WorkloadEntry {
 	return map[string]WorkloadEntry{
-		"Database": {
-			Name: "Database", Doc: "OLTP database backend miss stream",
-			Params: workload.Database,
-		},
-		"TPC-W": {
-			Name: "TPC-W", Doc: "web-commerce application server miss stream",
-			Params: workload.TPCW,
-		},
-		"SPECjbb2005": {
-			Name: "SPECjbb2005", Doc: "server-side Java business logic miss stream",
-			Params: workload.SPECjbb2005,
-		},
-		"SPECjAppServer2004": {
-			Name: "SPECjAppServer2004", Doc: "J2EE application server miss stream",
-			Params: workload.SPECjAppServer2004,
-		},
+		"Database":           {Params: workload.Database},           // OLTP database backend miss stream
+		"TPC-W":              {Params: workload.TPCW},               // web-commerce application server miss stream
+		"SPECjbb2005":        {Params: workload.SPECjbb2005},        // server-side Java business logic miss stream
+		"SPECjAppServer2004": {Params: workload.SPECjAppServer2004}, // J2EE application server miss stream
 	}
 }

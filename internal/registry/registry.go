@@ -28,16 +28,12 @@ import (
 // fields are rejected) for a machine with the given core count; cores
 // is 0 for single-core cells and the lane count for CMP cells.
 type PrefetcherEntry struct {
-	Name string
-	Doc  string
-	New  func(params json.RawMessage, cores int) (prefetch.Prefetcher, error)
+	New func(params json.RawMessage, cores int) (prefetch.Prefetcher, error)
 }
 
 // WorkloadEntry is one named workload: Params returns the generator
 // parameter set workload.New consumes.
 type WorkloadEntry struct {
-	Name   string
-	Doc    string
 	Params func() workload.Params
 }
 

@@ -36,9 +36,6 @@ func TestBuiltinPrefetchersBuild(t *testing.T) {
 			t.Errorf("Prefetcher(%q): %v", name, err)
 			continue
 		}
-		if e.Name != name {
-			t.Errorf("Prefetcher(%q).Name = %q", name, e.Name)
-		}
 		pf, err := e.New(json.RawMessage(params), 0)
 		if err != nil {
 			t.Errorf("building %q: %v", name, err)

@@ -99,22 +99,21 @@ func (r CMPResult) Speedup(baseline CMPResult) float64 {
 }
 
 // RunCMP simulates cores running the given traces (one per hardware
-// thread) on a shared-L2 machine with a shared prefetcher. Each step
-// executes one record of the running lane with the smallest local clock
-// (ties to the lowest lane index), so shared-resource requests arrive in
-// global time order and the miss streams interleave the way they would
-// on real hardware. Warmup and measurement windows apply per thread; the
-// statistics of every lane and of the shared half reset together when
-// the last lane warms. It returns an ErrInvalidConfig-classified error
-// for a bad configuration, an empty source list, or a prefetcher that
-// tracks fewer threads than there are sources, or an
-// ErrShortTrace-classified *CMPShortTraceError — alongside the
-// contaminated partial CMPResult — when any lane's trace ends inside its
-// warmup window. All sources are read ahead on one reader goroutine (a
-// trace.Ahead), each up to two batches past its lane's current batch;
-// they must not be touched elsewhere until RunCMP returns, and
-// their positions afterwards are unspecified. The reader has exited by
-// the time RunCMP returns.
+// thread) on a shared-L2 machine with a shared prefetcher. It is the
+// N-lane case of Runner.Run: records execute in lowest (clock, lane
+// index) order, so shared-resource requests arrive in global time order
+// and the miss streams interleave the way they would on real hardware.
+// Warmup and measurement windows apply per thread; the statistics of
+// every lane and of the shared half reset together when the last lane
+// warms. It returns an ErrInvalidConfig-classified error for a bad
+// configuration, an empty source list, or a prefetcher that tracks fewer
+// threads than there are sources, or an ErrShortTrace-classified
+// *CMPShortTraceError — alongside the contaminated partial CMPResult —
+// when any lane's trace ends inside its warmup window. All sources are
+// read ahead on one reader goroutine (a trace.Ahead), each up to two
+// batches past its lane's current batch; they must not be touched
+// elsewhere until RunCMP returns, and their positions afterwards are
+// unspecified. The reader has exited by the time RunCMP returns.
 func RunCMP(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) (CMPResult, error) {
 	if len(sources) == 0 {
 		return CMPResult{}, ebcperr.Invalidf("sim: RunCMP needs at least one trace source")
@@ -128,114 +127,12 @@ func RunCMP(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) (CMPResu
 				pf.Name(), n, len(sources))
 		}
 	}
-	r, err := NewRunner(cfg, pf) // provides the shared half; lane 0 included
+	r, err := newRunner(cfg, pf, len(sources))
 	if err != nil {
 		return CMPResult{}, err
 	}
-	lanes := make([]*lane, len(sources))
-	lanes[0] = r.lane
-	for i := 1; i < len(sources); i++ {
-		if lanes[i], err = newLane(i, cfg); err != nil {
-			return CMPResult{}, err
-		}
-	}
-	// The lane interleaving is decided record by record by the local
-	// clocks, so the loop cannot batch across lanes. One reader instead
-	// keeps every lane's next batches filled ahead, and pending is the
-	// unread rest of a lane's current batch; each lane still receives
-	// exactly its own source's record sequence.
-	ahead := trace.NewAhead(sources)
-	defer ahead.Close()
-	pending := make([][]trace.Record, len(sources))
-
-	// clock mirrors each running lane's core clock in one flat slice, so
-	// picking the next lane scans contiguous memory; a retired lane's
-	// entry is the maximum clock and is never picked.
-	const retired = ^uint64(0)
-	clock := make([]uint64, len(lanes))
-	for i, l := range lanes {
-		clock[i] = l.core.Now()
-	}
-	warmed := make([]bool, len(lanes))
-	measureEnd := make([]uint64, len(lanes))
-	unwarmed := len(lanes)
-	measuring := false
-	// shortWarm records that some lane's source ended before it warmed:
-	// the grid-wide reset then ran early, so every lane's measurement
-	// includes warmup.
-	shortWarm := false
-
-	resetAll := func() {
-		r.resetStats() // lane 0 and the shared half
-		for i, l := range lanes {
-			if i > 0 {
-				l.resetStats()
-			}
-			measureEnd[i] = l.core.Insts() + cfg.MeasureInsts
-		}
-		measuring = true
-	}
-	markWarm := func(li int) {
-		warmed[li] = true
-		if unwarmed--; unwarmed == 0 {
-			resetAll()
-		}
-	}
-	if cfg.WarmInsts == 0 {
-		resetAll()
-	}
-
-	for active := len(lanes); active > 0; {
-		li := 0
-		for i, c := range clock {
-			if c < clock[li] {
-				li = i
-			}
-		}
-		l := lanes[li]
-		if len(pending[li]) == 0 {
-			pending[li] = ahead.Next(li)
-		}
-		if len(pending[li]) == 0 {
-			clock[li] = retired
-			active--
-			if !measuring && !warmed[li] {
-				// The lane's trace ended inside its warmup window: the grid
-				// can never warm fully. Count it as warmed so the remaining
-				// lanes proceed to a (flagged) measurement. With no lane
-				// left running there is nothing to measure, so the partial
-				// statistics are kept rather than reset.
-				shortWarm = true
-				if active > 0 {
-					markWarm(li)
-				}
-			}
-			continue
-		}
-		r.step(l, pending[li][0])
-		pending[li] = pending[li][1:]
-		clock[li] = l.core.Now()
-		switch {
-		case measuring:
-			if l.core.Insts() >= measureEnd[li] {
-				clock[li] = retired
-				active--
-			}
-		case !warmed[li] && l.core.Insts() >= cfg.WarmInsts:
-			markWarm(li)
-		}
-	}
-
-	out := CMPResult{Prefetcher: pf.Name()}
-	for _, l := range lanes {
-		l.core.CloseEpoch()
-		res := r.laneResult(l)
-		// Statistics reset only once every lane warms, so one short trace
-		// pollutes every lane's measurement window.
-		res.WarmupIncomplete = shortWarm
-		out.PerCore = append(out.PerCore, res)
-	}
-	if shortWarm {
+	out := CMPResult{Prefetcher: pf.Name(), PerCore: r.run(sources)}
+	if out.PerCore[0].WarmupIncomplete {
 		return out, &CMPShortTraceError{Partial: out}
 	}
 	return out, nil

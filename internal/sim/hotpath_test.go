@@ -213,7 +213,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	drive := func() {
 		batch := ahead.Next(0)
 		for _, rec := range batch {
-			r.step(r.lane, rec)
+			r.step(r.lanes[0], rec)
 		}
 		records += len(batch)
 	}
@@ -235,16 +235,16 @@ func TestSteadyStateAllocs(t *testing.T) {
 	// The allocation contract covers the *instrumented* path: the metrics
 	// registry must actually have been recording during the loop above,
 	// not sitting disabled while the test vouches for a cold path.
-	if r.lane.reg.EpochLen.Count == 0 {
+	if r.lanes[0].reg.EpochLen.Count == 0 {
 		t.Error("metrics registry recorded no epochs: the alloc test exercised an uninstrumented path")
 	}
-	if got, want := r.lane.reg.PBUseDist.Count, r.pb.Stats().Hits+r.pb.Stats().PartialHits; got != want {
+	if got, want := r.lanes[0].reg.PBUseDist.Count, r.pb.Stats().Hits+r.pb.Stats().PartialHits; got != want {
 		t.Errorf("PB use-distance observations %d != PB hits %d", got, want)
 	}
 
 	// Snapshotting and deriving are read paths that reports may call in
 	// loops; they must not allocate either.
-	res := r.laneResult(r.lane)
+	res := r.laneResult(r.lanes[0])
 	if avg := testing.AllocsPerRun(100, func() {
 		snap := res.Snapshot()
 		_ = snap.Derive()

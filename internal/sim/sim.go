@@ -280,6 +280,13 @@ type lane struct {
 	// histograms as epochs close, stepRead feeds the prefetch-to-use
 	// distances. Observation is allocation-free and changes no timing.
 	reg metrics.Registry
+
+	// Run-loop state: the unread rest of the lane's current batch, the
+	// instruction count at which its window changes next, and whether it
+	// has completed warmup.
+	pending []trace.Record
+	limit   uint64
+	warmed  bool
 }
 
 func newLane(id int, cfg Config) (*lane, error) {
@@ -325,16 +332,21 @@ type Runner struct {
 	// dispatch headroom.
 	ocp prefetch.OffChipPredictor
 
-	lane *lane
-	l2   *cache.Cache
-	pb   *cache.PrefetchBuffer
-	mem  *mem.System
-	ctx  *prefetch.Context
+	lanes []*lane
+	l2    *cache.Cache
+	pb    *cache.PrefetchBuffer
+	mem   *mem.System
+	ctx   *prefetch.Context
 }
 
 // NewRunner assembles a single-core system. It returns an
 // ErrInvalidConfig-classified error if the configuration fails Validate.
 func NewRunner(cfg Config, pf prefetch.Prefetcher) (*Runner, error) {
+	return newRunner(cfg, pf, 1)
+}
+
+// newRunner assembles a system of n lanes around one shared half.
+func newRunner(cfg Config, pf prefetch.Prefetcher, n int) (*Runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -350,19 +362,21 @@ func NewRunner(cfg Config, pf prefetch.Prefetcher) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	l0, err := newLane(0, cfg)
-	if err != nil {
-		return nil, err
+	lanes := make([]*lane, n)
+	for i := range lanes {
+		if lanes[i], err = newLane(i, cfg); err != nil {
+			return nil, err
+		}
 	}
 	ctx := prefetch.NewContext(m, pb, l2)
 	r := &Runner{
-		cfg:  cfg,
-		pf:   pf,
-		lane: l0,
-		l2:   l2,
-		pb:   pb,
-		mem:  m,
-		ctx:  ctx,
+		cfg:   cfg,
+		pf:    pf,
+		lanes: lanes,
+		l2:    l2,
+		pb:    pb,
+		mem:   m,
+		ctx:   ctx,
 	}
 	// Contender capability hooks: an off-chip predictor shortens miss
 	// latency on the demand path; a filtering prefetcher vetoes issues
@@ -404,43 +418,125 @@ func Run(src trace.Source, pf prefetch.Prefetcher, cfg Config) (Result, error) {
 // warmup — together with an ErrShortTrace-classified *ShortTraceError
 // carrying the same Result.
 func (r *Runner) Run(src trace.Source) (Result, error) {
-	warmEnd := r.cfg.WarmInsts
-	measureEnd := warmEnd + r.cfg.MeasureInsts
-	warmed := warmEnd == 0
-	if warmed {
-		r.resetStats()
-	}
-	ahead := trace.NewAhead([]trace.Source{src})
-	defer ahead.Close()
-loop:
-	for {
-		batch := ahead.Next(0)
-		if len(batch) == 0 {
-			break
-		}
-		for _, rec := range batch {
-			r.step(r.lane, rec)
-			if !warmed && r.lane.core.Insts() >= warmEnd {
-				r.resetStats()
-				warmed = true
-				measureEnd = r.lane.core.Insts() + r.cfg.MeasureInsts
-			}
-			if warmed && r.lane.core.Insts() >= measureEnd {
-				break loop
-			}
-		}
-	}
-	r.lane.core.CloseEpoch()
-	res := r.result()
-	res.WarmupIncomplete = !warmed
-	if !warmed {
-		return res, &ShortTraceError{Partial: res, Insts: r.lane.core.Insts(), Want: warmEnd}
+	res := r.run([]trace.Source{src})[0]
+	if res.WarmupIncomplete {
+		return res, &ShortTraceError{Partial: res, Insts: r.lanes[0].core.Insts(), Want: r.cfg.WarmInsts}
 	}
 	return res, nil
 }
 
+// run drives each lane over its own source (one source per lane) through
+// the warmup and measurement windows and returns the lanes' results. The
+// lane with the lowest (clock, index) executes next, so requests reach
+// the shared half in global time order (DESIGN.md §9). A lane keeps its
+// turn while it stays lowest: one scan finds it and the key at which the
+// next-lowest lane takes over, and the lane steps through its batch
+// until its clock reaches that key. One lane thus runs whole batches,
+// and N lanes interleave record by record exactly as a per-record pick
+// would.
+//
+// A lane's limit is the instruction count at which its window changes:
+// WarmInsts while it warms, never once it has warmed and waits for the
+// others, and the end of its measurement window once every lane has
+// warmed and the statistics of every lane and of the shared half reset
+// together. A source that ends inside warmup contaminates every lane's
+// result (WarmupIncomplete): its lane counts as warmed so the others
+// proceed to a flagged measurement, and with no lane left running the
+// partial statistics are kept rather than reset.
+func (r *Runner) run(sources []trace.Source) []Result {
+	const never = ^uint64(0)
+	lanes := r.lanes
+	ahead := trace.NewAhead(sources)
+	defer ahead.Close()
+	// clock mirrors each running lane's core clock in one flat slice, so
+	// the scan reads contiguous memory; a retired lane's entry is never.
+	clock := make([]uint64, len(lanes))
+	for i, l := range lanes {
+		clock[i], l.limit, l.warmed = l.core.Now(), r.cfg.WarmInsts, false
+	}
+	active, unwarmed := len(lanes), len(lanes)
+	measuring, short := false, false
+	measure := func() {
+		r.resetStats()
+		for _, l := range lanes {
+			l.limit = l.core.Insts() + r.cfg.MeasureInsts
+		}
+		measuring = true
+	}
+	warm := func(l *lane) {
+		l.warmed, l.limit = true, never
+		if unwarmed--; unwarmed == 0 {
+			measure()
+		}
+	}
+	if r.cfg.WarmInsts == 0 {
+		measure()
+	}
+
+	for active > 0 {
+		// key is the lowest clock+[j > li] over the other running lanes j:
+		// lane li stays lowest while its clock is below it.
+		li, lo, key := 0, never, never
+		for i, c := range clock {
+			if c < lo {
+				li, lo, key = i, c, lo
+			} else if c < key-1 {
+				key = c + 1
+			}
+		}
+		l, core := lanes[li], lanes[li].core
+		for {
+			if len(l.pending) == 0 {
+				if l.pending = ahead.Next(li); len(l.pending) == 0 {
+					clock[li] = never
+					active--
+					if !measuring && !l.warmed {
+						short = true
+						if active > 0 {
+							warm(l)
+						}
+					}
+					break
+				}
+			}
+			batch, limit, n := l.pending, l.limit, 0
+			for n < len(batch) {
+				r.step(l, batch[n])
+				n++
+				if core.Insts() >= limit || core.Now() >= key {
+					break
+				}
+			}
+			l.pending = batch[n:]
+			if core.Insts() >= limit {
+				if measuring {
+					clock[li] = never
+					active--
+					break
+				}
+				warm(l)
+			}
+			if core.Now() >= key {
+				clock[li] = core.Now()
+				break
+			}
+		}
+	}
+
+	out := make([]Result, len(lanes))
+	for i, l := range lanes {
+		l.pending = nil // the batch belongs to the closed reader
+		l.core.CloseEpoch()
+		out[i] = r.laneResult(l)
+		out[i].WarmupIncomplete = short
+	}
+	return out
+}
+
 func (r *Runner) resetStats() {
-	r.lane.resetStats()
+	for _, l := range r.lanes {
+		l.resetStats()
+	}
 	r.l2.ResetStats()
 	r.pb.ResetStats()
 	r.mem.ResetStats()
@@ -469,8 +565,6 @@ func (r *Runner) laneResult(l *lane) Result {
 		Hist:           l.reg,
 	}
 }
-
-func (r *Runner) result() Result { return r.laneResult(r.lane) }
 
 // step processes one condensed trace record on a lane.
 //

@@ -154,6 +154,14 @@ const maxChainSteps = 1 << 16
 // fits the record's 32-bit Gap.
 const maxGap = 1 << 30
 
+// maxTable bounds TxnTypes, PathBlocks and Layouts. New builds every
+// type's code path (TxnTypes × PathBlocks lines) and every layout up
+// front, so without a bound a large value overflows a slice length or
+// exhausts memory instead of failing validation; at the bound the code
+// paths hold at most 2^24 lines (128MB). The canonical workloads use at
+// most 80 types, 448 path blocks and 12 layouts.
+const maxTable = 1 << 12
+
 // Validate reports parameter errors. All errors match
 // ebcperr.ErrInvalidConfig under errors.Is.
 func (p Params) Validate() error {
@@ -202,6 +210,8 @@ func (p Params) Validate() error {
 		return ebcperr.Invalidf("workload %s: %d data lines exceed %d (a step's head is a 32-bit offset)", p.Name, p.DataLines, maxDataLines)
 	case p.Layouts <= 0:
 		return ebcperr.Invalidf("workload %s: layouts must be positive", p.Name)
+	case p.TxnTypes > maxTable || p.PathBlocks > maxTable || p.Layouts > maxTable:
+		return ebcperr.Invalidf("workload %s: %d types, %d path blocks or %d layouts exceed %d", p.Name, p.TxnTypes, p.PathBlocks, p.Layouts, maxTable)
 	case p.AlignFrac < 0 || p.AlignFrac > 1:
 		return ebcperr.Invalidf("workload %s: bad align fraction %v", p.Name, p.AlignFrac)
 	case p.Variants < 1:

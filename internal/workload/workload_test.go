@@ -51,6 +51,8 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.DataLines = 1<<30 + 1 },
 		func(p *Params) { p.CodeLinesPerType = 0 },
 		func(p *Params) { p.Layouts = 0 },
+		func(p *Params) { p.Layouts = maxTable + 1 },
+		func(p *Params) { p.TxnTypes, p.PathBlocks = maxTable, maxTable+1 },
 		func(p *Params) { p.AlignFrac = -0.2 },
 		func(p *Params) { p.CodeJump = 1.01 },
 	}
@@ -60,6 +62,12 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+	// The table bound itself is valid.
+	p := Database()
+	p.TxnTypes, p.PathBlocks, p.Layouts = maxTable, maxTable, maxTable
+	if err := p.Validate(); err != nil {
+		t.Errorf("tables at the bound rejected: %v", err)
 	}
 	// Thetas near 0 and strong but finite skews stay valid.
 	for _, theta := range []float64{-1e-12, 1e-12, -2, 2000} {
