@@ -62,14 +62,16 @@ race: lint cover
 race-short: lint
 	go test -race -short ./...
 
-# Fuzz each strict schema decoder that has a committed seed corpus
+# Fuzz each target that has a committed seed corpus
 # (<pkg>/testdata/fuzz/<target>/) for 10s, one target per run, since
-# `go test -fuzz` accepts only one.
+# `go test -fuzz` accepts only one: the strict schema decoders, and the
+# correlation table against its reference model over mixed-width lines.
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime 10s ./internal/metrics
 	go test -run '^$$' -fuzz '^FuzzDecodeRobust$$' -fuzztime 10s ./internal/spec
 	go test -run '^$$' -fuzz '^FuzzRunRequestDecode$$' -fuzztime 10s ./internal/serve
 	go test -run '^$$' -fuzz '^FuzzStatsDecode$$' -fuzztime 10s ./internal/serve
+	go test -run '^$$' -fuzz '^FuzzTableVsReference$$' -fuzztime 10s ./internal/corrtab
 
 # Serial vs parallel session wall-clock comparison (speedup needs >1 CPU).
 bench-parallel:

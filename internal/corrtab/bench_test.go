@@ -9,7 +9,8 @@ import (
 
 // BenchmarkCorrtab measures one Lookup plus one Update — the table work
 // of one EBCP epoch — in the tuned 1M-entry, 8-address table, over a
-// fixed seeded stream of 2^17 distinct keys.
+// fixed seeded stream of 2^17 distinct keys. It also reports the table's
+// footprint, arena plus index bytes per live entry, as B/entry.
 func BenchmarkCorrtab(b *testing.B) {
 	tb := must(New(Config{Entries: 1 << 20, MaxAddrs: 8}))
 	rng := rand.New(rand.NewSource(1))
@@ -39,5 +40,15 @@ func BenchmarkCorrtab(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		op(i)
 	}
-	b.ReportMetric(tb.Stats().HitRate(), "hit/op")
+	b.ReportMetric(hitRate(tb.Stats()), "hit/op")
+	b.ReportMetric(float64(arenaBytes(tb)+8*len(tb.idx))/float64(tb.Occupancy()), "B/entry")
+}
+
+// arenaBytes returns the bytes of the table's record pages.
+func arenaBytes(tb *Table) int {
+	n := 0
+	for _, p := range tb.pages {
+		n += len(p)
+	}
+	return n
 }

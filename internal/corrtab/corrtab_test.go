@@ -9,6 +9,14 @@ import (
 	"ebcp/internal/amo"
 )
 
+// hitRate returns hits/lookups.
+func hitRate(s Stats) float64 {
+	if s.Lookups == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(s.Lookups)
+}
+
 func table(entries, maxAddrs int) *Table {
 	return must(New(Config{Entries: entries, MaxAddrs: maxAddrs}))
 }
@@ -61,8 +69,8 @@ func TestLookupMissOnEmptyAndWrongTag(t *testing.T) {
 	if tb.Lookup(amo.Line(21)) != nil {
 		t.Error("conflicting key must not hit")
 	}
-	if tb.Stats().HitRate() != 0 {
-		t.Errorf("hit rate = %v", tb.Stats().HitRate())
+	if r := hitRate(tb.Stats()); r != 0 {
+		t.Errorf("hit rate = %v", r)
 	}
 }
 
@@ -233,64 +241,102 @@ func TestIndexMasks(t *testing.T) {
 	}
 }
 
-// TestMatchesReferenceModel drives the table and an obviously-correct
-// reference implementation with the same random operation stream and
-// requires identical observable behaviour (entry contents in MRU order).
-func TestMatchesReferenceModel(t *testing.T) {
-	const entries, maxAddrs = 64, 4
-	tb := table(entries, maxAddrs)
+// refTable is an obviously-correct reference model of the table: a map
+// from table index to the entry's tag and addresses, MRU first, with the
+// same counters.
+type refTable struct {
+	entries  uint64
+	maxAddrs int
+	m        map[uint64]*refEntry
+	stats    Stats
+}
 
-	type refEntry struct {
-		tag   uint64
-		addrs []amo.Line // MRU first
-	}
-	ref := make(map[uint64]*refEntry)
-	refPromote := func(e *refEntry, a amo.Line) {
-		for i, x := range e.addrs {
-			if x == a {
-				e.addrs = append(e.addrs[:i], e.addrs[i+1:]...)
-				break
-			}
-		}
-		e.addrs = append([]amo.Line{a}, e.addrs...)
-		if len(e.addrs) > maxAddrs {
-			e.addrs = e.addrs[:maxAddrs]
-		}
-	}
-	refUpdate := func(key amo.Line, addrs []amo.Line) {
-		idx := uint64(key) % entries
-		e := ref[idx]
-		if e == nil || e.tag != uint64(key) {
-			e = &refEntry{tag: uint64(key)}
-			ref[idx] = e
-			if len(addrs) > maxAddrs {
-				addrs = addrs[:maxAddrs]
-			}
-		}
-		for i := len(addrs) - 1; i >= 0; i-- {
-			refPromote(e, addrs[i])
+type refEntry struct {
+	tag   amo.Line
+	addrs []amo.Line // MRU first
+}
+
+func newRef(cfg Config) *refTable {
+	return &refTable{entries: uint64(cfg.Entries), maxAddrs: cfg.MaxAddrs, m: make(map[uint64]*refEntry)}
+}
+
+func (r *refTable) promote(e *refEntry, a amo.Line) {
+	for i, x := range e.addrs {
+		if x == a {
+			e.addrs = append(e.addrs[:i], e.addrs[i+1:]...)
+			break
 		}
 	}
-	refLookup := func(key amo.Line) []amo.Line {
-		e := ref[uint64(key)%entries]
-		if e == nil || e.tag != uint64(key) {
-			return nil
-		}
-		return e.addrs
+	e.addrs = append([]amo.Line{a}, e.addrs...)
+	if len(e.addrs) > r.maxAddrs {
+		e.addrs = e.addrs[:r.maxAddrs]
 	}
-	refTouch := func(idx uint64, a amo.Line) {
-		e := ref[idx%entries]
-		if e == nil {
+}
+
+func (r *refTable) Update(key amo.Line, addrs []amo.Line) {
+	r.stats.Updates++
+	idx := uint64(key) % r.entries
+	e := r.m[idx]
+	if e == nil || e.tag != key {
+		if e != nil {
+			r.stats.ConflictEvictions++
+		}
+		r.stats.Allocations++
+		e = &refEntry{tag: key}
+		r.m[idx] = e
+		if len(addrs) > r.maxAddrs {
+			addrs = addrs[:r.maxAddrs]
+		}
+	}
+	for i := len(addrs) - 1; i >= 0; i-- {
+		r.promote(e, addrs[i])
+	}
+}
+
+func (r *refTable) Lookup(key amo.Line) []amo.Line {
+	r.stats.Lookups++
+	e := r.m[uint64(key)%r.entries]
+	if e == nil || e.tag != key {
+		return nil
+	}
+	r.stats.Hits++
+	return e.addrs
+}
+
+func (r *refTable) Touch(idx uint64, a amo.Line) {
+	e := r.m[idx%r.entries]
+	if e == nil {
+		return
+	}
+	for _, x := range e.addrs {
+		if x == a {
+			r.promote(e, a)
+			r.stats.Touches++
 			return
 		}
-		for _, x := range e.addrs {
-			if x == a {
-				refPromote(e, a)
-				return
-			}
+	}
+}
+
+// sameLines reports whether a Lookup result matches the reference's,
+// order included.
+func sameLines(got, want []amo.Line) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return false
 		}
 	}
+	return true
+}
 
+// TestMatchesReferenceModel drives the table and the reference model with
+// the same random operation stream and requires identical observable
+// behaviour: entry contents in MRU order and every counter.
+func TestMatchesReferenceModel(t *testing.T) {
+	cfg := Config{Entries: 64, MaxAddrs: 4}
+	tb, ref := must(New(cfg)), newRef(cfg)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 50000; i++ {
 		key := amo.Line(rng.Intn(256))
@@ -302,24 +348,88 @@ func TestMatchesReferenceModel(t *testing.T) {
 				addrs[j] = amo.Line(rng.Intn(64))
 			}
 			tb.Update(key, addrs)
-			refUpdate(key, addrs)
+			ref.Update(key, addrs)
 		case 1:
-			got := tb.Lookup(key)
-			want := refLookup(key)
-			if len(got) != len(want) {
+			if got, want := tb.Lookup(key), ref.Lookup(key); !sameLines(got, want) {
 				t.Fatalf("step %d: Lookup(%v) = %v, ref %v", i, key, got, want)
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("step %d: Lookup(%v) order = %v, ref %v", i, key, got, want)
-				}
 			}
 		case 2:
 			a := amo.Line(rng.Intn(64))
 			tb.Touch(tb.Index(key), a)
-			refTouch(tb.Index(key), a)
+			ref.Touch(tb.Index(key), a)
 		}
 	}
+	if tb.Stats() != ref.stats {
+		t.Errorf("stats %+v, ref %+v", tb.Stats(), ref.stats)
+	}
+}
+
+// TestWideningMatchesReference fills a table with lines that use all 40
+// bits of a narrow field, then gives it one wider line. Every lookup,
+// touch and counter must match the reference model before and after the
+// table re-encodes its records with 8-byte fields.
+func TestWideningMatchesReference(t *testing.T) {
+	cfg := Config{Entries: 256, MaxAddrs: 8}
+	tb, ref := must(New(cfg)), newRef(cfg)
+	rng := rand.New(rand.NewSource(5))
+	top := func() amo.Line { return amo.Line(1<<40 - 1 - rng.Intn(2048)) } // 40-bit lines
+	var keys []amo.Line
+	check := func(phase string) {
+		t.Helper()
+		for _, k := range keys {
+			if got, want := tb.Lookup(k), ref.Lookup(k); !sameLines(got, want) {
+				t.Fatalf("%s: Lookup(%v) = %v, ref %v", phase, k, got, want)
+			}
+		}
+		if tb.Stats() != ref.stats || tb.Occupancy() != len(ref.m) {
+			t.Fatalf("%s: stats %+v occupancy %d, ref %+v %d", phase, tb.Stats(), tb.Occupancy(), ref.stats, len(ref.m))
+		}
+	}
+	ops := func(n int, line func() amo.Line) {
+		for i := 0; i < n; i++ {
+			key := line()
+			keys = append(keys, key)
+			addrs := make([]amo.Line, 1+rng.Intn(cfg.MaxAddrs+2))
+			for j := range addrs {
+				addrs[j] = line()
+			}
+			tb.Update(key, addrs)
+			ref.Update(key, addrs)
+			if got, want := tb.Lookup(key), ref.Lookup(key); !sameLines(got, want) {
+				t.Fatalf("op %d: Lookup(%v) = %v, ref %v", i, key, got, want)
+			}
+			a := addrs[rng.Intn(len(addrs))]
+			tb.Touch(tb.Index(key), a)
+			ref.Touch(tb.Index(key), a)
+		}
+	}
+
+	ops(2000, top)
+	// A wide probe of a stored key's low 40 bits must miss at width 5.
+	probe := keys[0] | 1<<40
+	if got, want := tb.Lookup(probe), ref.Lookup(probe); !sameLines(got, want) {
+		t.Fatalf("narrow: Lookup(%v) = %v, ref %v", probe, got, want)
+	}
+	check("narrow")
+	if tb.lay.width != narrowWidth {
+		t.Fatalf("width %d before any wide line, want %d", tb.lay.width, narrowWidth)
+	}
+
+	wide := lines(uint64(top()), 1<<40|uint64(keys[1]))
+	tb.Update(keys[2], wide)
+	ref.Update(keys[2], wide)
+	if tb.lay.width != wideWidth {
+		t.Fatalf("width %d after a line at 2^40, want %d", tb.lay.width, wideWidth)
+	}
+	check("widened")
+
+	ops(2000, func() amo.Line {
+		if rng.Intn(2) == 0 {
+			return top() | amo.Line(rng.Uint64())<<40
+		}
+		return top()
+	})
+	check("wide")
 }
 
 // legacyTable is the pre-flat-storage implementation of the correlation
@@ -412,60 +522,93 @@ func (t *legacyTable) Occupancy() int { return len(t.entries) }
 // TestDifferentialLegacyVsPaged fuzzes update/lookup/touch
 // sequences into the paged table and the legacy map-backed layout and
 // asserts identical observable behaviour: returned address lists, the
-// full stats struct, and occupancy.
+// full stats struct, and occupancy. Narrow streams keep every line below
+// 2^40, so the table must stay at 5-byte fields throughout. Mixed streams
+// also look up and touch wide lines from the start (the low 40 bits of
+// some collide with stored lines) and, from halfway, store them, so the
+// table must widen exactly then.
 func TestDifferentialLegacyVsPaged(t *testing.T) {
 	configs := []Config{
 		{Entries: 64, MaxAddrs: 4},
 		{Entries: 1024, MaxAddrs: 8},
 		{Entries: 1 << 20, MaxAddrs: 32}, // sparse: touched indices ≪ entries
 	}
-	for _, cfg := range configs {
-		cfg := cfg
-		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed * 997))
-			tb := must(New(cfg))
-			ref := newLegacy(cfg)
-			// Key space wider than the table forces tag conflicts; a
-			// handful of hot keys forces promote/merge paths.
-			keyFor := func() amo.Line {
-				if rng.Intn(4) == 0 {
-					return amo.Line(rng.Intn(16))
+	const steps, storeWide = 20000, 10000
+	for _, mixed := range []bool{false, true} {
+		for _, cfg := range configs {
+			for seed := int64(1); seed <= 4; seed++ {
+				rng := rand.New(rand.NewSource(seed * 997))
+				tb := must(New(cfg))
+				ref := newLegacy(cfg)
+				// widen turns some lines of a mixed stream wide, once
+				// wide lines may be stored or whenever they are only
+				// probed.
+				widen := func(l amo.Line, store bool, i int) amo.Line {
+					if !mixed || (store && i < storeWide) || rng.Intn(8) != 0 {
+						return l
+					}
+					return l | amo.Line(1+rng.Intn(1<<24))<<40
 				}
-				return amo.Line(rng.Uint64() % uint64(4*cfg.Entries))
-			}
-			for i := 0; i < 20000; i++ {
-				switch op := rng.Intn(10); {
-				case op < 4: // update
-					key := keyFor()
-					addrs := make([]amo.Line, rng.Intn(cfg.MaxAddrs+3))
-					for j := range addrs {
-						addrs[j] = amo.Line(rng.Intn(128))
+				// Key space wider than the table forces tag conflicts; a
+				// handful of hot keys forces promote/merge paths.
+				keyFor := func(store bool, i int) amo.Line {
+					if rng.Intn(4) == 0 {
+						return widen(amo.Line(rng.Intn(16)), store, i)
 					}
-					tb.Update(key, addrs)
-					ref.Update(key, addrs)
-				case op < 8: // lookup
-					key := keyFor()
-					got, want := tb.Lookup(key), ref.Lookup(key)
-					if len(got) != len(want) {
-						t.Fatalf("cfg %+v seed %d step %d: Lookup(%v) = %v, legacy %v", cfg, seed, i, key, got, want)
-					}
-					for j := range want {
-						if got[j] != want[j] {
-							t.Fatalf("cfg %+v seed %d step %d: Lookup(%v) = %v, legacy %v", cfg, seed, i, key, got, want)
+					return widen(amo.Line(rng.Uint64()%uint64(4*cfg.Entries)), store, i)
+				}
+				for i := 0; i < steps; i++ {
+					switch op := rng.Intn(10); {
+					case op < 4: // update
+						key := keyFor(true, i)
+						addrs := make([]amo.Line, rng.Intn(cfg.MaxAddrs+3))
+						for j := range addrs {
+							addrs[j] = widen(amo.Line(rng.Intn(128)), true, i)
 						}
+						tb.Update(key, addrs)
+						ref.Update(key, addrs)
+					case op < 8: // lookup
+						key := keyFor(false, i)
+						if got, want := tb.Lookup(key), ref.Lookup(key); !sameLines(got, want) {
+							t.Fatalf("cfg %+v mixed %v seed %d step %d: Lookup(%v) = %v, legacy %v", cfg, mixed, seed, i, key, got, want)
+						}
+					default: // touch
+						key, a := keyFor(false, i), widen(amo.Line(rng.Intn(128)), false, i)
+						tb.Touch(tb.Index(key), a)
+						ref.Touch(tb.Index(key), a)
 					}
-				default: // touch
-					key, a := keyFor(), amo.Line(rng.Intn(128))
-					tb.Touch(tb.Index(key), a)
-					ref.Touch(tb.Index(key), a)
+					if tb.Stats() != ref.stats {
+						t.Fatalf("cfg %+v mixed %v seed %d step %d: stats %+v, legacy %+v", cfg, mixed, seed, i, tb.Stats(), ref.stats)
+					}
+					if tb.Occupancy() != ref.Occupancy() {
+						t.Fatalf("cfg %+v mixed %v seed %d step %d: occupancy %d, legacy %d", cfg, mixed, seed, i, tb.Occupancy(), ref.Occupancy())
+					}
+					if want := narrowWidth; (!mixed || i < storeWide) && tb.lay.width != want {
+						t.Fatalf("cfg %+v mixed %v seed %d step %d: width %d, want %d", cfg, mixed, seed, i, tb.lay.width, want)
+					}
 				}
-				if tb.Stats() != ref.stats {
-					t.Fatalf("cfg %+v seed %d step %d: stats %+v, legacy %+v", cfg, seed, i, tb.Stats(), ref.stats)
-				}
-				if tb.Occupancy() != ref.Occupancy() {
-					t.Fatalf("cfg %+v seed %d step %d: occupancy %d, legacy %d", cfg, seed, i, tb.Occupancy(), ref.Occupancy())
+				if mixed && tb.lay.width != wideWidth {
+					t.Fatalf("cfg %+v seed %d: width %d after wide updates, want %d", cfg, seed, tb.lay.width, wideWidth)
 				}
 			}
 		}
+	}
+}
+
+// TestTunedRecordBytes pins the tuned table's footprint while every line
+// fits in 40 bits: 47-byte records (a 5-byte tag, a 2-byte count and
+// eight 5-byte addresses) in pages of 512, each padded by 8 bytes.
+func TestTunedRecordBytes(t *testing.T) {
+	tb := table(1<<20, 8)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 3*pageSize+17; i++ {
+		key := amo.Line(uint64(i) | 1<<39) // distinct indices, 40-bit lines
+		tb.Update(key, lines(rng.Uint64()>>24, rng.Uint64()>>24))
+	}
+	if tb.lay.stride != 47 {
+		t.Errorf("record stride %d bytes, want 47", tb.lay.stride)
+	}
+	if got, want := arenaBytes(tb), 4*(pageSize*47+pagePad); got != want {
+		t.Errorf("arena %d bytes for %d entries, want %d", got, tb.Occupancy(), want)
 	}
 }

@@ -48,6 +48,8 @@ func TestNegativeConfigs(t *testing.T) {
 		{"huge txn types", mut(func(p *Params) { p.TxnTypes = 1 << 50 })},
 		{"huge path blocks", mut(func(p *Params) { p.PathBlocks = 1 << 50 })},
 		{"huge layouts", mut(func(p *Params) { p.Layouts = 1 << 50 })},
+		{"code beyond its region", mut(func(p *Params) { p.CodeLinesPerType = 1 << 57 })},
+		{"code one line past its region", mut(func(p *Params) { p.CodeLinesPerType = codeLines/p.TxnTypes + 1 })},
 		{"bad align fraction", mut(func(p *Params) { p.AlignFrac = 2 })},
 		{"data space beyond a 32-bit head offset", mut(func(p *Params) { p.DataLines = 1<<30 + 1 })},
 		{"chain beyond a 16-bit run index", mut(func(p *Params) { p.ChainSteps = [2]int{10, 1<<16 + 1} })},

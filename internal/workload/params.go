@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 
+	"ebcp/internal/amo"
 	"ebcp/internal/ebcperr"
 )
 
@@ -162,6 +163,12 @@ const maxGap = 1 << 30
 // most 80 types, 448 path blocks and 12 layouts.
 const maxTable = 1 << 12
 
+// codeLines is how many instruction lines fit in the code region
+// [codeBase, dataBase). Every type owns CodeLinesPerType of them, so
+// TxnTypes × CodeLinesPerType must not exceed it, or instruction fetches
+// would leave the region and alias data lines.
+const codeLines = int((dataBase - codeBase) / amo.LineSize)
+
 // Validate reports parameter errors. All errors match
 // ebcperr.ErrInvalidConfig under errors.Is.
 func (p Params) Validate() error {
@@ -212,6 +219,8 @@ func (p Params) Validate() error {
 		return ebcperr.Invalidf("workload %s: layouts must be positive", p.Name)
 	case p.TxnTypes > maxTable || p.PathBlocks > maxTable || p.Layouts > maxTable:
 		return ebcperr.Invalidf("workload %s: %d types, %d path blocks or %d layouts exceed %d", p.Name, p.TxnTypes, p.PathBlocks, p.Layouts, maxTable)
+	case p.CodeLinesPerType > codeLines/p.TxnTypes:
+		return ebcperr.Invalidf("workload %s: %d types of %d code lines exceed the %d lines of the code region", p.Name, p.TxnTypes, p.CodeLinesPerType, codeLines)
 	case p.AlignFrac < 0 || p.AlignFrac > 1:
 		return ebcperr.Invalidf("workload %s: bad align fraction %v", p.Name, p.AlignFrac)
 	case p.Variants < 1:

@@ -465,3 +465,16 @@ func TestChainLibraryLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestCodeRegionBound builds Database with the most code lines per type
+// that Validate accepts: every instruction fetch must still land in the
+// code region [codeBase, dataBase), below the data footprint.
+func TestCodeRegionBound(t *testing.T) {
+	p := Database()
+	p.CodeLinesPerType = codeLines / p.TxnTypes
+	for _, r := range drain(must(New(p)), 100000) {
+		if r.Kind == trace.IFetch && (r.Addr < codeBase || r.Addr >= dataBase) {
+			t.Fatalf("instruction fetch at %#x outside the code region [%#x, %#x)", r.Addr, codeBase, dataBase)
+		}
+	}
+}
