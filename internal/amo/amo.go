@@ -22,10 +22,6 @@ const (
 	// LineSize is the cache line size in bytes (64B for L1 and L2, and the
 	// natural unit of transfer to and from main memory).
 	LineSize = 1 << LineShift
-	// PhysBits is the width of a physical address.
-	PhysBits = 45
-	// AddrMask keeps an address within the physical address space.
-	AddrMask = (Addr(1) << PhysBits) - 1
 )
 
 // Line identifies a cache line: the address with the low offset bits
@@ -68,9 +64,6 @@ func LinesPerRegion(regionBytes uint64) int { return int(regionBytes / LineSize)
 func OffsetInRegion(a Addr, regionBytes uint64) int {
 	return int((uint64(a) % regionBytes) >> LineShift)
 }
-
-// AlignLine rounds a down to its line base.
-func AlignLine(a Addr) Addr { return a &^ (LineSize - 1) }
 
 // IsPow2 reports whether v is a power of two (and non-zero).
 func IsPow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }

@@ -26,9 +26,12 @@ func TestLineOf(t *testing.T) {
 	}
 }
 
+// physMask keeps an address within the 45-bit physical address space.
+const physMask Addr = 1<<45 - 1
+
 func TestLineAddrRoundTrip(t *testing.T) {
 	f := func(raw uint64) bool {
-		a := Addr(raw) & AddrMask
+		a := Addr(raw) & physMask
 		l := LineOf(a)
 		base := l.Addr()
 		// Base must be line-aligned, contain a, and map back to the same line.
@@ -89,7 +92,7 @@ func TestOffsetInRegion(t *testing.T) {
 func TestOffsetInRegionProperty(t *testing.T) {
 	const rb = 2048
 	f := func(raw uint64) bool {
-		a := Addr(raw) & AddrMask
+		a := Addr(raw) & physMask
 		off := OffsetInRegion(a, rb)
 		if off < 0 || off >= LinesPerRegion(rb) {
 			return false
@@ -97,20 +100,6 @@ func TestOffsetInRegionProperty(t *testing.T) {
 		// Region base + offset*LineSize must land on the same line as a.
 		back := RegionOf(a, rb).Base(rb) + Addr(off*LineSize)
 		return LineOf(back) == LineOf(a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAlignLine(t *testing.T) {
-	if AlignLine(0x1234) != 0x1200 {
-		t.Errorf("AlignLine(0x1234) = %v", AlignLine(0x1234))
-	}
-	f := func(raw uint64) bool {
-		a := Addr(raw) & AddrMask
-		al := AlignLine(a)
-		return uint64(al)%LineSize == 0 && al <= a && a-al < LineSize
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -143,7 +132,7 @@ func TestTagSetIndex(t *testing.T) {
 	const nSets = 512
 	setBits := Log2(nSets)
 	f := func(raw uint64) bool {
-		l := LineOf(Addr(raw) & AddrMask)
+		l := LineOf(Addr(raw) & physMask)
 		tag, idx := l.Tag(setBits), l.SetIndex(nSets)
 		if idx < 0 || idx >= nSets {
 			return false

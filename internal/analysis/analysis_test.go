@@ -34,6 +34,56 @@ func fixtureChecker(t *testing.T) *TypeChecker {
 	return fixtureTC
 }
 
+// The real module, loaded and type-checked once per `go test` run for
+// the tests that read all of it (TestSelfCheck, TestNoTestOnlyCode).
+var (
+	moduleOnce  sync.Once
+	modulePkgs  []*Pkg
+	moduleDiags []Diagnostic
+	moduleErr   error
+)
+
+// typedModule returns the module's packages and the [typecheck]
+// diagnostics of those that failed, the load RunModule analyzes.
+func typedModule(t *testing.T) ([]*Pkg, []Diagnostic) {
+	t.Helper()
+	moduleOnce.Do(func() {
+		modulePkgs, moduleDiags, moduleErr = loadTypedModule(".")
+	})
+	if moduleErr != nil {
+		t.Fatalf("loading the module: %v", moduleErr)
+	}
+	return modulePkgs, append([]Diagnostic(nil), moduleDiags...)
+}
+
+// Check type-checks one package (typically a testdata fixture loaded
+// under a virtual Rel) against the module: its ebcp/... imports resolve
+// to the real module packages, loaded from disk on demand. The package
+// registers under a synthetic "fixture/<on-disk dir>" path — keyed by
+// directory, not Rel, because two fixtures may share a virtual Rel and
+// must not clobber each other — so it can never shadow a real module
+// package either.
+// Returns the positioned [typecheck] diagnostics; empty means Info and
+// Types are filled. Re-checking the same fixture directory adopts the
+// first check's facts instead of minting a second generation of types.
+func (tc *TypeChecker) Check(p *Pkg) []Diagnostic {
+	path := "fixture/" + p.Rel
+	if len(p.Files) > 0 {
+		path = "fixture/" + filepath.ToSlash(filepath.Dir(tc.fset.Position(p.Files[0].Package).Filename))
+	}
+	e := tc.register(path, p)
+	if e.state == 2 && !e.fail {
+		return nil // already checked; register adopted the facts
+	}
+	e.state = 0
+	e.fail = false
+	start := len(tc.diags)
+	tc.checkEntry(path, e)
+	out := append([]Diagnostic(nil), tc.diags[start:]...)
+	sortDiags(out)
+	return out
+}
+
 // loadFixture parses one testdata directory under a virtual module
 // path, so path-scoped rules (errwrap's internal/*, determinism's
 // render-path packages) fire exactly as they would on real code, and
@@ -94,10 +144,9 @@ func TestAnalyzerGoldens(t *testing.T) {
 // suite over the real module must be clean. A failure here lists the
 // same file:line:col diagnostics ebcplint would print.
 func TestSelfCheck(t *testing.T) {
-	diags, err := RunModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs, diags := typedModule(t)
+	diags = append(diags, Run(pkgs, All())...)
+	sortDiags(diags)
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

@@ -152,20 +152,31 @@ func hotpathFuncs(p *Pkg) []*ast.FuncDecl {
 // non-zero) while the rest of the suite still runs over the packages
 // that did check.
 func RunModule(dir string) ([]Diagnostic, error) {
-	root, err := FindModuleRoot(dir)
+	pkgs, diags, err := loadTypedModule(dir)
 	if err != nil {
 		return nil, err
 	}
-	tc, err := NewTypeChecker(root)
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := LoadModuleFset(tc.Fset(), root)
-	if err != nil {
-		return nil, err
-	}
-	diags := tc.CheckModule(pkgs)
 	diags = append(diags, Run(pkgs, All())...)
 	sortDiags(diags)
 	return diags, nil
+}
+
+// loadTypedModule loads every package of the module rooted above dir
+// and type-checks it with a fresh TypeChecker. It returns the packages
+// and the [typecheck] diagnostics of those that failed; a failed
+// package keeps nil Types and Info.
+func loadTypedModule(dir string) ([]*Pkg, []Diagnostic, error) {
+	root, err := FindModuleRoot(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	tc, err := NewTypeChecker(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	pkgs, err := LoadModuleFset(tc.Fset(), root)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pkgs, tc.CheckModule(pkgs), nil
 }

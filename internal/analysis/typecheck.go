@@ -259,34 +259,6 @@ func (tc *TypeChecker) CheckModule(pkgs []*Pkg) []Diagnostic {
 	return out
 }
 
-// Check type-checks one package (typically a testdata fixture loaded
-// under a virtual Rel) against the module: its ebcp/... imports resolve
-// to the real module packages, loaded from disk on demand. The package
-// registers under a synthetic "fixture/<on-disk dir>" path — keyed by
-// directory, not Rel, because two fixtures may share a virtual Rel and
-// must not clobber each other — so it can never shadow a real module
-// package either.
-// Returns the positioned [typecheck] diagnostics; empty means Info and
-// Types are filled. Re-checking the same fixture directory adopts the
-// first check's facts instead of minting a second generation of types.
-func (tc *TypeChecker) Check(p *Pkg) []Diagnostic {
-	path := "fixture/" + p.Rel
-	if len(p.Files) > 0 {
-		path = "fixture/" + filepath.ToSlash(filepath.Dir(tc.fset.Position(p.Files[0].Package).Filename))
-	}
-	e := tc.register(path, p)
-	if e.state == 2 && !e.fail {
-		return nil // already checked; register adopted the facts
-	}
-	e.state = 0
-	e.fail = false
-	start := len(tc.diags)
-	tc.checkEntry(path, e)
-	out := append([]Diagnostic(nil), tc.diags[start:]...)
-	sortDiags(out)
-	return out
-}
-
 // sortDiags orders diagnostics by file, line, column, check — the
 // driver's output order.
 func sortDiags(out []Diagnostic) {

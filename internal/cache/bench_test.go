@@ -35,7 +35,8 @@ func BenchmarkCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		probe(stream[i&(len(stream)-1)])
 	}
-	b.ReportMetric(c.Stats().MissRate(), "miss/op")
+	st := c.Stats()
+	b.ReportMetric(float64(st.Misses)/float64(st.Accesses), "miss/op")
 }
 
 // BenchmarkPrefetchBuffer measures one prefetch and one demand probe of

@@ -56,14 +56,6 @@ type Stats struct {
 	DirtyEvictions uint64
 }
 
-// MissRate returns misses/accesses (0 if no accesses).
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Stamp-word layout: bit 0 is valid, bit 1 is dirty, and the LRU stamp
 // (higher is more recent) fills the bits above them.
 const (
@@ -109,12 +101,6 @@ func New(cfg Config) (*Cache, error) {
 		pend:    -1,
 	}, nil
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Stats returns a copy of the event counters.
 func (c *Cache) Stats() Stats { return c.stats }
@@ -242,31 +228,4 @@ func (c *Cache) Fill(l amo.Line, dirty bool) (victim amo.Line, evicted, victimDi
 	c.words[tw] = uint64(l)
 	c.words[sw] = c.stamp<<stampShift | d | validBit
 	return victim, evicted, victimDirty
-}
-
-// Touch refreshes the LRU position of the line if present (used when an
-// upper-level hit should keep the L2 copy warm), without counting an
-// access.
-//
-//ebcp:hotpath
-func (c *Cache) Touch(l amo.Line) {
-	_, tags, stamps := c.locate(l)
-	if i := find(tags, stamps, l); i >= 0 {
-		c.pend = -1
-		c.stamp++
-		stamps[i] = c.stamp<<stampShift | stamps[i]&(dirtyBit|validBit)
-	}
-}
-
-// Invalidate removes the line if present, returning whether it was there.
-//
-//ebcp:hotpath
-func (c *Cache) Invalidate(l amo.Line) bool {
-	_, tags, stamps := c.locate(l)
-	if i := find(tags, stamps, l); i >= 0 {
-		c.pend = -1
-		stamps[i] &^= validBit
-		return true
-	}
-	return false
 }

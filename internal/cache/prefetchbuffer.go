@@ -83,9 +83,6 @@ func NewPrefetchBuffer(entries, ways int) (*PrefetchBuffer, error) {
 	}, nil
 }
 
-// Entries returns the total capacity.
-func (b *PrefetchBuffer) Entries() int { return b.ways * b.nSets }
-
 // Stats returns a copy of the counters.
 func (b *PrefetchBuffer) Stats() PBStats { return b.stats }
 
@@ -204,15 +201,4 @@ func (b *PrefetchBuffer) Invalidate(l amo.Line) bool {
 	set[i].lru = 0
 	b.stats.Invalidations++
 	return true
-}
-
-// Occupancy returns the number of valid entries (for tests/debugging).
-func (b *PrefetchBuffer) Occupancy() int {
-	n := 0
-	for i := range b.slots {
-		if b.slots[i].lru != 0 {
-			n++
-		}
-	}
-	return n
 }

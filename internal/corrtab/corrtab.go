@@ -19,12 +19,12 @@
 // address fields, MRU first — so a simulated lookup reads one run of
 // bytes, as the modelled hardware reads one 64B entry. Every stored line
 // takes a 5-byte field while every line the table has been given is
-// below 2^40, which covers the whole modelled physical space
-// (amo.PhysBits); the tuned 8-address record is then 47 bytes. The first
-// key or address at or above 2^40 re-encodes every record once with
-// 8-byte fields, so the table stays lossless for any amo.Line. The width
-// is chosen by the data alone: there is one record format and one code
-// path, keyed on the field width. A small open-addressed index of packed
+// below 2^40, which covers the whole 45-bit modelled physical space;
+// the tuned 8-address record is then 47 bytes. The first key or address
+// at or above 2^40 re-encodes every record once with 8-byte fields, so
+// the table stays lossless for any amo.Line. The width is chosen by the
+// data alone: there is one record format and one code path, keyed on the
+// field width. A small open-addressed index of packed
 // words maps touched table indices to slots; every indexed slot holds a
 // live entry. An 8M-entry idealized table therefore still costs memory
 // proportional to its working set, not its architected size, while the

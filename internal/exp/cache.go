@@ -244,19 +244,14 @@ func (c *Cache) Stats() CacheStats {
 	return st
 }
 
-// CellKey returns the canonical content-hash cache key of one cell: the
-// digest of the options' semantic fields (resolved windows, trace
-// limit, spec content, code version), the cell kind ("sim" or "cmp"),
-// the cell identity string, and the cell's full workload parameter
-// struct.
-func (o Options) CellKey(kind, cell string, bench workload.Params) string {
-	return sealCellKey(o.cacheSeed(), kind, cell, bench)
-}
-
-// sealCellKey hashes the session-level seed together with one cell's
-// identity. The workload parameters are serialized with %+v: struct
-// fields print in declaration order, so the encoding is deterministic
-// and automatically picks up any field added to workload.Params.
+// sealCellKey returns the canonical content-hash cache key of one cell:
+// the digest of the session-level seed (cacheSeed: resolved windows,
+// trace limit, spec content, code version), the cell kind ("sim" or
+// "cmp"), the cell identity string, and the cell's full workload
+// parameter struct. The workload parameters are serialized with %+v:
+// struct fields print in declaration order, so the encoding is
+// deterministic and automatically picks up any field added to
+// workload.Params.
 func sealCellKey(seed, kind, cell string, bench workload.Params) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\n%s\n%s\n%+v\n", seed, kind, cell, bench)
@@ -284,7 +279,7 @@ func (o Options) cacheSeed() string {
 	return string(b)
 }
 
-// cellKey is CellKey over the session's seed.
+// cellKey returns the cell key of r under the session's seed.
 func (s *Session) cellKey(r cellReq) string {
 	kind := "sim"
 	if r.cores > 0 {

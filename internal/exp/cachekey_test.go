@@ -43,7 +43,7 @@ func TestCacheKeyFieldClassification(t *testing.T) {
 
 // keyOf computes one cell key.
 func keyOf(o Options) string {
-	return o.CellKey("sim", "cell/db/ebcp", workload.Database())
+	return sealCellKey(o.cacheSeed(), "sim", "cell/db/ebcp", workload.Database())
 }
 
 // TestCacheKeySemanticFieldsChangeKey: every seed-classified field,
@@ -97,14 +97,14 @@ func TestCacheKeyIgnoredFieldsKeepKey(t *testing.T) {
 func TestCacheKeyPerCellIdentity(t *testing.T) {
 	o := Options{Warm: 1e6, Measure: 1e6}
 	db, web := workload.Database(), workload.TPCW()
-	k1 := o.CellKey("sim", "cell/x", db)
-	if o.CellKey("sim", "cell/x", web) == k1 {
+	k1 := sealCellKey(o.cacheSeed(), "sim", "cell/x", db)
+	if sealCellKey(o.cacheSeed(), "sim", "cell/x", web) == k1 {
 		t.Error("different workload params share a key")
 	}
-	if o.CellKey("cmp", "cell/x", db) == k1 {
+	if sealCellKey(o.cacheSeed(), "cmp", "cell/x", db) == k1 {
 		t.Error("sim and cmp cells share a key")
 	}
-	if o.CellKey("sim", "cell/y", db) == k1 {
+	if sealCellKey(o.cacheSeed(), "sim", "cell/y", db) == k1 {
 		t.Error("different cell identities share a key")
 	}
 	// A scaled variant is a different workload, hence a different key.
@@ -112,7 +112,7 @@ func TestCacheKeyPerCellIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.CellKey("sim", "cell/x", scaled) == k1 {
+	if sealCellKey(o.cacheSeed(), "sim", "cell/x", scaled) == k1 {
 		t.Error("scaled workload shares the full-size key")
 	}
 }

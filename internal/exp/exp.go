@@ -54,7 +54,7 @@ type Options struct {
 	Benchmarks []workload.Params
 	// Cache, when non-nil, is the result store the session shares with
 	// other sessions (nil = a store of the session's own): cells whose
-	// canonical content-hash key (CellKey) matches an earlier
+	// canonical content-hash key (sealCellKey) matches an earlier
 	// computation — in this session or any other — are served from the
 	// store instead of simulating, and concurrent identical cells across
 	// sessions coalesce into one simulation. Cache never changes what a
@@ -314,12 +314,4 @@ func cellValue(v float64, errs ...error) float64 {
 		}
 	}
 	return v
-}
-
-// benchmarks returns the session's workload set.
-func (s *Session) benchmarks() []workload.Params {
-	if s.opts.Benchmarks != nil {
-		return s.opts.Benchmarks
-	}
-	return workload.All()
 }

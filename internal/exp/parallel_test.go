@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ebcp/internal/workload"
 )
 
 // The scheduler's hard contract: reports are a pure function of the
@@ -77,7 +79,7 @@ func TestConcurrentExperimentsSingleFlight(t *testing.T) {
 	if reps[0].String() != reps[1].String() {
 		t.Error("concurrent invocations produced different reports")
 	}
-	if want := len(s.benchmarks()); s.Runs() != want {
+	if want := len(workload.All()); s.Runs() != want {
 		t.Errorf("Runs() = %d, want %d (one baseline per benchmark, shared across callers)", s.Runs(), want)
 	}
 }

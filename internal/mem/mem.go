@@ -127,24 +127,6 @@ type Stats struct {
 	WriteBusyCycles uint64
 }
 
-// TotalReads sums reads across classes.
-func (s Stats) TotalReads() uint64 {
-	var n uint64
-	for _, c := range s.PerClass {
-		n += c.Reads
-	}
-	return n
-}
-
-// TotalDrops sums dropped requests across classes.
-func (s Stats) TotalDrops() uint64 {
-	var n uint64
-	for _, c := range s.PerClass {
-		n += c.ReadDrops + c.WriteDrops
-	}
-	return n
-}
-
 // System is the memory + interconnect model.
 type System struct {
 	cfg      Config
@@ -178,17 +160,6 @@ func New(cfg Config) (*System, error) {
 		writeOcc: lineOccupancy(cfg.WriteGBps, cfg.CoreGHz),
 	}, nil
 }
-
-// Config returns the system's configuration.
-func (m *System) Config() Config { return m.cfg }
-
-// ReadOccupancy returns the core cycles one line transfer holds the read
-// bus.
-func (m *System) ReadOccupancy() uint64 { return m.readOcc }
-
-// WriteOccupancy returns the core cycles one line transfer holds the write
-// bus.
-func (m *System) WriteOccupancy() uint64 { return m.writeOcc }
 
 // Stats returns a copy of the counters.
 func (m *System) Stats() Stats { return m.stats }
@@ -261,15 +232,6 @@ func (m *System) Write(now uint64, pri Priority) (accepted bool) {
 	cs.Writes++
 	m.stats.WriteBusyCycles += m.writeOcc
 	return true
-}
-
-// ReadBacklog returns how many cycles of read-bus work are queued ahead of
-// cycle now (0 if the bus is idle).
-func (m *System) ReadBacklog(now uint64) uint64 {
-	if m.prefetchReadBusy <= now {
-		return 0
-	}
-	return m.prefetchReadBusy - now
 }
 
 func max64(a, b uint64) uint64 {

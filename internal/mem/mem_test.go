@@ -8,21 +8,25 @@ import (
 func defaultSystem() *System { return must(New(DefaultConfig())) }
 
 func TestOccupancyDerivation(t *testing.T) {
-	m := defaultSystem()
-	// 9.6 GB/s at 3 GHz = 3.2 B/cycle -> 64B = 20 cycles.
-	if m.ReadOccupancy() != 20 {
-		t.Errorf("ReadOccupancy = %d, want 20", m.ReadOccupancy())
-	}
-	// 4.8 GB/s -> 1.6 B/cycle -> 40 cycles.
-	if m.WriteOccupancy() != 40 {
-		t.Errorf("WriteOccupancy = %d, want 40", m.WriteOccupancy())
+	// 9.6 GB/s at 3 GHz = 3.2 B/cycle -> 64B = 20 cycles; 4.8 GB/s ->
+	// 1.6 B/cycle -> 40 cycles.
+	for _, c := range []struct {
+		gbps float64
+		want uint64
+	}{{9.6, 20}, {4.8, 40}, {3.2, 60}} {
+		if got := lineOccupancy(c.gbps, 3); got != c.want {
+			t.Errorf("lineOccupancy(%v GB/s, 3 GHz) = %d, want %d", c.gbps, got, c.want)
+		}
 	}
 
+	// The derived occupancy is what spaces back-to-back reads.
 	cfg := DefaultConfig()
 	cfg.ReadGBps = 3.2
 	low := must(New(cfg))
-	if low.ReadOccupancy() != 60 {
-		t.Errorf("3.2GB/s ReadOccupancy = %d, want 60", low.ReadOccupancy())
+	c1, _ := low.Read(0, Demand)
+	c2, _ := low.Read(0, Demand)
+	if c2-c1 != 60 {
+		t.Errorf("3.2GB/s back-to-back reads complete %d cycles apart, want 60", c2-c1)
 	}
 }
 
@@ -117,17 +121,21 @@ func TestWritePostedAndDropped(t *testing.T) {
 	}
 }
 
+// TestReadBacklog checks the read queue through Read: a low-priority read
+// waits for the bus work queued ahead of it, and none is left once that
+// work has drained.
 func TestReadBacklog(t *testing.T) {
 	m := defaultSystem()
-	if m.ReadBacklog(0) != 0 {
-		t.Error("fresh system should have no backlog")
+	if c, _ := m.Read(0, PrefetchData); c != 500 {
+		t.Errorf("read on an idle bus completes at %d, want 500", c)
 	}
+	m = defaultSystem()
 	m.Read(0, Demand)
-	if got := m.ReadBacklog(0); got != 20 {
-		t.Errorf("backlog = %d, want 20", got)
+	if c, _ := m.Read(0, PrefetchData); c != 520 {
+		t.Errorf("read behind one queued transfer completes at %d, want 520", c)
 	}
-	if got := m.ReadBacklog(1000); got != 0 {
-		t.Errorf("backlog after drain = %d, want 0", got)
+	if c, _ := m.Read(1000, PrefetchData); c != 1500 {
+		t.Errorf("read after the queue drained completes at %d, want 1500", c)
 	}
 }
 
@@ -143,14 +151,11 @@ func TestStatsAccounting(t *testing.T) {
 	if st.PerClass[TableWrite].Writes != 1 {
 		t.Errorf("write counts wrong: %+v", st)
 	}
-	if st.TotalReads() != 2 {
-		t.Errorf("TotalReads = %d", st.TotalReads())
-	}
 	if st.ReadBusyCycles != 40 || st.WriteBusyCycles != 40 {
 		t.Errorf("busy cycles = %d/%d", st.ReadBusyCycles, st.WriteBusyCycles)
 	}
 	m.ResetStats()
-	if m.Stats().TotalReads() != 0 {
+	if m.Stats() != (Stats{}) {
 		t.Error("ResetStats should clear counters")
 	}
 }

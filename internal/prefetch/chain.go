@@ -85,9 +85,6 @@ func NewChain(cfg ChainConfig) (*Chain, error) {
 // Name implements Prefetcher.
 func (c *Chain) Name() string { return c.label }
 
-// Table exposes the correlation table (for tests and serialization).
-func (c *Chain) Table() *ChainTable { return c.table }
-
 // OnAccess implements Prefetcher.
 //
 //ebcp:hotpath
@@ -210,20 +207,6 @@ func NewChainTable(cfg ChainTableConfig) (*ChainTable, error) {
 	}, nil
 }
 
-// Config returns the table's geometry.
-func (t *ChainTable) Config() ChainTableConfig { return t.cfg }
-
-// Len returns the number of live trigger entries.
-func (t *ChainTable) Len() int { return t.n }
-
-// Index returns the table entry index a trigger line maps to — the
-// routing key for correlation-table memory traffic.
-//
-//ebcp:hotpath
-func (t *ChainTable) Index(trigger amo.Line) uint64 {
-	return oaHash(uint64(trigger)) & uint64(t.cfg.Entries-1)
-}
-
 // slot returns the ring slot holding trigger, allocating (with FIFO
 // eviction) when alloc is set; -1 when absent and not allocating.
 //
@@ -323,37 +306,4 @@ func (t *ChainTable) AppendTopK(dst []amo.Line, trigger amo.Line, k int) []amo.L
 		dst = append(dst, t.lines[base+best])
 	}
 	return dst
-}
-
-// ChainSucc is one successor of a trigger entry, with its popularity
-// count, in the entry's insertion order.
-type ChainSucc struct {
-	Line  amo.Line
-	Count uint8
-}
-
-// ChainRow is one live trigger entry in export form.
-type ChainRow struct {
-	Trigger amo.Line
-	Succs   []ChainSucc
-}
-
-// Rows exports the live entries in FIFO order (oldest first), so that
-// re-inserting the rows into a fresh table reproduces the ring exactly.
-func (t *ChainTable) Rows() []ChainRow {
-	rows := make([]ChainRow, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		s := i
-		if t.n == t.cfg.Entries {
-			s = (t.pos + i) % t.cfg.Entries
-		}
-		base := s * t.cfg.Successors
-		n := int(t.lens[s])
-		row := ChainRow{Trigger: t.tags[s], Succs: make([]ChainSucc, n)}
-		for j := 0; j < n; j++ {
-			row.Succs[j] = ChainSucc{Line: t.lines[base+j], Count: t.counts[base+j]}
-		}
-		rows = append(rows, row)
-	}
-	return rows
 }

@@ -7,6 +7,39 @@ import (
 	"ebcp/internal/amo"
 )
 
+// chainSucc is one successor of a trigger entry, with its popularity
+// count, in the entry's insertion order.
+type chainSucc struct {
+	Line  amo.Line
+	Count uint8
+}
+
+// chainRow is one live trigger entry of a ChainTable.
+type chainRow struct {
+	Trigger amo.Line
+	Succs   []chainSucc
+}
+
+// chainRows lists t's live entries in FIFO order (oldest first): the
+// table as the differential oracle sees it.
+func chainRows(t *ChainTable) []chainRow {
+	rows := make([]chainRow, 0, t.n)
+	for i := 0; i < t.n; i++ {
+		s := i
+		if t.n == t.cfg.Entries {
+			s = (t.pos + i) % t.cfg.Entries
+		}
+		base := s * t.cfg.Successors
+		n := int(t.lens[s])
+		row := chainRow{Trigger: t.tags[s], Succs: make([]chainSucc, n)}
+		for j := 0; j < n; j++ {
+			row.Succs[j] = chainSucc{Line: t.lines[base+j], Count: t.counts[base+j]}
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
 // chainOracle is the naive reference model of the ChainTable: a plain
 // map of successor-counter slices plus an explicit FIFO slice of live
 // triggers. It mirrors the architected replacement rules — saturating
@@ -16,11 +49,11 @@ import (
 type chainOracle struct {
 	entries, successors int
 	order               []amo.Line // live triggers, oldest first
-	succs               map[amo.Line][]ChainSucc
+	succs               map[amo.Line][]chainSucc
 }
 
 func newChainOracle(entries, successors int) *chainOracle {
-	return &chainOracle{entries: entries, successors: successors, succs: map[amo.Line][]ChainSucc{}}
+	return &chainOracle{entries: entries, successors: successors, succs: map[amo.Line][]chainSucc{}}
 }
 
 func (o *chainOracle) update(trigger, succ amo.Line) {
@@ -43,7 +76,7 @@ func (o *chainOracle) update(trigger, succ amo.Line) {
 		}
 	}
 	if len(list) < o.successors {
-		o.succs[trigger] = append(list, ChainSucc{Line: succ, Count: 1})
+		o.succs[trigger] = append(list, chainSucc{Line: succ, Count: 1})
 		return
 	}
 	// Age (halve, floored at 1), evict the weakest survivor (first
@@ -58,7 +91,7 @@ func (o *chainOracle) update(trigger, succ amo.Line) {
 		}
 	}
 	list = append(list[:evict], list[evict+1:]...)
-	o.succs[trigger] = append(list, ChainSucc{Line: succ, Count: 1})
+	o.succs[trigger] = append(list, chainSucc{Line: succ, Count: 1})
 }
 
 func (o *chainOracle) topK(trigger amo.Line, k int) []amo.Line {
@@ -120,7 +153,7 @@ func TestChainTableDifferential(t *testing.T) {
 
 	// The live sets must agree exactly, including FIFO order and the
 	// per-trigger successor lists with their counts.
-	rows := tab.Rows()
+	rows := chainRows(tab)
 	if len(rows) != len(oracle.order) {
 		t.Fatalf("table holds %d rows, oracle %d", len(rows), len(oracle.order))
 	}
@@ -198,7 +231,7 @@ func TestChainIgnoresOnChipAccesses(t *testing.T) {
 	if st := ctx.Stats(); st.Issued != 0 || st.TableReads != 0 || st.TableWrites != 0 {
 		t.Errorf("on-chip accesses caused activity: %+v", st)
 	}
-	if c.Table().Len() != 0 {
-		t.Errorf("on-chip accesses trained %d entries", c.Table().Len())
+	if c.table.n != 0 {
+		t.Errorf("on-chip accesses trained %d entries", c.table.n)
 	}
 }

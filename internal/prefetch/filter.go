@@ -86,9 +86,6 @@ func NewFilter(inner Prefetcher, cfg FilterConfig) (*Filter, error) {
 // Name implements Prefetcher.
 func (f *Filter) Name() string { return f.label }
 
-// Inner returns the wrapped prefetcher.
-func (f *Filter) Inner() Prefetcher { return f.inner }
-
 // pageSlot maps a line's page to its counter slot.
 //
 //ebcp:hotpath

@@ -120,9 +120,6 @@ func TestFilterNameAndForwarding(t *testing.T) {
 	if got := f.Name(); got != "proposer+filter" {
 		t.Errorf("Name() = %q", got)
 	}
-	if f.Inner() != Prefetcher(inner) {
-		t.Error("Inner() does not return the wrapped prefetcher")
-	}
 	f.ResetStats()
 	if inner.resets != 1 {
 		t.Errorf("ResetStats not forwarded (resets = %d)", inner.resets)

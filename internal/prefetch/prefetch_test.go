@@ -297,7 +297,7 @@ func TestSolihinLearnsSuccessors(t *testing.T) {
 	}
 	// On the second lap, a miss on seq[0] should have prefetched its
 	// successors (they were trained on lap one... verify entry content).
-	got := s.Table().Lookup(seq[0])
+	got := s.table.Lookup(seq[0])
 	if len(got) == 0 {
 		t.Fatal("Solihin entry for seq[0] empty after training")
 	}
@@ -328,7 +328,7 @@ func TestSolihinWidthVsDepthShape(t *testing.T) {
 			feed(s, ctx, now, l, 0x40, false)
 			now += 400
 		}
-		return s.Table().Lookup(seq[0])
+		return s.table.Lookup(seq[0])
 	}
 	has := func(addrs []amo.Line, want amo.Line) bool {
 		for _, a := range addrs {

@@ -28,15 +28,6 @@ type SMS struct {
 	at    []atEntry // accumulation/filter table
 	pht   *smsPHT
 	stamp uint64
-	stats SMSStats
-}
-
-// SMSStats counts SMS-internal events (for tests and reports).
-type SMSStats struct {
-	Triggers    uint64 // region generations opened
-	PHTHits     uint64 // triggers whose key matched a stored pattern
-	Commits     uint64 // generations committed to the PHT
-	Accumulates uint64
 }
 
 type atEntry struct {
@@ -122,12 +113,6 @@ func NewSMS() *SMS {
 // Name implements Prefetcher.
 func (s *SMS) Name() string { return "SMS" }
 
-// Stats returns a copy of the internal counters.
-func (s *SMS) Stats() SMSStats { return s.stats }
-
-// ResetStats zeroes the internal counters.
-func (s *SMS) ResetStats() { s.stats = SMSStats{} }
-
 //ebcp:hotpath
 func (s *SMS) triggerKey(pc amo.PC, offset int) uint64 {
 	h := uint64(pc)*0x9e3779b97f4a7c15 + uint64(offset)
@@ -151,16 +136,13 @@ func (s *SMS) OnAccess(a Access, ctx *Context) {
 		if e.valid && e.region == region {
 			e.pattern |= 1 << uint(offset)
 			e.lru = s.stamp
-			s.stats.Accumulates++
 			return
 		}
 	}
 
 	// New region generation: this access is the trigger.
-	s.stats.Triggers++
 	key := s.triggerKey(a.PC, offset)
 	if pattern, ok := s.pht.lookup(key); ok {
-		s.stats.PHTHits++
 		s.streamRegion(a, region, offset, pattern, ctx)
 	}
 
@@ -195,7 +177,6 @@ place:
 //ebcp:hotpath
 func (s *SMS) commit(e *atEntry) {
 	if popcount32(e.pattern) > 1 {
-		s.stats.Commits++
 		s.pht.update(e.key, e.pattern)
 	}
 }

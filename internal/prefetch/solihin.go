@@ -69,9 +69,6 @@ func NewSolihin(depth, width, tableEntries int) (*Solihin, error) {
 // Name implements Prefetcher.
 func (s *Solihin) Name() string { return s.label }
 
-// Table exposes the correlation table (for tests and reporting).
-func (s *Solihin) Table() *corrtab.Table { return s.table }
-
 // OnAccess implements Prefetcher.
 //
 //ebcp:hotpath

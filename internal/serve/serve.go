@@ -118,10 +118,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// CacheStats exposes the shared cache's counters (for tests and the
-// /metrics handler).
-func (s *Server) CacheStats() exp.CacheStats { return s.cache.Stats() }
-
 // enqueue admits a job or rejects it with an ErrOverloaded- or
 // drain-classified error.
 func (s *Server) enqueue(j *job, priority string) error {

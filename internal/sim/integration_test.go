@@ -23,7 +23,7 @@ func ebcpFor(degree int) *core.EBCP {
 func TestEBCPOnEpochChain(t *testing.T) {
 	// The EBCP-ideal microbenchmark: recurring dependent groups. After a
 	// training lap, EBCP should avert most epochs.
-	mk := func() *trace.Slice { return workload.EpochChain(7, 24000, 3, 5, 80) }
+	mk := func() *trace.Slice { return trace.NewSlice(epochChain(7, 24000, 3, 5, 80)) }
 	cfg := testConfig(1 << 40)
 	cfg.WarmInsts = 12e6 // two laps of training
 	base := must(Run(mk(), prefetch.None{}, cfg))
@@ -48,7 +48,7 @@ func TestEBCPOnEpochChain(t *testing.T) {
 }
 
 func TestEBCPBeatsMinusOnEpochChain(t *testing.T) {
-	mk := func() *trace.Slice { return workload.EpochChain(7, 24000, 3, 5, 80) }
+	mk := func() *trace.Slice { return trace.NewSlice(epochChain(7, 24000, 3, 5, 80)) }
 	cfg := testConfig(1 << 40)
 	cfg.WarmInsts = 12e6
 	base := must(Run(mk(), prefetch.None{}, cfg))
@@ -67,7 +67,7 @@ func TestEBCPBeatsMinusOnEpochChain(t *testing.T) {
 }
 
 func TestStreamOnStridedTrace(t *testing.T) {
-	mk := func() *trace.Slice { return workload.Strided(1<<30, 2, 20000, 300) }
+	mk := func() *trace.Slice { return trace.NewSlice(strided(1<<30, 2, 20000, 300)) }
 	cfg := testConfig(1 << 40)
 	base := must(Run(mk(), prefetch.None{}, cfg))
 	res := must(Run(mk(), must(prefetch.NewStream(32, 6)), cfg))
@@ -82,7 +82,7 @@ func TestStreamOnStridedTrace(t *testing.T) {
 func TestPrefetchersHarmlessOnRandom(t *testing.T) {
 	// Prefetches never delay demand accesses (strict priority), so even a
 	// hopeless prefetcher must not slow the machine measurably.
-	mk := func() *trace.Slice { return workload.RandomLoads(5, 20000, 300) }
+	mk := func() *trace.Slice { return trace.NewSlice(randomLoads(5, 20000, 300)) }
 	cfg := testConfig(1 << 40)
 	base := must(Run(mk(), prefetch.None{}, cfg))
 	for _, pf := range []prefetch.Prefetcher{
@@ -98,7 +98,7 @@ func TestPrefetchersHarmlessOnRandom(t *testing.T) {
 func TestPointerChaseChainFullyCovered(t *testing.T) {
 	// A fixed ring of dependent loads: after one lap of training, the
 	// lookup chain should sustain itself via prefetch-buffer hits.
-	mk := func() *trace.Slice { return workload.PointerChase(3, 50000, 5, 120) }
+	mk := func() *trace.Slice { return trace.NewSlice(pointerChase(3, 50000, 5, 120)) }
 	cfg := testConfig(1 << 40)
 	cfg.WarmInsts = 12e6 // two laps of training
 	base := must(Run(mk(), prefetch.None{}, cfg))

@@ -177,8 +177,12 @@ func TestMetamorphicBandwidthMonotone(t *testing.T) {
 						t.Errorf("CPI %.4f at %g GB/s > %.4f at %g GB/s", cpis[i], gbps[i], cpis[i-1], gbps[i-1])
 					}
 				}
-				if d := last.Mem.TotalDrops(); d != 0 {
-					t.Errorf("%d requests dropped at %g GB/s", d, gbps[len(gbps)-1])
+				var drops uint64
+				for _, c := range last.Mem.PerClass {
+					drops += c.ReadDrops + c.WriteDrops
+				}
+				if drops != 0 {
+					t.Errorf("%d requests dropped at %g GB/s", drops, gbps[len(gbps)-1])
 				}
 			})
 		}

@@ -60,7 +60,7 @@ type Config struct {
 // on-chip CPI is workload-calibrated and set by the workload package.
 func DefaultConfig() Config {
 	return Config{
-		Core:         cpu.Config{ROBSize: 128, OnChipCPI: 1.0, MaxOutstanding: 32},
+		Core:         cpu.DefaultConfig(),
 		L1I:          cache.Config{Name: "L1I", SizeBytes: 32 << 10, Ways: 4, HitLatency: 3},
 		L1D:          cache.Config{Name: "L1D", SizeBytes: 32 << 10, Ways: 4, HitLatency: 3},
 		L2:           cache.Config{Name: "L2", SizeBytes: 2 << 20, Ways: 4, HitLatency: 20},

@@ -142,13 +142,13 @@ func FillBatch(src Source, dst []Record) int {
 	return n
 }
 
-// Slice is an in-memory trace that can be replayed multiple times.
+// Slice is an in-memory trace.
 type Slice struct {
 	recs []Record
 	pos  int
 }
 
-// NewSlice wraps recs in a replayable Source.
+// NewSlice wraps recs in a Source.
 func NewSlice(recs []Record) *Slice { return &Slice{recs: recs} }
 
 // Next implements Source.
@@ -172,15 +172,6 @@ func (s *Slice) ReadBatch(dst []Record) int {
 	s.pos += n
 	return n
 }
-
-// Reset rewinds the trace to its beginning.
-func (s *Slice) Reset() { s.pos = 0 }
-
-// Len returns the number of records in the trace.
-func (s *Slice) Len() int { return len(s.recs) }
-
-// Records exposes the underlying records (read-only by convention).
-func (s *Slice) Records() []Record { return s.recs }
 
 // Limit wraps a source and stops it after the given number of instructions
 // (gaps + memory-access instructions) have been delivered.
@@ -235,65 +226,4 @@ func (l *Limit) ReadBatch(dst []Record) int {
 		l.insts += uint64(dst[i].Gap) + 1
 	}
 	return n
-}
-
-// Instructions returns how many instructions the limit has delivered so far.
-func (l *Limit) Instructions() uint64 { return l.insts }
-
-// Stats summarizes a trace.
-type Stats struct {
-	Records      uint64
-	Instructions uint64
-	IFetches     uint64
-	Loads        uint64
-	Stores       uint64
-	Dependent    uint64
-	Serializing  uint64
-	WindowBreaks uint64
-	DistinctLine uint64
-}
-
-// Measure drains src and returns summary statistics. It consumes the
-// source.
-func Measure(src Source) Stats {
-	var st Stats
-	lines := make(map[amo.Line]struct{})
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		st.Records++
-		st.Instructions += uint64(r.Gap) + 1
-		switch r.Kind {
-		case IFetch:
-			st.IFetches++
-		case Load:
-			st.Loads++
-		case Store:
-			st.Stores++
-		}
-		if r.DependsOnMiss {
-			st.Dependent++
-		}
-		if r.Serializing {
-			st.Serializing++
-		}
-		if r.BreaksWindow {
-			st.WindowBreaks++
-		}
-		lines[amo.LineOf(r.Addr)] = struct{}{}
-	}
-	st.DistinctLine = uint64(len(lines))
-	return st
-}
-
-// FootprintBytes returns the distinct-line footprint in bytes.
-func (s Stats) FootprintBytes() uint64 { return s.DistinctLine * amo.LineSize }
-
-// String renders the stats compactly.
-func (s Stats) String() string {
-	return fmt.Sprintf("records=%d insts=%d ifetch=%d load=%d store=%d dep=%d ser=%d footprint=%.1fMB",
-		s.Records, s.Instructions, s.IFetches, s.Loads, s.Stores, s.Dependent, s.Serializing,
-		float64(s.FootprintBytes())/(1<<20))
 }

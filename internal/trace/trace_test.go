@@ -13,26 +13,7 @@ func TestSliceReplay(t *testing.T) {
 		{Gap: 0, Kind: IFetch, Addr: 0x2000, PC: 0x2000},
 		{Gap: 3, Kind: Store, Addr: 0x3000, PC: 0x44, Serializing: true},
 	}
-	s := NewSlice(recs)
-	for i := 0; i < 2; i++ {
-		var got []Record
-		for {
-			r, ok := s.Next()
-			if !ok {
-				break
-			}
-			got = append(got, r)
-		}
-		if len(got) != len(recs) {
-			t.Fatalf("replay %d: got %d records, want %d", i, len(got), len(recs))
-		}
-		for j := range recs {
-			if got[j] != recs[j] {
-				t.Errorf("replay %d: record %d = %+v, want %+v", i, j, got[j], recs[j])
-			}
-		}
-		s.Reset()
-	}
+	sameRecords(t, "replay", drainNext(NewSlice(recs)), recs)
 }
 
 func TestLimit(t *testing.T) {
@@ -43,21 +24,8 @@ func TestLimit(t *testing.T) {
 	// Each record is 10 instructions; limit at 55 should deliver 6 records
 	// (60 insts >= 55 only after the 6th is consumed: limit checks before
 	// delivery, so records are delivered while insts < 55 -> 6 records).
-	l := NewLimit(NewSlice(recs), 55)
-	n := 0
-	for {
-		_, ok := l.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 6 {
-		t.Errorf("delivered %d records, want 6", n)
-	}
-	if l.Instructions() != 60 {
-		t.Errorf("Instructions() = %d, want 60", l.Instructions())
-	}
+	got := drainNext(NewLimit(NewSlice(recs), 55))
+	sameRecords(t, "limit", got, recs[:6])
 }
 
 func TestLimitExhaustedSource(t *testing.T) {
@@ -70,38 +38,16 @@ func TestLimitExhaustedSource(t *testing.T) {
 	}
 }
 
-func TestMeasure(t *testing.T) {
-	recs := []Record{
-		{Gap: 10, Kind: Load, Addr: 0x1000},
-		{Gap: 5, Kind: Load, Addr: 0x1010}, // same line as above
-		{Gap: 0, Kind: IFetch, Addr: 0x2000, DependsOnMiss: true},
-		{Gap: 2, Kind: Store, Addr: 0x3000, Serializing: true},
-	}
-	st := Measure(NewSlice(recs))
-	if st.Records != 4 || st.Instructions != 21 {
-		t.Errorf("Records=%d Instructions=%d, want 4, 21", st.Records, st.Instructions)
-	}
-	if st.Loads != 2 || st.IFetches != 1 || st.Stores != 1 {
-		t.Errorf("kind counts = %d/%d/%d", st.Loads, st.IFetches, st.Stores)
-	}
-	if st.Dependent != 1 || st.Serializing != 1 {
-		t.Errorf("flags = dep %d ser %d", st.Dependent, st.Serializing)
-	}
-	if st.DistinctLine != 3 {
-		t.Errorf("DistinctLine = %d, want 3 (0x1000 and 0x1010 share a line)", st.DistinctLine)
-	}
-	if st.FootprintBytes() != 3*64 {
-		t.Errorf("FootprintBytes = %d", st.FootprintBytes())
-	}
-}
+// physMask keeps an address within the 45-bit physical address space.
+const physMask = 1<<45 - 1
 
 func randomRecords(n int, seed int64) []Record {
 	rng := rand.New(rand.NewSource(seed))
 	recs := make([]Record, n)
 	for i := range recs {
 		k := Kind(rng.Intn(3))
-		a := amo.Addr(rng.Uint64()) & amo.AddrMask
-		pc := amo.PC(rng.Uint64()) & amo.PC(amo.AddrMask)
+		a := amo.Addr(rng.Uint64() & physMask)
+		pc := amo.PC(rng.Uint64() & physMask)
 		if k == IFetch || rng.Intn(3) == 0 {
 			pc = amo.PC(a)
 		}
@@ -179,6 +125,29 @@ func TestBatchMatchesNext(t *testing.T) {
 	}
 }
 
+// TestLimitBatchInstructionCount checks the limit's instruction ledger
+// under batched delivery: Next and batches deliver the same instructions,
+// ending with the first record that reaches the limit.
+func TestLimitBatchInstructionCount(t *testing.T) {
+	recs := randomRecords(500, 9)
+	const limit = 4000
+	insts := func(got []Record) (sum, last uint64) {
+		for _, r := range got {
+			last = uint64(r.Gap) + 1
+			sum += last
+		}
+		return sum, last
+	}
+	a, _ := insts(drainNext(NewLimit(NewSlice(recs), limit)))
+	b, last := insts(drainBatch(NewLimit(NewSlice(recs), limit), 64))
+	if a != b {
+		t.Errorf("instructions delivered: next %d, batch %d", a, b)
+	}
+	if b < limit || b-last >= limit {
+		t.Errorf("batch delivered %d instructions, the last record %d: the limit %d is not crossed by the last record", b, last, limit)
+	}
+}
+
 // nextOnly hides ReadBatch so FillBatch must take its fallback path.
 type nextOnly struct{ s Source }
 
@@ -202,18 +171,5 @@ func TestBatchMixedWithNext(t *testing.T) {
 	r, ok = s.Next()
 	if !ok || r != recs[8] {
 		t.Fatalf("Next after batch = %+v, want %+v", r, recs[8])
-	}
-}
-
-// TestLimitBatchInstructionCount checks the limit's instruction ledger is
-// identical under batched delivery.
-func TestLimitBatchInstructionCount(t *testing.T) {
-	recs := randomRecords(500, 9)
-	a := NewLimit(NewSlice(recs), 4000)
-	b := NewLimit(NewSlice(recs), 4000)
-	drainNext(a)
-	drainBatch(b, 64)
-	if a.Instructions() != b.Instructions() {
-		t.Errorf("Instructions: next %d, batch %d", a.Instructions(), b.Instructions())
 	}
 }

@@ -147,9 +147,6 @@ func New(p Params) (*Generator, error) {
 	return g, nil
 }
 
-// Params returns the generator's parameters.
-func (g *Generator) Params() Params { return g.p }
-
 //ebcp:hotpath
 func (g *Generator) between(b [2]int) int {
 	if b[1] == b[0] {

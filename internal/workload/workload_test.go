@@ -164,7 +164,7 @@ func TestStructuralProperties(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			recs := drain(must(New(p)), 300000)
-			st := trace.Measure(trace.NewSlice(recs))
+			st := measure(trace.NewSlice(recs))
 			if st.Loads == 0 || st.IFetches == 0 || st.Stores == 0 {
 				t.Fatalf("missing record kinds: %+v", st)
 			}
@@ -181,9 +181,9 @@ func TestStructuralProperties(t *testing.T) {
 				}
 			}
 			// Data footprint far exceeds the 2MB L2.
-			if st.FootprintBytes() < 4<<20 {
+			if st.footprintBytes() < 4<<20 {
 				t.Errorf("footprint %.1fMB too small to stress a 2MB L2",
-					float64(st.FootprintBytes())/(1<<20))
+					float64(st.footprintBytes())/(1<<20))
 			}
 			// Window breaks present (the dominant termination condition).
 			if st.WindowBreaks == 0 {
@@ -219,7 +219,7 @@ func TestInstructionRateBallpark(t *testing.T) {
 	// calibration (records carry only footprint accesses).
 	for _, p := range All() {
 		g := must(New(p))
-		st := trace.Measure(trace.NewLimit(g, 5_000_000))
+		st := measure(trace.NewLimit(g, 5_000_000))
 		perK := 1000 * float64(st.Records) / float64(st.Instructions)
 		if perK < 2 || perK > 40 {
 			t.Errorf("%s: %.1f records per 1000 insts out of range", p.Name, perK)
@@ -250,76 +250,6 @@ func TestSkewPicker(t *testing.T) {
 	for i, c := range counts {
 		if c < 8000 || c > 12000 {
 			t.Errorf("uniform pick skewed: counts[%d] = %d", i, c)
-		}
-	}
-}
-
-func TestMicroPointerChase(t *testing.T) {
-	tr := PointerChase(1, 100, 3, 50)
-	recs := tr.Records()
-	if len(recs) != 300 {
-		t.Fatalf("len = %d", len(recs))
-	}
-	if recs[0].DependsOnMiss {
-		t.Error("first load must not be dependent")
-	}
-	for i := 1; i < len(recs); i++ {
-		if !recs[i].DependsOnMiss {
-			t.Errorf("record %d should be dependent", i)
-		}
-	}
-	// Ring recurs identically across laps.
-	for i := 0; i < 100; i++ {
-		if recs[i].Addr != recs[i+100].Addr {
-			t.Error("laps must replay the same ring")
-			break
-		}
-	}
-}
-
-func TestMicroStrided(t *testing.T) {
-	tr := Strided(amo.Line(1000), 3, 10, 20)
-	recs := tr.Records()
-	for i := 1; i < len(recs); i++ {
-		d := int64(amo.LineOf(recs[i].Addr)) - int64(amo.LineOf(recs[i-1].Addr))
-		if d != 3 {
-			t.Fatalf("stride %d at %d", d, i)
-		}
-	}
-}
-
-func TestMicroSpatialRegions(t *testing.T) {
-	pattern := []int{0, 4, 9}
-	tr := SpatialRegions(2, 5, 2, pattern, 30)
-	recs := tr.Records()
-	if len(recs) != 5*2*3 {
-		t.Fatalf("len = %d", len(recs))
-	}
-	// All three accesses of a region visit share its 2KB region.
-	for i := 0; i < len(recs); i += 3 {
-		r0 := amo.RegionOf(recs[i].Addr, 2048)
-		for j := 1; j < 3; j++ {
-			if amo.RegionOf(recs[i+j].Addr, 2048) != r0 {
-				t.Fatal("region visit crosses regions")
-			}
-		}
-	}
-}
-
-func TestMicroEpochChain(t *testing.T) {
-	tr := EpochChain(3, 10, 3, 2, 40)
-	recs := tr.Records()
-	if len(recs) != 10*3*2 {
-		t.Fatalf("len = %d", len(recs))
-	}
-	// Group heads after the first are dependent; members are not.
-	for i, r := range recs {
-		isHead := i%3 == 0
-		if isHead && i > 0 && !r.DependsOnMiss {
-			t.Fatalf("head %d not dependent", i)
-		}
-		if !isHead && r.DependsOnMiss {
-			t.Fatalf("member %d dependent", i)
 		}
 	}
 }
@@ -384,7 +314,7 @@ func TestScaled(t *testing.T) {
 		}
 	}
 	// The scaled generator still produces a usable trace.
-	st := trace.Measure(trace.NewLimit(must(New(s)), 200000))
+	st := measure(trace.NewLimit(must(New(s)), 200000))
 	if st.Loads == 0 || st.IFetches == 0 {
 		t.Error("scaled workload produces no accesses")
 	}
