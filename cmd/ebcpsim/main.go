@@ -59,9 +59,9 @@ func validateFlags(degree, tableEntries, pbEntries int, warm, measure, maxInsts,
 		return ebcperr.Invalidf("-measure must be positive and below 2^64 (got %g)", measure)
 	case maxInsts < 0 || !countable(maxInsts):
 		return ebcperr.Invalidf("-max-insts must be non-negative and below 2^64 (got %g)", maxInsts)
-	case readGBps <= 0:
+	case !(readGBps > 0):
 		return ebcperr.Invalidf("-read-gbps must be positive (got %g)", readGBps)
-	case writeGBps <= 0:
+	case !(writeGBps > 0):
 		return ebcperr.Invalidf("-write-gbps must be positive (got %g)", writeGBps)
 	}
 	return nil

@@ -51,6 +51,10 @@ func TestBadFlagsExitOne(t *testing.T) {
 		{"max insts overflows uint64", []string{"-max-insts", "2e19"}, "-max-insts must be non-negative and below 2^64"},
 		{"table entries zero", []string{"-table-entries", "0"}, "-table-entries must be positive"},
 		{"bandwidth zero", []string{"-read-gbps", "0"}, "-read-gbps must be positive"},
+		{"bandwidth NaN", []string{"-read-gbps", "NaN"}, "-read-gbps must be positive"},
+		{"write bandwidth NaN", []string{"-write-gbps", "NaN"}, "-write-gbps must be positive"},
+		{"bandwidth Inf", []string{"-read-gbps", "+Inf"}, "must be positive and finite"},
+		{"bandwidth too small for a 64-bit occupancy", []string{"-read-gbps", "1e-300"}, "holds the bus more than"},
 		{"unknown workload", []string{"-workload", "nope"}, "nope"},
 		{"unknown prefetcher", []string{"-prefetcher", "nope"}, "unknown prefetcher"},
 	}

@@ -50,9 +50,9 @@ func (d Diagnostic) String() string {
 // to exercise path-scoped rules.
 //
 // Types and Info are filled by the TypeChecker (typecheck.go); they are
-// nil when the package failed to type-check (the checker already
-// reported positioned [typecheck] diagnostics), and the type-aware
-// analyzers skip such packages instead of reading partial facts.
+// nil when the package failed to type-check. The checker has already
+// reported positioned [typecheck] diagnostics for such a package, and
+// Run skips it, so every analyzer may assume Info is filled.
 type Pkg struct {
 	Fset  *token.FileSet
 	Rel   string
@@ -62,8 +62,9 @@ type Pkg struct {
 	Info  *types.Info
 }
 
-// Analyzer is one check: it inspects a package and returns raw
-// diagnostics. The driver applies //ebcp:allow suppression afterwards.
+// Analyzer is one check: it inspects a type-checked package and returns
+// raw diagnostics. The driver applies //ebcp:allow suppression
+// afterwards.
 type Analyzer interface {
 	Name() string
 	Check(p *Pkg) []Diagnostic
@@ -72,7 +73,7 @@ type Analyzer interface {
 // All returns every analyzer in the suite.
 func All() []Analyzer {
 	return []Analyzer{
-		NoPanic{}, HotpathAlloc{}, ErrWrap{}, Determinism{}, ServeCtx{}, SpecSync{},
+		NoPanic{}, HotpathAlloc{}, ErrWrap{}, Determinism{}, ServeCtx{},
 		CodecStrict{}, StaleAllow{},
 	}
 }
@@ -96,13 +97,19 @@ func (StaleAllow) Check(p *Pkg) []Diagnostic { return nil }
 // suppressed by //ebcp:allow directives, adds driver diagnostics for
 // malformed directives (an allow without a justification) and for stale
 // directives (when StaleAllow is in the analyzer list), and returns the
-// remainder sorted by position.
+// remainder sorted by position. A package that failed to type-check
+// (nil Info) is skipped whole: its [typecheck] diagnostics are all it
+// reports, and its directives are neither parsed nor judged stale.
 func Run(pkgs []*Pkg, analyzers []Analyzer) []Diagnostic {
 	var out []Diagnostic
 	allows := allowSet{}
+	var typed []*Pkg
 	for _, p := range pkgs {
-		bad := collectAllows(p, allows)
-		out = append(out, bad...)
+		if p.Info == nil {
+			continue
+		}
+		typed = append(typed, p)
+		out = append(out, collectAllows(p, allows)...)
 	}
 	active := map[string]bool{}
 	for _, a := range analyzers {
@@ -116,7 +123,7 @@ func Run(pkgs []*Pkg, analyzers []Analyzer) []Diagnostic {
 		out = append(out, d)
 	}
 	for _, a := range analyzers {
-		for _, p := range pkgs {
+		for _, p := range typed {
 			for _, d := range a.Check(p) {
 				emit(d)
 			}
@@ -125,7 +132,7 @@ func Run(pkgs []*Pkg, analyzers []Analyzer) []Diagnostic {
 	if active["staleallow"] {
 		for _, dirs := range allows {
 			for _, dir := range dirs {
-				if dir.used || !dir.typed {
+				if dir.used {
 					continue
 				}
 				judgeable := true
@@ -148,16 +155,12 @@ func Run(pkgs []*Pkg, analyzers []Analyzer) []Diagnostic {
 
 // allowDirective is the parsed form of one //ebcp:allow comment: the
 // checks it suppresses, the line span it covers within its file, and
-// whether it actually suppressed anything this run (staleallow). typed
-// records whether the surrounding package type-checked: in a package
-// that didn't, the typed analyzers never ran, so an unused directive
-// there proves nothing and staleallow must not judge it.
+// whether it actually suppressed anything this run (staleallow).
 type allowDirective struct {
 	checks   []string
 	from, to int
 	pos      token.Position
 	used     bool
-	typed    bool
 }
 
 // allowSet holds every allow directive seen this run, keyed by filename.
@@ -219,7 +222,7 @@ func collectAllows(p *Pkg, set allowSet) []Diagnostic {
 						fmt.Sprintf("ebcp:allow %s needs a justification", fields[0])})
 					continue
 				}
-				d := &allowDirective{checks: checks, from: pos.Line, to: pos.Line + 1, pos: pos, typed: p.Info != nil}
+				d := &allowDirective{checks: checks, from: pos.Line, to: pos.Line + 1, pos: pos}
 				if span, ok := docSpan[cg]; ok {
 					d.from, d.to = span[0], span[1]
 				}
@@ -271,45 +274,4 @@ func isHotpath(fn *ast.FuncDecl) bool {
 		}
 	}
 	return false
-}
-
-// importNames maps each local import name in a file to its import path,
-// and reports the paths that are dot-imported. A plain `import "os"`
-// yields {"os": "os"}; `import o "os"` yields {"o": "os"}.
-func importNames(f *ast.File) (named map[string]string, dot map[string]bool) {
-	named = map[string]string{}
-	dot = map[string]bool{}
-	for _, imp := range f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		switch {
-		case imp.Name == nil:
-			base := path
-			if i := strings.LastIndex(base, "/"); i >= 0 {
-				base = base[i+1:]
-			}
-			named[base] = path
-		case imp.Name.Name == ".":
-			dot[path] = true
-		case imp.Name.Name == "_":
-		default:
-			named[imp.Name.Name] = path
-		}
-	}
-	return named, dot
-}
-
-// selectorOn reports whether expr is a selector pkg.Name on the given
-// import path in this file, using the file's import table. Only
-// unresolved base idents count: a local variable shadowing the package
-// name resolves to an object and is not a package selector.
-func selectorOn(expr ast.Expr, named map[string]string, path, name string) bool {
-	sel, ok := expr.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	base, ok := sel.X.(*ast.Ident)
-	if !ok || base.Obj != nil {
-		return false
-	}
-	return named[base.Name] == path
 }

@@ -125,7 +125,6 @@ func TestAnalyzerGoldens(t *testing.T) {
 		{"determinism", "internal/exp"},
 		{"driver", "internal/driver"},
 		{"servectx", "internal/fakeserve"},
-		{"specsync", "internal/registry"},
 		{"codecstrict", "internal/codec"},
 		{"staleallow", "internal/stale"},
 	}
@@ -168,8 +167,8 @@ func TestSuppressionScopes(t *testing.T) {
 // TestTypeLoadFailure is the loader-failure regression: a package that
 // does not type-check must yield positioned [typecheck] diagnostics —
 // never a panic, never a silent skip — its Info must stay nil so the
-// typed analyzers skip it, and its unused //ebcp:allow must not be
-// judged stale (an untyped package proves nothing about suppression).
+// driver skips it, and its unused //ebcp:allow must not be judged stale
+// (an untyped package proves nothing about suppression).
 func TestTypeLoadFailure(t *testing.T) {
 	tc := fixtureChecker(t)
 	p, err := LoadDir(tc.Fset(), filepath.Join("testdata", "broken"), "internal/broken")
@@ -192,8 +191,8 @@ func TestTypeLoadFailure(t *testing.T) {
 		t.Error("failed package kept partial type facts; Info and Types must stay nil")
 	}
 	// The full suite over the untyped package must neither panic nor
-	// report anything: the typed analyzers skip nil-Info packages, and
-	// the stale-allow pass must not judge the fixture's unused allow.
+	// report anything: the driver skips nil-Info packages, so no
+	// analyzer runs and the fixture's unused allow is never judged.
 	for _, d := range Run([]*Pkg{p}, All()) {
 		t.Errorf("unexpected diagnostic on untyped package: %s", d)
 	}

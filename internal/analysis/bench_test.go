@@ -3,7 +3,7 @@ package analysis
 import "testing"
 
 // BenchmarkLintModule times the whole lint pipeline — module load,
-// type-check with the module-local importer, all nine analyzers — over
+// type-check with the module-local importer, all seven analyzers — over
 // this module, exactly what `make lint` and the CI lint-budget step
 // run. Each iteration builds a fresh TypeChecker, so the number
 // reported is the cold cost a CI invocation actually pays.

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -19,7 +20,11 @@ import (
 //     slice first (which is then a slice range, not a map range)
 //
 // The first two rules cover all of internal/*; the map-range rule is
-// scoped to the two packages that render output.
+// scoped to the two packages that render output. Every rule resolves
+// through go/types: time.Now and the rand functions by the object a
+// reference denotes, whatever the import is named and whether or not
+// it is called, and map ranges by the range expression's type,
+// wherever that map was declared.
 type Determinism struct{}
 
 // Name implements Analyzer.
@@ -48,23 +53,23 @@ func (Determinism) Check(p *Pkg) []Diagnostic {
 		return nil
 	}
 	var out []Diagnostic
-	fields := mapFields(p)
 	for _, f := range p.Files {
-		named, _ := importNames(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				if selectorOn(n, named, "time", "Now") {
-					out = append(out, Diagnostic{p.Fset.Position(n.Pos()), "determinism",
-						"time.Now leaks wall-clock state into a deterministic path"})
+				// time.Now, called or not: report once, at the selector.
+				if msg := nondeterministicRef(p.Info.Uses[n.Sel]); msg != "" {
+					out = append(out, Diagnostic{p.Fset.Position(n.Pos()), "determinism", msg})
+					return false
 				}
-				if globalRandFuncs[n.Sel.Name] && selectorOn(n, named, "math/rand", n.Sel.Name) {
-					out = append(out, Diagnostic{p.Fset.Position(n.Pos()), "determinism",
-						"global math/rand." + n.Sel.Name + " shares unseeded state; use a rand.New(rand.NewSource(seed)) stream"})
+			case *ast.Ident:
+				// A bare reference: the package was dot-imported.
+				if msg := nondeterministicRef(p.Info.Uses[n]); msg != "" {
+					out = append(out, Diagnostic{p.Fset.Position(n.Pos()), "determinism", msg})
 				}
 			case *ast.FuncDecl:
 				if renderPathPkgs[p.Rel] && n.Body != nil {
-					out = append(out, checkMapRanges(p, n, fields)...)
+					out = append(out, checkMapRanges(p, n)...)
 				}
 			}
 			return true
@@ -73,99 +78,43 @@ func (Determinism) Check(p *Pkg) []Diagnostic {
 	return out
 }
 
-// mapFields collects, package-wide, the names of struct fields and
-// named types with map type, so a range over s.cells or a value of a
-// `type index map[...]` can be recognized without type-checking.
-func mapFields(p *Pkg) map[string]bool {
-	set := map[string]bool{}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeSpec:
-				if _, ok := n.Type.(*ast.MapType); ok {
-					set[n.Name.Name] = true
-				}
-			case *ast.StructType:
-				for _, field := range n.Fields.List {
-					if isMapish(field.Type, set) {
-						for _, name := range field.Names {
-							set[name.Name] = true
-						}
-					}
-				}
-			}
-			return true
-		})
+// nondeterministicRef returns the diagnostic for a reference to
+// time.Now or to a global math/rand function, and "" for any other
+// object. Methods never match: (*rand.Rand).Float64 reads a seeded
+// stream.
+func nondeterministicRef(obj types.Object) string {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return ""
 	}
-	return set
+	switch path, name := fn.Pkg().Path(), fn.Name(); {
+	case path == "time" && name == "Now":
+		return "time.Now leaks wall-clock state into a deterministic path"
+	case path == "math/rand" && globalRandFuncs[name]:
+		return "global math/rand." + name + " shares unseeded state; use a rand.New(rand.NewSource(seed)) stream"
+	}
+	return ""
 }
 
-func isMapish(t ast.Expr, namedMaps map[string]bool) bool {
-	switch t := t.(type) {
-	case *ast.MapType:
-		return true
-	case *ast.Ident:
-		return namedMaps[t.Name]
-	}
-	return false
-}
-
-// checkMapRanges flags `for k := range m` statements where m is
-// map-typed (by local inference or the package's map-field table) and
-// the loop body reaches a writer or encoder — a Print/Fprint/Write/
-// Encode/append call — meaning iteration order becomes output order.
-func checkMapRanges(p *Pkg, fn *ast.FuncDecl, fields map[string]bool) []Diagnostic {
-	locals := map[string]bool{}
-	record := func(name string, t ast.Expr, rhs ast.Expr) {
-		switch {
-		case t != nil && isMapish(t, fields):
-			locals[name] = true
-		case rhs != nil && rhsIsMap(rhs, fields):
-			locals[name] = true
-		}
-	}
-	if fn.Type.Params != nil {
-		for _, field := range fn.Type.Params.List {
-			for _, name := range field.Names {
-				if isMapish(field.Type, fields) {
-					locals[name.Name] = true
-				}
-			}
-		}
-	}
+// checkMapRanges flags `for k := range m` statements where m's type is
+// a map (its underlying type, so named map types and map-typed fields,
+// results and values of any package count) and the loop body reaches a
+// writer or encoder — a Print/Fprint/Write/Encode/append call — meaning
+// iteration order becomes output order.
+func checkMapRanges(p *Pkg, fn *ast.FuncDecl) []Diagnostic {
 	var out []Diagnostic
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			if len(n.Lhs) == len(n.Rhs) {
-				for i := range n.Lhs {
-					if id, ok := n.Lhs[i].(*ast.Ident); ok {
-						record(id.Name, nil, n.Rhs[i])
-					}
-				}
-			}
-		case *ast.DeclStmt:
-			if gd, ok := n.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if vs, ok := spec.(*ast.ValueSpec); ok {
-						for i, name := range vs.Names {
-							var rhs ast.Expr
-							if i < len(vs.Values) {
-								rhs = vs.Values[i]
-							}
-							record(name.Name, vs.Type, rhs)
-						}
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			if rangedOverMap(n.X, locals, fields) {
-				writesIO, appends := bodyWrites(n.Body)
-				if writesIO || (appends && !fnSorts(fn)) {
-					out = append(out, Diagnostic{p.Fset.Position(n.Pos()), "determinism",
-						"range over a map feeds a writer: iteration order is randomized; sort the keys into a slice first"})
-				}
-			}
+		rs, ok := n.(*ast.RangeStmt)
+		if !ok {
+			return true
+		}
+		if _, isMap := p.Info.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
+			return true
+		}
+		writesIO, appends := bodyWrites(rs.Body)
+		if writesIO || (appends && !fnSorts(fn)) {
+			out = append(out, Diagnostic{p.Fset.Position(rs.Pos()), "determinism",
+				"range over a map feeds a writer: iteration order is randomized; sort the keys into a slice first"})
 		}
 		return true
 	})
@@ -196,28 +145,6 @@ func fnSorts(fn *ast.FuncDecl) bool {
 		return !sorts
 	})
 	return sorts
-}
-
-func rhsIsMap(e ast.Expr, fields map[string]bool) bool {
-	switch e := e.(type) {
-	case *ast.CallExpr:
-		if id, ok := e.Fun.(*ast.Ident); ok && id.Name == "make" && id.Obj == nil && len(e.Args) > 0 {
-			return isMapish(e.Args[0], fields)
-		}
-	case *ast.CompositeLit:
-		return isMapish(e.Type, fields)
-	}
-	return false
-}
-
-func rangedOverMap(x ast.Expr, locals, fields map[string]bool) bool {
-	switch x := x.(type) {
-	case *ast.Ident:
-		return locals[x.Name] || (x.Obj == nil && fields[x.Name])
-	case *ast.SelectorExpr:
-		return fields[x.Sel.Name]
-	}
-	return false
 }
 
 // bodyWrites classifies what a loop body does with each map entry:

@@ -33,9 +33,6 @@ func (ErrWrap) Check(p *Pkg) []Diagnostic {
 	if p.Rel == "internal/ebcperr" {
 		return nil
 	}
-	if p.Info == nil {
-		return nil // failed to type-check; already reported by the driver
-	}
 	var out []Diagnostic
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {

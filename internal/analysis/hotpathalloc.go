@@ -24,9 +24,12 @@ import (
 //   - fmt calls (every operand is boxed into an interface)
 //
 // The analyzer is annotation-driven: it fires only inside functions the
-// author declared hot, wherever they live. Conversions and literals
-// resolve through go/types, so named map/slice/byte-slice types and
-// interface boxing the syntactic pass could not see are caught too.
+// author declared hot, wherever they live. Everything resolves through
+// go/types: conversions and literals by their types, so named
+// map/slice/byte-slice types and interface boxing are caught, and
+// append targets and captured variables by the objects their
+// identifiers denote, so a shadowing local is never taken for a
+// parameter.
 type HotpathAlloc struct{}
 
 // Name implements Analyzer.
@@ -34,9 +37,6 @@ func (HotpathAlloc) Name() string { return "hotpathalloc" }
 
 // Check implements Analyzer.
 func (HotpathAlloc) Check(p *Pkg) []Diagnostic {
-	if p.Info == nil {
-		return nil // failed to type-check; already reported by the driver
-	}
 	var out []Diagnostic
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
@@ -55,12 +55,10 @@ func checkHotFunc(p *Pkg, fn *ast.FuncDecl) []Diagnostic {
 	diag := func(pos token.Pos, msg string) {
 		out = append(out, Diagnostic{p.Fset.Position(pos), "hotpathalloc", msg})
 	}
-	params := map[string]bool{}
-	if fn.Type.Params != nil {
-		for _, field := range fn.Type.Params.List {
-			for _, name := range field.Names {
-				params[name.Name] = true
-			}
+	params := map[types.Object]bool{}
+	for _, field := range fn.Type.Params.List {
+		for _, name := range field.Names {
+			params[p.Info.Defs[name]] = true
 		}
 	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -76,7 +74,7 @@ func checkHotFunc(p *Pkg, fn *ast.FuncDecl) []Diagnostic {
 				case "make", "new":
 					diag(n.Pos(), "hot path must not call "+obj.Name())
 				case "append":
-					if len(n.Args) > 0 && !isParamSlice(n.Args[0], params) {
+					if len(n.Args) > 0 && !isParamSlice(p.Info, n.Args[0], params) {
 						diag(n.Pos(), "hot path append target is not a parameter slice")
 					}
 				}
@@ -95,7 +93,7 @@ func checkHotFunc(p *Pkg, fn *ast.FuncDecl) []Diagnostic {
 				}
 			}
 		case *ast.FuncLit:
-			if cap := capturedLocal(fn, n); cap != "" {
+			if cap := capturedLocal(p.Info, fn, n); cap != "" {
 				diag(n.Pos(), "hot path closure captures local "+cap)
 				return false // one diagnostic per closure is enough
 			}
@@ -159,7 +157,7 @@ func checkHotConversion(p *Pkg, call *ast.CallExpr, dst types.Type) []Diagnostic
 // bare identifier naming one of the function's parameters. Fields,
 // locals and anything reached through a selector are per-call hidden
 // state and stay banned.
-func isParamSlice(e ast.Expr, params map[string]bool) bool {
+func isParamSlice(info *types.Info, e ast.Expr, params map[types.Object]bool) bool {
 	for {
 		switch x := e.(type) {
 		case *ast.ParenExpr:
@@ -167,33 +165,34 @@ func isParamSlice(e ast.Expr, params map[string]bool) bool {
 		case *ast.SliceExpr:
 			e = x.X
 		case *ast.Ident:
-			return params[x.Name]
+			return params[info.Uses[x]]
 		default:
 			return false
 		}
 	}
 }
 
-// capturedLocal returns the name of a local variable of fn that lit's
-// body references, or "" if the closure is capture-free. Package-level
-// identifiers and the closure's own declarations don't count.
-func capturedLocal(fn *ast.FuncDecl, lit *ast.FuncLit) string {
+// capturedLocal returns the name of a variable declared in fn outside
+// lit (a parameter, result, receiver or local) that lit's body
+// references, or "" if the closure is capture-free. Package-level
+// variables, struct fields and the closure's own declarations don't
+// count.
+func capturedLocal(info *types.Info, fn *ast.FuncDecl, lit *ast.FuncLit) string {
 	found := ""
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if found != "" {
 			return false
 		}
 		id, ok := n.(*ast.Ident)
-		if !ok || id.Obj == nil || id.Obj.Decl == nil {
-			return true
-		}
-		dn, ok := id.Obj.Decl.(ast.Node)
 		if !ok {
 			return true
 		}
-		declPos := dn.Pos()
-		inFn := declPos >= fn.Pos() && declPos < fn.End()
-		inLit := declPos >= lit.Pos() && declPos < lit.End()
+		v, ok := info.Uses[id].(*types.Var)
+		if !ok || v.IsField() {
+			return true
+		}
+		inFn := v.Pos() >= fn.Pos() && v.Pos() < fn.End()
+		inLit := v.Pos() >= lit.Pos() && v.Pos() < lit.End()
 		if inFn && !inLit {
 			found = id.Name
 		}

@@ -46,7 +46,7 @@ func LoadDir(fset *token.FileSet, dir, rel string) (*Pkg, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, ebcperr.Wrap(ebcperr.ErrInvalidConfig, "analysis: %v", err)
 		}

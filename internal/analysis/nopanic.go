@@ -49,9 +49,6 @@ func (NoPanic) Check(p *Pkg) []Diagnostic {
 	if p.Name == "main" || p.Rel == "cmd" || strings.HasPrefix(p.Rel, "cmd/") {
 		return nil
 	}
-	if p.Info == nil {
-		return nil // failed to type-check; already reported by the driver
-	}
 	var out []Diagnostic
 	for _, f := range p.Files {
 		// Selector uses (os.Exit, o.Exit, log.Fatalf as a method value)

@@ -2,9 +2,10 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 )
 
-// ServeCtx enforces the serving-path cancellation contract (PR 7): an
+// ServeCtx enforces the serving-path cancellation contract: an
 // HTTP handler's work must die with its request. Any function that
 // receives a *http.Request and then builds its own root context —
 // context.Background(), context.TODO() — or starts a session without
@@ -12,9 +13,9 @@ import (
 // connection or expired deadline keeps simulating. The fix is always
 // the same: thread r.Context() through, and use exp.NewSessionContext.
 //
-// The check is syntactic like the rest of the suite: it looks for
-// functions with a parameter of type *http.Request (by selector, for
-// any import alias of net/http) and scans their bodies. Functions the
+// The check resolves through go/types: a function is in scope when a
+// parameter's type is *net/http.Request, whatever net/http is imported
+// as, and the calls are matched by their resolved callee. Functions the
 // request never reaches are out of scope — a daemon's main() may well
 // own a Background root for its signal handling.
 type ServeCtx struct{}
@@ -22,14 +23,21 @@ type ServeCtx struct{}
 // Name implements Analyzer.
 func (ServeCtx) Name() string { return "servectx" }
 
+// detachingCalls maps each banned callee, as calleePkgFunc names it, to
+// its diagnostic.
+var detachingCalls = map[[2]string]string{
+	{"context", "Background"}:           "context.Background in a request-handling function detaches work from the client; thread r.Context() instead",
+	{"context", "TODO"}:                 "context.TODO in a request-handling function detaches work from the client; thread r.Context() instead",
+	{"ebcp/internal/exp", "NewSession"}: "exp.NewSession in a request-handling function cannot be cancelled; use exp.NewSessionContext with the request's context",
+}
+
 // Check implements Analyzer.
 func (ServeCtx) Check(p *Pkg) []Diagnostic {
 	var out []Diagnostic
 	for _, f := range p.Files {
-		named, _ := importNames(f)
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !hasRequestParam(fn, named) {
+			if !ok || fn.Body == nil || !hasRequestParam(p.Info, fn) {
 				continue
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -37,16 +45,10 @@ func (ServeCtx) Check(p *Pkg) []Diagnostic {
 				if !ok {
 					return true
 				}
-				switch {
-				case selectorOn(call.Fun, named, "context", "Background"):
-					out = append(out, Diagnostic{p.Fset.Position(call.Pos()), "servectx",
-						"context.Background in a request-handling function detaches work from the client; thread r.Context() instead"})
-				case selectorOn(call.Fun, named, "context", "TODO"):
-					out = append(out, Diagnostic{p.Fset.Position(call.Pos()), "servectx",
-						"context.TODO in a request-handling function detaches work from the client; thread r.Context() instead"})
-				case selectorOn(call.Fun, named, "ebcp/internal/exp", "NewSession"):
-					out = append(out, Diagnostic{p.Fset.Position(call.Pos()), "servectx",
-						"exp.NewSession in a request-handling function cannot be cancelled; use exp.NewSessionContext with the request's context"})
+				if path, name, ok := calleePkgFunc(p.Info, call); ok {
+					if msg, banned := detachingCalls[[2]string{path, name}]; banned {
+						out = append(out, Diagnostic{p.Fset.Position(call.Pos()), "servectx", msg})
+					}
 				}
 				return true
 			})
@@ -55,18 +57,12 @@ func (ServeCtx) Check(p *Pkg) []Diagnostic {
 	return out
 }
 
-// hasRequestParam reports whether any parameter of fn is *http.Request
-// (under whatever name net/http is imported as in this file).
-func hasRequestParam(fn *ast.FuncDecl, named map[string]string) bool {
-	if fn.Type.Params == nil {
-		return false
-	}
+// hasRequestParam reports whether any parameter of fn has type
+// *net/http.Request.
+func hasRequestParam(info *types.Info, fn *ast.FuncDecl) bool {
 	for _, field := range fn.Type.Params.List {
-		star, ok := field.Type.(*ast.StarExpr)
-		if !ok {
-			continue
-		}
-		if selectorOn(star.X, named, "net/http", "Request") {
+		ptr, ok := types.Unalias(info.TypeOf(field.Type)).(*types.Pointer)
+		if ok && types.TypeString(types.Unalias(ptr.Elem()), nil) == "net/http.Request" {
 			return true
 		}
 	}

@@ -1,7 +1,7 @@
 // Package broken deliberately fails type-checking: the loader-failure
 // regression test asserts the driver reports positioned [typecheck]
 // diagnostics for it (never a panic, never a silent skip), that the
-// typed analyzers skip its nil-Info package, and that its unused allow
+// driver skips its nil-Info package, and that its unused allow
 // below is never judged stale — an untyped package proves nothing.
 package broken
 

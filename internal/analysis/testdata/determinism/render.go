@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"sort"
 	"time"
+
+	"ebcp/internal/spec"
 )
 
 type table struct {
@@ -21,6 +23,12 @@ func stamp() int64 {
 
 func jitter() float64 {
 	return rand.Float64() // want `\[determinism\] global math/rand.Float64 shares unseeded state`
+}
+
+// clock holds time.Now as a value: a reference, not only a call, is
+// flagged.
+func clock() func() time.Time {
+	return time.Now // want `\[determinism\] time.Now leaks wall-clock state`
 }
 
 // seeded streams are explicitly deterministic: not flagged.
@@ -52,6 +60,42 @@ func localMap(w io.Writer) {
 	for k := range m { // want `\[determinism\] range over a map feeds a writer`
 		fmt.Fprintln(w, k)
 	}
+}
+
+// renderSpecCells ranges over a map field declared in another package:
+// the range expression's type decides, not where the field lives.
+func renderSpecCells(w io.Writer, sp spec.SpecV1) {
+	for name, c := range sp.Cells { // want `\[determinism\] range over a map feeds a writer`
+		fmt.Fprintf(w, "%s=%s\n", name, c.Key)
+	}
+}
+
+// renderSpecCellsSorted is the sorted-keys fix of renderSpecCells.
+func renderSpecCellsSorted(w io.Writer, sp spec.SpecV1) {
+	names := make([]string, 0, len(sp.Cells))
+	for name := range sp.Cells {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(w, "%s=%s\n", name, sp.Cells[name].Key)
+	}
+}
+
+func probeMap(m map[string]int) map[string]int { return m }
+
+// renderCallResult ranges over a map a call returns.
+func renderCallResult(w io.Writer, m map[string]int) {
+	for k := range probeMap(m) { // want `\[determinism\] range over a map feeds a writer`
+		fmt.Fprintln(w, k)
+	}
+}
+
+// seededStream calls methods of a seeded stream that share their names
+// with the global functions: not flagged.
+func seededStream(seed int64) float64 {
+	r := rand.New(rand.NewSource(seed))
+	return r.Float64() + float64(r.Intn(4))
 }
 
 func sliceRange(w io.Writer, rows []float64) {

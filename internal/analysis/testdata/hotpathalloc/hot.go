@@ -31,6 +31,18 @@ func appends(r *ring, scratch []int) []int {
 	return append(scratch[:0], 3)
 }
 
+// shadowed appends to a local that shares a parameter's name: the
+// target is judged by the object it denotes, not by its spelling.
+//
+//ebcp:hotpath
+func shadowed(r *ring, scratch []int) []int {
+	if scratch := r.buf; len(scratch) > 0 {
+		scratch = append(scratch, 4) // want `\[hotpathalloc\] hot path append target is not a parameter slice`
+		r.buf = scratch
+	}
+	return scratch
+}
+
 //ebcp:hotpath
 func captures(n int) func() int {
 	total := 0

@@ -38,6 +38,16 @@ func threaded(w http.ResponseWriter, r *http.Request) {
 	_ = s
 }
 
+// request is an alias of http.Request; a parameter of type *request is
+// still a *http.Request.
+type request = http.Request
+
+// aliasedRequest receives the request through the alias: flagged.
+func aliasedRequest(r *request) {
+	ctx := context.TODO() // want `\[servectx\] context.TODO in a request-handling function detaches work from the client`
+	_ = ctx
+}
+
 // derived contexts rooted on the request are fine too.
 func derived(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())

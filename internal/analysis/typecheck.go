@@ -1,10 +1,10 @@
 package analysis
 
-// The go/types loading layer. PR 5's driver was purely syntactic
-// (go/parser over one directory at a time); the type-aware analyzers
-// (codecstrict and the typed upgrades of nopanic, errwrap and
-// hotpathalloc) need resolved identifiers, receiver types and
-// cross-package call targets. This file type-checks the already-parsed
+// The go/types loading layer, the suite's one way to resolve a name:
+// every analyzer reads identifiers, receiver types, call targets and
+// expression types from the go/types facts filled here, never from
+// import-name tables or the parser's object scopes (LoadDir parses
+// with parser.SkipObjectResolution). This file type-checks the parsed
 // ASTs in dependency order with a module-local importer: imports inside
 // the module resolve to the loaded packages themselves (checked
 // recursively, memoized, cycle-guarded), and everything else falls back
@@ -14,8 +14,8 @@ package analysis
 //
 // Failure is loud by contract: a package that does not type-check
 // yields positioned [typecheck] driver diagnostics — never a panic and
-// never a silent skip — and its Info stays nil, which the typed
-// analyzers treat as "already reported, nothing to analyze".
+// never a silent skip — and its Info stays nil, which the driver (Run)
+// treats as "already reported, nothing to analyze".
 
 import (
 	"fmt"
@@ -189,7 +189,7 @@ func (tc *TypeChecker) require(path string) (*tcEntry, error) {
 // second generation of its types, incompatible with the first), so the
 // facts must be complete the first time. Type errors become positioned
 // [typecheck] diagnostics on tc.diags and mark the entry failed; Info
-// and Types stay nil on failure so typed analyzers skip the package
+// and Types stay nil on failure so the driver skips the package
 // instead of reading partial facts.
 func (tc *TypeChecker) checkEntry(path string, e *tcEntry) {
 	e.state = 1

@@ -22,6 +22,8 @@
 package cpu
 
 import (
+	"math"
+
 	"ebcp/internal/ebcperr"
 	"ebcp/internal/metrics"
 )
@@ -52,8 +54,8 @@ func (c Config) Validate() error {
 	if c.ROBSize == 0 {
 		return ebcperr.Invalidf("cpu: ROB size must be positive")
 	}
-	if c.OnChipCPI <= 0 {
-		return ebcperr.Invalidf("cpu: on-chip CPI %v must be positive", c.OnChipCPI)
+	if !(c.OnChipCPI > 0) || math.IsInf(c.OnChipCPI, 1) {
+		return ebcperr.Invalidf("cpu: on-chip CPI %v must be positive and finite", c.OnChipCPI)
 	}
 	if c.MaxOutstanding <= 0 {
 		return ebcperr.Invalidf("cpu: max outstanding misses %d must be positive", c.MaxOutstanding)

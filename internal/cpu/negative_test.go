@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"ebcp/internal/ebcperr"
@@ -35,6 +36,14 @@ func TestNegativeConfigs(t *testing.T) {
 		{"zero ROB", func() error { _, err := New(Config{ROBSize: 0, OnChipCPI: 1, MaxOutstanding: 32}); return err }},
 		{"zero CPI", func() error { _, err := New(Config{ROBSize: 128, OnChipCPI: 0, MaxOutstanding: 32}); return err }},
 		{"negative CPI", func() error { _, err := New(Config{ROBSize: 128, OnChipCPI: -1, MaxOutstanding: 32}); return err }},
+		{"NaN CPI", func() error {
+			_, err := New(Config{ROBSize: 128, OnChipCPI: math.NaN(), MaxOutstanding: 32})
+			return err
+		}},
+		{"infinite CPI", func() error {
+			_, err := New(Config{ROBSize: 128, OnChipCPI: math.Inf(1), MaxOutstanding: 32})
+			return err
+		}},
 		{"zero outstanding", func() error { _, err := New(Config{ROBSize: 128, OnChipCPI: 1, MaxOutstanding: 0}); return err }},
 	}
 	for _, c := range cases {

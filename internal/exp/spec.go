@@ -297,8 +297,8 @@ var (
 
 // canonical decodes and compiles the embedded spec files once. The
 // specs are build-time constants gated by tier-1 tests (the goldens,
-// the spec codec suite, the specsync analyzer), so a failure here can
-// only mean a corrupted build.
+// the spec codec suite, TestCanonicalSpecsMatchRegistry), so a failure
+// here can only mean a corrupted build.
 //
 //ebcp:allow nopanic the embedded canonical specs are compile-time constants validated by tier-1 tests; failing to load them is build corruption, not an input error
 func canonical() ([]Experiment, map[string]spec.SpecV1) {

@@ -3,10 +3,12 @@ package exp
 import (
 	"bytes"
 	"errors"
+	"sort"
 	"strings"
 	"testing"
 
 	"ebcp/internal/ebcperr"
+	"ebcp/internal/registry"
 	"ebcp/internal/spec"
 )
 
@@ -51,6 +53,68 @@ func TestCanonicalSpecsMatchFiles(t *testing.T) {
 	}
 	if _, err := CanonicalSpec("fig99"); err == nil || !errors.Is(err, ebcperr.ErrInvalidConfig) {
 		t.Errorf("CanonicalSpec(fig99) = %v, want ErrInvalidConfig", err)
+	}
+}
+
+// TestCanonicalSpecsMatchRegistry keeps internal/registry and the
+// committed canonical specs from drifting apart: the spec files are
+// data, so the compiler cannot catch a registry rename stranding one.
+// It checks both directions:
+//
+//   - every prefetcher a spec's cells name and every workload its
+//     benchmarks field names is registered;
+//   - every registered prefetcher is used by some spec (the canonical
+//     set includes the full Figure 9 comparison, so an unused
+//     registration means the coverage, or the registration, is wrong);
+//   - every spec's id equals its file name, which also makes ids unique.
+func TestCanonicalSpecsMatchRegistry(t *testing.T) {
+	used := map[string]bool{}
+	for _, name := range registry.PrefetcherNames() {
+		used[name] = false
+	}
+	workloads := map[string]bool{}
+	for _, name := range registry.WorkloadNames() {
+		workloads[name] = true
+	}
+	entries, err := specFS.ReadDir("specs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		data, err := specFS.ReadFile("specs/" + ent.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := spec.Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Errorf("%s: %v", ent.Name(), err)
+			continue
+		}
+		if want := strings.TrimSuffix(ent.Name(), ".json"); sp.ID != want {
+			t.Errorf("%s declares id %q; the id must equal the file name", ent.Name(), sp.ID)
+		}
+		cells := make([]string, 0, len(sp.Cells))
+		for name := range sp.Cells {
+			cells = append(cells, name)
+		}
+		sort.Strings(cells)
+		for _, cell := range cells {
+			name := sp.Cells[cell].Prefetcher.Name
+			if _, ok := used[name]; !ok {
+				t.Errorf("%s cell %q names unregistered prefetcher %q", ent.Name(), cell, name)
+			}
+			used[name] = true
+		}
+		for _, b := range sp.Benchmarks {
+			if !workloads[b] {
+				t.Errorf("%s names unregistered workload %q", ent.Name(), b)
+			}
+		}
+	}
+	for _, name := range registry.PrefetcherNames() {
+		if !used[name] {
+			t.Errorf("registered prefetcher %q is used by no canonical spec", name)
+		}
 	}
 }
 
@@ -155,6 +219,30 @@ func TestFromSpecBadCellParamsRenderNA(t *testing.T) {
 	}
 	if s.FirstError() == nil || !errors.Is(s.FirstError(), ebcperr.ErrInvalidConfig) {
 		t.Errorf("FirstError() = %v, want the cell's ErrInvalidConfig", s.FirstError())
+	}
+}
+
+// TestFromSpecUnusableBandwidthRendersNA: a cell whose bandwidth tweak
+// would hold the bus for more than 2^32 cycles per line fails at
+// construction as ErrInvalidConfig, so it renders n/a instead of a
+// number from an overflowed occupancy.
+func TestFromSpecUnusableBandwidthRendersNA(t *testing.T) {
+	src := strings.Replace(minimalSpec,
+		`"prefetcher": {"name": "ebcp"}`,
+		`"prefetcher": {"name": "ebcp"}, "sim": {"read_gbps": 1e-300}`, 1)
+	sp := specFromJSON(t, src)
+	sp.Benchmarks = []string{"SPECjbb2005"}
+	e, err := FromSpec(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(Options{Warm: 1e5, Measure: 1e5})
+	rep := e.Run(s)
+	if rep.NACells() != 1 {
+		t.Errorf("NACells() = %d, want 1 (the 1e-300 GB/s cell)", rep.NACells())
+	}
+	if err := s.FirstError(); err == nil || !errors.Is(err, ebcperr.ErrInvalidConfig) || !strings.Contains(err.Error(), "holds the bus") {
+		t.Errorf("FirstError() = %v, want the memory system's ErrInvalidConfig", err)
 	}
 }
 

@@ -18,6 +18,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 
 	"ebcp/internal/amo"
 	"ebcp/internal/ebcperr"
@@ -90,14 +91,28 @@ func (c Config) Validate() error {
 	if c.UnloadedLatency == 0 {
 		return ebcperr.Invalidf("mem: unloaded latency must be positive")
 	}
-	if c.CoreGHz <= 0 || c.ReadGBps <= 0 || c.WriteGBps <= 0 {
-		return ebcperr.Invalidf("mem: clock %v GHz and bandwidths %v/%v GB/s must be positive", c.CoreGHz, c.ReadGBps, c.WriteGBps)
+	if !positiveFinite(c.CoreGHz) || !positiveFinite(c.ReadGBps) || !positiveFinite(c.WriteGBps) {
+		return ebcperr.Invalidf("mem: clock %v GHz and bandwidths %v/%v GB/s must be positive and finite", c.CoreGHz, c.ReadGBps, c.WriteGBps)
+	}
+	for _, gbps := range []float64{c.ReadGBps, c.WriteGBps} {
+		if float64(amo.LineSize)*c.CoreGHz/gbps > maxLineOccupancy {
+			return ebcperr.Invalidf("mem: %v GB/s at %v GHz holds the bus more than %d cycles per %dB line", gbps, c.CoreGHz, maxLineOccupancy, amo.LineSize)
+		}
 	}
 	if c.LowPriorityBacklog <= 0 {
 		return ebcperr.Invalidf("mem: low-priority backlog bound %d must be positive", c.LowPriorityBacklog)
 	}
 	return nil
 }
+
+// maxLineOccupancy bounds the core cycles one line may hold a bus.
+// Validate rejects slower buses, so lineOccupancy's conversion to
+// uint64 cannot overflow and bus cursors stay far from wrapping.
+const maxLineOccupancy = 1 << 32
+
+// positiveFinite reports whether v is a positive finite number: NaN
+// and +Inf fail, as do zero and negatives.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // lineOccupancy returns the core cycles a 64B line holds a bus of the
 // given bandwidth.

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"ebcp/internal/ebcperr"
@@ -45,6 +46,15 @@ func TestNegativeConfigs(t *testing.T) {
 		{"zero read bandwidth", mut(func(c *Config) { c.ReadGBps = 0 })},
 		{"negative write bandwidth", mut(func(c *Config) { c.WriteGBps = -1 })},
 		{"zero backlog", mut(func(c *Config) { c.LowPriorityBacklog = 0 })},
+		{"NaN clock", mut(func(c *Config) { c.CoreGHz = math.NaN() })},
+		{"infinite clock", mut(func(c *Config) { c.CoreGHz = math.Inf(1) })},
+		{"NaN read bandwidth", mut(func(c *Config) { c.ReadGBps = math.NaN() })},
+		{"infinite read bandwidth", mut(func(c *Config) { c.ReadGBps = math.Inf(1) })},
+		{"NaN write bandwidth", mut(func(c *Config) { c.WriteGBps = math.NaN() })},
+		{"tiny read bandwidth", mut(func(c *Config) { c.ReadGBps = 1e-300 })},
+		{"tiny write bandwidth", mut(func(c *Config) { c.WriteGBps = 1e-300 })},
+		{"read line occupancy past 2^32 cycles", mut(func(c *Config) { c.ReadGBps = 64 * c.CoreGHz / (maxLineOccupancy * 1.01) })},
+		{"huge clock", mut(func(c *Config) { c.CoreGHz = 1e300 })},
 	}
 	for _, c := range cases {
 		checkInvalid(t, c.name, c.f)

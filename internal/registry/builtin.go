@@ -1,8 +1,8 @@
 // The built-in registry entries: every contender the paper's Figure 9
 // comparison and the CMP extension use, and the four commercial
-// workloads. Map literals make duplicate names a compile error; the
-// specsync analyzer checks these names against the committed spec files
-// under internal/exp/specs.
+// workloads. Map literals make duplicate names a compile error;
+// TestCanonicalSpecsMatchRegistry in internal/exp checks these names
+// against the committed spec files under internal/exp/specs.
 package registry
 
 import (

@@ -7,9 +7,9 @@
 //
 // The entries live in builtin.go as map literals (duplicate names are
 // then a compile error) and are read-only after package initialization,
-// so lookups need no locking. The specsync analyzer (internal/analysis)
-// keeps the built-in names and the committed spec files under
-// internal/exp/specs in sync.
+// so lookups need no locking. TestCanonicalSpecsMatchRegistry in
+// internal/exp keeps the built-in names and the committed spec files
+// under internal/exp/specs in sync.
 package registry
 
 import (

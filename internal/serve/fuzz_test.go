@@ -29,7 +29,7 @@ func FuzzRunRequestDecode(f *testing.F) {
 			t.Fatalf("accepted request carries schema %q", rq.Schema)
 		}
 		// validate may reject (that's its job); it must only not panic.
-		_ = rq.validate()
+		_, _ = rq.validate()
 	})
 }
 

@@ -70,55 +70,66 @@ func DecodeRunRequest(r io.Reader) (RunRequestV1, error) {
 	return rq, nil
 }
 
-// resolve produces the experiment this request runs: a canonical id, or
-// an inline ebcp.spec/v1 document compiled through the registry. For
+// resolved is the experiment a request runs: a canonical id, or an
+// inline ebcp.spec/v1 document compiled through the registry. For
 // inline specs, sp is the decoded spec (its windows apply when the
 // request sets none of its own) and canon its canonical encoding — the
 // session digests canon into every cell cache key, because a
 // user-authored cell key string is only unique within its spec, unlike
 // canonical cells, which every invocation path shares.
-func (rq RunRequestV1) resolve() (e exp.Experiment, sp spec.SpecV1, canon string, err error) {
+type resolved struct {
+	e     exp.Experiment
+	sp    spec.SpecV1
+	canon string
+}
+
+// resolve produces the experiment this request runs.
+func (rq RunRequestV1) resolve() (resolved, error) {
 	if len(rq.Spec) == 0 {
-		e, err = exp.ByID(rq.Experiment)
-		return e, spec.SpecV1{}, "", err
+		e, err := exp.ByID(rq.Experiment)
+		return resolved{e: e}, err
 	}
-	sp, err = spec.Decode(bytes.NewReader(rq.Spec))
+	sp, err := spec.Decode(bytes.NewReader(rq.Spec))
 	if err != nil {
-		return exp.Experiment{}, spec.SpecV1{}, "", err
+		return resolved{}, err
 	}
-	if e, err = exp.FromSpec(sp); err != nil {
-		return exp.Experiment{}, spec.SpecV1{}, "", err
+	e, err := exp.FromSpec(sp)
+	if err != nil {
+		return resolved{}, err
 	}
 	b, err := spec.Canonical(sp)
 	if err != nil {
-		return exp.Experiment{}, spec.SpecV1{}, "", err
+		return resolved{}, err
 	}
-	return e, sp, string(b), nil
+	return resolved{e: e, sp: sp, canon: string(b)}, nil
 }
 
-// validate checks the fields that do not need server configuration.
-func (rq RunRequestV1) validate() error {
+// validate checks the fields that do not need server configuration and
+// returns the resolved experiment, so a request is decoded, compiled
+// and canonicalized once.
+func (rq RunRequestV1) validate() (resolved, error) {
 	switch {
 	case rq.Experiment == "" && len(rq.Spec) == 0:
-		return ebcperr.Invalidf("serve: request names no experiment (set experiment or an inline spec)")
+		return resolved{}, ebcperr.Invalidf("serve: request names no experiment (set experiment or an inline spec)")
 	case rq.Experiment != "" && len(rq.Spec) > 0:
-		return ebcperr.Invalidf("serve: experiment and spec are mutually exclusive")
+		return resolved{}, ebcperr.Invalidf("serve: experiment and spec are mutually exclusive")
 	}
-	if _, _, _, err := rq.resolve(); err != nil {
-		return err
+	res, err := rq.resolve()
+	if err != nil {
+		return resolved{}, err
 	}
 	if rq.BenchScale < 0 || rq.BenchScale > 1 {
-		return ebcperr.Invalidf("serve: bench_scale %g must be in (0, 1] (or 0 for full size)", rq.BenchScale)
+		return resolved{}, ebcperr.Invalidf("serve: bench_scale %g must be in (0, 1] (or 0 for full size)", rq.BenchScale)
 	}
 	if rq.TimeoutMS < 0 {
-		return ebcperr.Invalidf("serve: timeout_ms %d must be non-negative", rq.TimeoutMS)
+		return resolved{}, ebcperr.Invalidf("serve: timeout_ms %d must be non-negative", rq.TimeoutMS)
 	}
 	switch rq.Priority {
 	case "", PriorityInteractive, PriorityBatch:
 	default:
-		return ebcperr.Invalidf("serve: unknown priority %q (want %q or %q)", rq.Priority, PriorityInteractive, PriorityBatch)
+		return resolved{}, ebcperr.Invalidf("serve: unknown priority %q (want %q or %q)", rq.Priority, PriorityInteractive, PriorityBatch)
 	}
-	return nil
+	return res, nil
 }
 
 // options maps a validated request onto the exp.Options its session

@@ -64,6 +64,7 @@ func (c Config) withDefaults() Config {
 // worker.
 type job struct {
 	rq       RunRequestV1
+	res      resolved
 	ctx      context.Context
 	enqueued time.Time
 	// done is closed by the worker after filling result/err.
@@ -183,18 +184,14 @@ func (s *Server) execute(j *job) {
 		j.err = ebcperr.Cancelledf("serve: request abandoned in queue: %v", err)
 		return
 	}
-	e, sp, specJSON, err := j.rq.resolve()
-	if err != nil {
-		j.err = err
-		return
-	}
+	sp := j.res.sp
 	opts, err := j.rq.options(s.cfg, sp.Benchmarks)
 	if err != nil {
 		j.err = err
 		return
 	}
 	opts.Cache = s.cache
-	opts.SpecJSON = specJSON
+	opts.SpecJSON = j.res.canon
 	// An inline spec's windows apply only when the request sets none of
 	// its own — explicit warm_insts/measure_insts always win.
 	if j.rq.WarmInsts == 0 && sp.WarmInsts > 0 {
@@ -204,7 +201,7 @@ func (s *Server) execute(j *job) {
 		opts.Measure = sp.MeasureInsts
 	}
 	session := exp.NewSessionContext(j.ctx, opts)
-	rep := e.Run(session)
+	rep := j.res.e.Run(session)
 	grid := rep.GridV1()
 
 	s.mu.Lock()
@@ -260,9 +257,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.received++
 	s.mu.Unlock()
 
+	var res resolved
 	rq, err := DecodeRunRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err == nil {
-		err = rq.validate()
+		res, err = rq.validate()
 	}
 	if err != nil {
 		s.noteFailed()
@@ -281,7 +279,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	j := &job{rq: rq, ctx: ctx, enqueued: start, done: make(chan struct{})}
+	j := &job{rq: rq, res: res, ctx: ctx, enqueued: start, done: make(chan struct{})}
 	if err := s.enqueue(j, rq.priority()); err != nil {
 		s.mu.Lock()
 		s.rejected++

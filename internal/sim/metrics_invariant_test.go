@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -96,5 +97,44 @@ func TestSnapshotInvariantsShortTrace(t *testing.T) {
 	}
 	if err := snap.CheckInvariants(); err != nil {
 		t.Errorf("short-trace snapshot does not reconcile: %v", err)
+	}
+}
+
+// TestDerivedMetricsAgree pins the two implementations of the paper's
+// derived metrics to each other: Result's CPI/EPKI/MPKI/coverage/
+// accuracy/timeliness methods (what the text renderers print) and
+// metrics.Snapshot.Derive (what the JSON reports carry). They evaluate
+// the same formulas in a different operation order, so they may differ
+// in the last bit (1000*n/d against 1000*(n/d)), but no further: a
+// formula that drifts in one of them fails here.
+func TestDerivedMetricsAgree(t *testing.T) {
+	const relTol = 1e-14
+	for _, p := range workload.All() {
+		cfg := DefaultConfig()
+		cfg.Core.OnChipCPI = p.OnChipCPI
+		cfg.WarmInsts, cfg.MeasureInsts = 5_000_000, 5_000_000
+		res := must(Run(must(workload.New(p)), must(core.New(core.DefaultConfig())), cfg))
+		snap := res.Snapshot()
+		d := snap.Derive()
+		for _, m := range []struct {
+			name          string
+			result, snaps float64
+		}{
+			{"CPI", res.CPI(), d.CPI},
+			{"EPKI", res.EPKI(), d.EPKI},
+			{"IFetchMPKI", res.IFetchMPKI(), d.IFetchMPKI},
+			{"LoadMPKI", res.LoadMPKI(), d.LoadMPKI},
+			{"Coverage", res.Coverage(), d.Coverage},
+			{"Accuracy", res.Accuracy(), d.Accuracy},
+			{"Timeliness", res.Timeliness(), d.TimelyOnTime},
+		} {
+			if m.result == 0 && m.snaps == 0 {
+				t.Errorf("%s %s: both zero; the window is too short to compare anything", p.Name, m.name)
+				continue
+			}
+			if diff := math.Abs(m.result - m.snaps); diff > relTol*math.Max(math.Abs(m.result), math.Abs(m.snaps)) {
+				t.Errorf("%s %s: Result says %v, Snapshot.Derive says %v", p.Name, m.name, m.result, m.snaps)
+			}
+		}
 	}
 }

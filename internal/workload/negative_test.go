@@ -43,6 +43,8 @@ func TestNegativeConfigs(t *testing.T) {
 	}{
 		{"empty name", mut(func(p *Params) { p.Name = "" })},
 		{"zero CPI", mut(func(p *Params) { p.OnChipCPI = 0 })},
+		{"NaN CPI", mut(func(p *Params) { p.OnChipCPI = math.NaN() })},
+		{"infinite CPI", mut(func(p *Params) { p.OnChipCPI = math.Inf(1) })},
 		{"zero chains", mut(func(p *Params) { p.Chains = 0 })},
 		{"zero txn types", mut(func(p *Params) { p.TxnTypes = 0 })},
 		{"huge txn types", mut(func(p *Params) { p.TxnTypes = 1 << 50 })},

@@ -175,8 +175,8 @@ func (p Params) Validate() error {
 	switch {
 	case p.Name == "":
 		return ebcperr.Invalidf("workload: name required")
-	case p.OnChipCPI <= 0:
-		return ebcperr.Invalidf("workload %s: OnChipCPI must be positive", p.Name)
+	case !(p.OnChipCPI > 0) || math.IsInf(p.OnChipCPI, 1):
+		return ebcperr.Invalidf("workload %s: OnChipCPI %v must be positive and finite", p.Name, p.OnChipCPI)
 	case p.TxnTypes <= 0 || p.Chains <= 0:
 		return ebcperr.Invalidf("workload %s: types and chains must be positive", p.Name)
 	case p.ChainSteps[0] <= 0 || p.ChainSteps[1] < p.ChainSteps[0]:
