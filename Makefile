@@ -27,14 +27,15 @@ lint: vet
 # metrics layer (every report number flows through it), the simulator
 # core, the paper's contribution (the EBCP control in internal/core and
 # its correlation table in internal/corrtab), the prefetcher contenders
-# (every reported delta comes from one of them), the workload generators
+# (every reported delta comes from one of them) and the registry, the one
+# table every caller builds them through, the workload generators
 # (every simulated access comes from one of them), and the analyzer suite
 # (a lint gate with untested paths is a gate that silently stops
 # gating). A drop below 70% means new code shipped without tests.
 COVER_FLOOR := 70
 cover:
 	@fail=0; \
-	for pkg in ./internal/metrics ./internal/sim ./internal/core ./internal/corrtab ./internal/prefetch ./internal/workload ./internal/analysis; do \
+	for pkg in ./internal/metrics ./internal/sim ./internal/core ./internal/corrtab ./internal/prefetch ./internal/registry ./internal/workload ./internal/analysis; do \
 		pct=$$(go test -cover $$pkg | awk '/coverage:/ { sub("%", "", $$5); print $$5 }'); \
 		if [ -z "$$pct" ]; then \
 			echo "cover: no coverage line for $$pkg (tests failed?)"; fail=1; \

@@ -2,14 +2,20 @@
 // system configuration, printing the measured statistics (and the
 // improvement over a no-prefetching baseline unless -nobase is set).
 //
+// -prefetcher and -params are an experiment spec cell's prefetcher.name
+// and prefetcher.params (ebcp.spec/v1): the contender is built through
+// the same registry, with the same strict parameter decoding, so a cell
+// of any committed spec under internal/exp/specs can be rerun alone.
+//
 // Examples:
 //
 //	ebcpsim -workload SPECjbb2005 -prefetcher ebcp -warm 20e6 -measure 20e6
-//	ebcpsim -workload Database -prefetcher ghb-large -degree 6
-//	ebcpsim -workload TPC-W -prefetcher ebcp -degree 16 -read-gbps 3.2
+//	ebcpsim -workload Database -prefetcher ghb-large -params '{"degree":6}'
+//	ebcpsim -workload TPC-W -prefetcher ebcp -params '{"degree":16,"table_max_addrs":16}' -read-gbps 3.2
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -22,6 +28,7 @@ import (
 
 	"ebcp"
 	"ebcp/internal/ebcperr"
+	"ebcp/internal/registry"
 )
 
 // die prints a one-line diagnostic and exits non-zero. Every failure —
@@ -42,38 +49,32 @@ func countable(v float64) bool {
 	return !math.IsNaN(v) && v < 1<<64
 }
 
-// validateFlags rejects flag values the simulator's constructors would
-// refuse, so the process fails here with one diagnostic instead of three
-// packages deep.
-func validateFlags(degree, tableEntries, pbEntries int, warm, measure, maxInsts, readGBps, writeGBps float64) error {
+// validateFlags rejects the instruction-window flags whose float values
+// no constructor ever sees: converting them to uint64 is where they
+// would go wrong. Every other value is checked, with the same
+// ErrInvalidConfig diagnostic, by the constructor it configures.
+func validateFlags(warm, measure, maxInsts float64) error {
 	switch {
-	case degree <= 0:
-		return ebcperr.Invalidf("-degree must be positive (got %d)", degree)
-	case tableEntries <= 0:
-		return ebcperr.Invalidf("-table-entries must be positive (got %d)", tableEntries)
-	case pbEntries <= 0:
-		return ebcperr.Invalidf("-pb must be positive (got %d)", pbEntries)
 	case warm < 0 || !countable(warm):
 		return ebcperr.Invalidf("-warm must be non-negative and below 2^64 (got %g)", warm)
 	case measure <= 0 || !countable(measure):
 		return ebcperr.Invalidf("-measure must be positive and below 2^64 (got %g)", measure)
 	case maxInsts < 0 || !countable(maxInsts):
 		return ebcperr.Invalidf("-max-insts must be non-negative and below 2^64 (got %g)", maxInsts)
-	case !(readGBps > 0):
-		return ebcperr.Invalidf("-read-gbps must be positive (got %g)", readGBps)
-	case !(writeGBps > 0):
-		return ebcperr.Invalidf("-write-gbps must be positive (got %g)", writeGBps)
 	}
 	return nil
 }
 
 func main() {
+	var benchNames []string
+	for _, b := range ebcp.Benchmarks() {
+		benchNames = append(benchNames, b.Name)
+	}
 	var (
-		workloadName = flag.String("workload", "Database", "benchmark: Database | TPC-W | SPECjbb2005 | SPECjAppServer2004")
-		pfName       = flag.String("prefetcher", "ebcp", "prefetcher: none | ebcp | ebcp-minus | ghb-small | ghb-large | tcp-small | tcp-large | stream | sms | solihin-3,2 | solihin-6,1 | chain | hermes")
-		filterWrap   = flag.Bool("filter", false, "wrap the prefetcher in the adaptive usefulness filter (default shape)")
-		degree       = flag.Int("degree", 8, "prefetch degree (EBCP/GHB/TCP/stream)")
-		tableEntries = flag.Int("table-entries", 1<<20, "correlation table entries (EBCP)")
+		workloadName = flag.String("workload", "Database", "benchmark: "+strings.Join(benchNames, " | "))
+		pfName       = flag.String("prefetcher", "ebcp", "prefetcher, a spec cell's prefetcher.name: "+strings.Join(registry.PrefetcherNames(), " | "))
+		pfParams     = flag.String("params", "", "the prefetcher's JSON parameter block, a spec cell's prefetcher.params (empty = every default)")
+		filterWrap   = flag.Bool("filter", false, "wrap the prefetcher in the adaptive usefulness filter (default shape, a spec's \"filter\": {})")
 		pbEntries    = flag.Int("pb", 64, "prefetch buffer entries")
 		warm         = flag.Float64("warm", 150e6, "warmup instructions")
 		measure      = flag.Float64("measure", 100e6, "measured instructions")
@@ -102,7 +103,7 @@ func main() {
 		})
 	}
 
-	if err := validateFlags(*degree, *tableEntries, *pbEntries, *warm, *measure, *maxInsts, *readGBps, *writeGBps); err != nil {
+	if err := validateFlags(*warm, *measure, *maxInsts); err != nil {
 		die("%v", err)
 	}
 
@@ -117,12 +118,12 @@ func main() {
 	cfg.Mem.ReadGBps = *readGBps
 	cfg.Mem.WriteGBps = *writeGBps
 
-	pf, err := buildPrefetcher(*pfName, *degree, *tableEntries)
+	pf, err := ebcp.NewPrefetcher(*pfName, json.RawMessage(*pfParams), 0)
 	if err != nil {
 		die("%v", err)
 	}
 	if *filterWrap {
-		if pf, err = ebcp.NewFilter(pf, ebcp.DefaultFilterConfig()); err != nil {
+		if pf, err = registry.WrapFilter(pf, json.RawMessage(`{}`)); err != nil {
 			die("-filter: %v", err)
 		}
 	}
@@ -255,49 +256,6 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 		}
 	}
 	return stop, nil
-}
-
-func buildPrefetcher(name string, degree, tableEntries int) (ebcp.Prefetcher, error) {
-	ecfg := ebcp.TunedEBCP()
-	ecfg.Degree = degree
-	if degree > ecfg.TableMaxAddrs {
-		ecfg.TableMaxAddrs = degree
-	}
-	ecfg.TableEntries = tableEntries
-	switch strings.ToLower(name) {
-	case "none", "baseline":
-		return ebcp.Baseline(), nil
-	case "ebcp":
-		return ebcp.NewEBCP(ecfg)
-	case "ebcp-minus":
-		return ebcp.NewEBCPMinus(ecfg)
-	case "ghb-small":
-		return ebcp.NewGHBSmall(degree)
-	case "ghb-large":
-		return ebcp.NewGHBLarge(degree)
-	case "tcp-small":
-		return ebcp.NewTCPSmall(degree)
-	case "tcp-large":
-		return ebcp.NewTCPLarge(degree)
-	case "stream":
-		return ebcp.NewStream(degree)
-	case "sms":
-		return ebcp.NewSMS(), nil
-	case "solihin-3,2", "solihin32":
-		return ebcp.NewSolihin(3, 2)
-	case "solihin-6,1", "solihin61":
-		return ebcp.NewSolihin(6, 1)
-	case "chain":
-		ccfg := ebcp.DefaultChainConfig()
-		ccfg.Degree = degree
-		if degree > ccfg.Successors {
-			ccfg.Successors = degree
-		}
-		return ebcp.NewChain(ccfg)
-	case "hermes":
-		return ebcp.NewHermes(ebcp.DefaultHermesConfig(), 1)
-	}
-	return nil, ebcperr.Invalidf("unknown prefetcher %q", name)
 }
 
 func printResult(bench string, r ebcp.Result) {

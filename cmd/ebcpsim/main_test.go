@@ -3,10 +3,13 @@ package main
 import (
 	"os"
 	"os/exec"
+	"sort"
 	"strings"
 	"testing"
 
+	"ebcp/internal/exp"
 	"ebcp/internal/metrics"
+	"ebcp/internal/registry"
 )
 
 // TestMain lets the test binary impersonate the CLI: when the marker
@@ -41,22 +44,24 @@ func TestBadFlagsExitOne(t *testing.T) {
 		args []string
 		want string // substring of the diagnostic
 	}{
-		{"pb zero", []string{"-pb", "0"}, "-pb must be positive"},
-		{"degree negative", []string{"-degree", "-1"}, "-degree must be positive"},
+		{"pb zero", []string{"-pb", "0"}, "prefetch buffer shape 0/"},
+		{"degree negative", []string{"-params", `{"degree": -1}`}, "degree -1 must be positive"},
 		{"warm negative", []string{"-warm", "-5"}, "-warm must be non-negative"},
 		{"warm NaN", []string{"-warm", "NaN"}, "-warm must be non-negative"},
 		{"measure zero", []string{"-measure", "0"}, "-measure must be positive"},
 		{"measure Inf", []string{"-measure", "+Inf"}, "-measure must be positive"},
 		{"max insts NaN", []string{"-max-insts", "NaN"}, "-max-insts must be non-negative"},
 		{"max insts overflows uint64", []string{"-max-insts", "2e19"}, "-max-insts must be non-negative and below 2^64"},
-		{"table entries zero", []string{"-table-entries", "0"}, "-table-entries must be positive"},
-		{"bandwidth zero", []string{"-read-gbps", "0"}, "-read-gbps must be positive"},
-		{"bandwidth NaN", []string{"-read-gbps", "NaN"}, "-read-gbps must be positive"},
-		{"write bandwidth NaN", []string{"-write-gbps", "NaN"}, "-write-gbps must be positive"},
-		{"bandwidth Inf", []string{"-read-gbps", "+Inf"}, "must be positive and finite"},
+		{"table entries zero", []string{"-params", `{"table_entries": 0}`}, "table entries 0 must be a positive power of two"},
+		{"bandwidth zero", []string{"-read-gbps", "0"}, "bandwidths 0/4.8 GB/s must be positive"},
+		{"bandwidth NaN", []string{"-read-gbps", "NaN"}, "bandwidths NaN/4.8 GB/s must be positive"},
+		{"write bandwidth NaN", []string{"-write-gbps", "NaN"}, "bandwidths 9.6/NaN GB/s must be positive"},
+		{"bandwidth Inf", []string{"-read-gbps", "+Inf"}, "bandwidths +Inf/4.8 GB/s must be positive and finite"},
 		{"bandwidth too small for a 64-bit occupancy", []string{"-read-gbps", "1e-300"}, "holds the bus more than"},
 		{"unknown workload", []string{"-workload", "nope"}, "nope"},
 		{"unknown prefetcher", []string{"-prefetcher", "nope"}, "unknown prefetcher"},
+		{"unknown param", []string{"-params", `{"nope": 1}`}, `registry: prefetcher "ebcp" params: json: unknown field "nope"`},
+		{"malformed params", []string{"-params", "x"}, `registry: prefetcher "ebcp" params: invalid character 'x'`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -146,9 +151,11 @@ func TestJSONOmitsTextReport(t *testing.T) {
 
 // TestRetiredTableFlagsRejected: ebcpsim has no way to save or load a
 // correlation table, so a script still passing the old table flags must
-// fail loudly at flag parsing rather than run with a cold table.
+// fail loudly at flag parsing rather than run with a cold table. The
+// same holds for the retired -degree and -table-entries, now fields of
+// -params: silently running the defaults would mislabel the result.
 func TestRetiredTableFlagsRejected(t *testing.T) {
-	for _, flag := range []string{"-load-corrtab", "-save-corrtab"} {
+	for _, flag := range []string{"-load-corrtab", "-save-corrtab", "-degree", "-table-entries"} {
 		out, code := runCLI(t, flag, "x")
 		if code == 0 {
 			t.Errorf("%s x exited 0; output:\n%s", flag, out)
@@ -156,5 +163,47 @@ func TestRetiredTableFlagsRejected(t *testing.T) {
 		if !strings.Contains(out, "flag provided but not defined: "+flag) {
 			t.Errorf("%s x: missing the unknown-flag diagnostic:\n%s", flag, out)
 		}
+	}
+}
+
+// TestEveryRegisteredPrefetcherRuns runs each registered contender
+// through -prefetcher/-params with the parameter block of the first
+// canonical-spec cell that names it (experiments in paper order, cells
+// by name), so every name the usage string lists is one that runs.
+func TestEveryRegisteredPrefetcherRuns(t *testing.T) {
+	params := map[string]string{}
+	for _, e := range exp.All() {
+		sp, err := exp.CanonicalSpec(e.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := make([]string, 0, len(sp.Cells))
+		for name := range sp.Cells {
+			cells = append(cells, name)
+		}
+		sort.Strings(cells)
+		for _, cell := range cells {
+			ref := sp.Cells[cell].Prefetcher
+			if _, seen := params[ref.Name]; !seen {
+				params[ref.Name] = string(ref.Params)
+			}
+		}
+	}
+	for _, name := range registry.PrefetcherNames() {
+		p, ok := params[name]
+		if !ok {
+			t.Errorf("no canonical spec cell names %q", name)
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			out, code := runCLI(t, "-prefetcher", name, "-params", p,
+				"-warm", "1e5", "-measure", "1e5", "-nobase")
+			if code != 0 {
+				t.Errorf("-prefetcher %s -params %q exit code = %d; output:\n%s", name, p, code, out)
+			}
+			if !strings.Contains(out, "CPI") {
+				t.Errorf("-prefetcher %s: no statistics in output:\n%s", name, out)
+			}
+		})
 	}
 }

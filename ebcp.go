@@ -14,10 +14,11 @@
 //   - synthetic generators for the paper's four commercial workloads
 //     (database OLTP, TPC-W, SPECjbb2005, SPECjAppServer2004), calibrated
 //     against the paper's baseline statistics;
-//   - every comparison prefetcher of the paper's evaluation: GHB PC/DC,
-//     the Tag Correlating Prefetcher, a 32-stream stride prefetcher,
-//     Spatial Memory Streaming, Solihin's memory-side prefetcher, and the
-//     EBCP-minus ablation;
+//   - every comparison prefetcher of the paper's evaluation (GHB PC/DC,
+//     the Tag Correlating Prefetcher, a stream prefetcher, Spatial Memory
+//     Streaming, Solihin's memory-side prefetcher and the EBCP-minus
+//     ablation) and the post-paper contenders, each built by name with
+//     NewPrefetcher exactly as an experiment spec's cell builds it;
 //   - experiment runners regenerating Table 1 and Figures 4-9.
 //
 // Quick start:
@@ -45,6 +46,7 @@ package ebcp
 
 import (
 	"context"
+	"encoding/json"
 
 	"ebcp/internal/cache"
 	"ebcp/internal/core"
@@ -55,6 +57,7 @@ import (
 	"ebcp/internal/mem"
 	"ebcp/internal/metrics"
 	"ebcp/internal/prefetch"
+	"ebcp/internal/registry"
 	"ebcp/internal/sim"
 	"ebcp/internal/trace"
 	"ebcp/internal/workload"
@@ -203,73 +206,27 @@ func IdealizedEBCP() EBCPConfig {
 // configuration returns an error wrapping ErrInvalidConfig.
 func NewEBCP(cfg EBCPConfig) (*EBCP, error) { return core.New(cfg) }
 
-// NewEBCPMinus builds the handicapped EBCP-minus ablation of Section 5.3,
-// which also stores the (untimely) misses of the epoch immediately after
-// the trigger.
-func NewEBCPMinus(cfg EBCPConfig) (*EBCP, error) {
-	cfg.Minus = true
-	return core.New(cfg)
+// NewPrefetcher builds a named contender the way an experiment spec's
+// cell does (ebcp.spec/v1; the committed specs under internal/exp/specs
+// hold every contender's paper parameters): name is the cell's
+// prefetcher.name, params its prefetcher.params JSON block, strictly
+// decoded (nil or empty keeps every default), and cores the CMP lane
+// count (0 for a single core). An unknown name, whose error lists every
+// registered one, and a bad parameter block return errors wrapping
+// ErrInvalidConfig. For example, Figure 9's large GHB:
+//
+//	pf, err := ebcp.NewPrefetcher("ghb-large", []byte(`{"degree": 6}`), 0)
+func NewPrefetcher(name string, params json.RawMessage, cores int) (Prefetcher, error) {
+	e, err := registry.Prefetcher(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.New(params, cores)
 }
-
-// Comparison prefetchers of Section 5.3, at the given prefetch degree
-// (the paper uses degree 6 for all except SMS).
-var (
-	NewGHBSmall = prefetch.GHBSmall
-	NewGHBLarge = prefetch.GHBLarge
-	NewTCPSmall = prefetch.TCPSmall
-	NewTCPLarge = prefetch.TCPLarge
-	NewSMS      = prefetch.NewSMS
-)
 
 // NoTableIndex marks prefetches with no associated correlation-table
 // entry (custom prefetchers pass it to PrefetchContext.Prefetch).
 const NoTableIndex = cache.NoTableIndex
-
-// Frontier contenders: post-paper comparison points evaluated by the
-// "frontier" experiment (see DESIGN.md, "Contender map").
-type (
-	// ChainConfig shapes the chaining correlation prefetcher.
-	ChainConfig = prefetch.ChainConfig
-	// HermesConfig shapes the perceptron off-chip predictor.
-	HermesConfig = prefetch.HermesConfig
-	// FilterConfig shapes the adaptive prefetch-filter wrapper.
-	FilterConfig = prefetch.FilterConfig
-)
-
-// Tuned default shapes of the frontier contenders.
-var (
-	DefaultChainConfig  = prefetch.DefaultChainConfig
-	DefaultHermesConfig = prefetch.DefaultHermesConfig
-	DefaultFilterConfig = prefetch.DefaultFilterConfig
-)
-
-// NewChain builds the chaining correlation prefetcher: trigger→successor
-// pair correlation with chained re-lookups on prefetch hits.
-func NewChain(cfg ChainConfig) (Prefetcher, error) { return prefetch.NewChain(cfg) }
-
-// NewHermes builds the Hermes-style perceptron off-chip predictor for a
-// machine with the given core count (0 and 1 both mean single-core). It
-// predicts which accesses leave the chip and dispatches their memory
-// requests early instead of prefetching addresses.
-func NewHermes(cfg HermesConfig, cores int) (Prefetcher, error) {
-	return prefetch.NewHermes(cfg, cores)
-}
-
-// NewFilter wraps any prefetcher in the adaptive usefulness filter: it
-// vetoes prefetches from pages that fail the used/issued threshold, and
-// never touches the demand path.
-func NewFilter(inner Prefetcher, cfg FilterConfig) (Prefetcher, error) {
-	return prefetch.NewFilter(inner, cfg)
-}
-
-// NewStream builds the 32-stream stride prefetcher.
-func NewStream(degree int) (Prefetcher, error) { return prefetch.NewStream(32, degree) }
-
-// NewSolihin builds Solihin's memory-side correlation prefetcher with the
-// given prefetch depth and width and a 1M-entry main-memory table.
-func NewSolihin(depth, width int) (Prefetcher, error) {
-	return prefetch.NewSolihin(depth, width, 1<<20)
-}
 
 // Experiment machinery: the paper's tables and figures (plus the CMP and
 // ablation extensions) as runnable definitions.

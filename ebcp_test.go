@@ -1,6 +1,7 @@
 package ebcp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -44,21 +45,44 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestPublicPrefetcherConstructors builds every contender through
+// NewPrefetcher with the parameter blocks of the committed specs (fig9's
+// for the paper's comparison, frontier's defaults for the rest), and
+// pins the error contract for unknown names and bad blocks.
 func TestPublicPrefetcherConstructors(t *testing.T) {
-	cons := map[string]Prefetcher{
-		"GHB small":   must(NewGHBSmall(6)),
-		"GHB large":   must(NewGHBLarge(6)),
-		"TCP small":   must(NewTCPSmall(6)),
-		"TCP large":   must(NewTCPLarge(6)),
-		"stream":      must(NewStream(6)),
-		"SMS":         NewSMS(),
-		"Solihin 3,2": must(NewSolihin(3, 2)),
-		"Solihin 6,1": must(NewSolihin(6, 1)),
-		"EBCP minus":  must(NewEBCPMinus(TunedEBCP())),
+	cases := []struct{ name, params, want string }{
+		{"none", ``, "none"},
+		{"ghb-small", `{"degree": 6}`, "GHB small"},
+		{"ghb-large", `{"degree": 6}`, "GHB large"},
+		{"tcp-small", `{"degree": 6}`, "TCP small"},
+		{"tcp-large", `{"degree": 6}`, "TCP large"},
+		{"stream", `{"streams": 32, "degree": 6}`, "stream"},
+		{"sms", ``, "SMS"},
+		{"solihin", `{"depth": 3, "width": 2, "table_entries": 1048576}`, "Solihin 3,2"},
+		{"solihin", `{"depth": 6, "width": 1, "table_entries": 1048576}`, "Solihin 6,1"},
+		{"ebcp", `{"degree": 6, "table_max_addrs": 6, "minus": true}`, "EBCP minus"},
+		{"ebcp", `{"degree": 6, "table_max_addrs": 6}`, "EBCP"},
+		{"chain", ``, "chain 4,4"},
+		{"hermes", ``, "Hermes 24"},
 	}
-	for want, pf := range cons {
-		if pf.Name() != want {
-			t.Errorf("Name() = %q, want %q", pf.Name(), want)
+	for _, c := range cases {
+		pf, err := NewPrefetcher(c.name, []byte(c.params), 0)
+		if err != nil {
+			t.Errorf("NewPrefetcher(%q, %s): %v", c.name, c.params, err)
+			continue
+		}
+		if pf.Name() != c.want {
+			t.Errorf("NewPrefetcher(%q, %s).Name() = %q, want %q", c.name, c.params, pf.Name(), c.want)
+		}
+	}
+	for _, bad := range []struct{ name, params, want string }{
+		{"markov", ``, `unknown prefetcher "markov"`},
+		{"ghb-small", `{"degre": 6}`, `unknown field "degre"`},
+		{"ghb-small", `{"degree": 0}`, "degree"},
+	} {
+		_, err := NewPrefetcher(bad.name, []byte(bad.params), 0)
+		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("NewPrefetcher(%q, %s) error = %v, want ErrInvalidConfig mentioning %q", bad.name, bad.params, err, bad.want)
 		}
 	}
 }

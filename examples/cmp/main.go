@@ -44,10 +44,12 @@ func main() {
 
 		base := must(ebcp.RunCMP(sources(), ebcp.Baseline(), cfg))
 
-		ecfg := ebcp.TunedEBCP()
-		ecfg.Cores = cores
-		withEBCP := must(ebcp.RunCMP(sources(), must(ebcp.NewEBCP(ecfg)), cfg))
-		withSol := must(ebcp.RunCMP(sources(), must(ebcp.NewSolihin(6, 1)), cfg))
+		// The contenders of the committed cmp spec
+		// (internal/exp/specs/cmp.json), with its parameter blocks.
+		ebcpPF := must(ebcp.NewPrefetcher("ebcp", nil, cores))
+		solihinPF := must(ebcp.NewPrefetcher("solihin", []byte(`{"depth": 6, "width": 1, "table_entries": 1048576}`), cores))
+		withEBCP := must(ebcp.RunCMP(sources(), ebcpPF, cfg))
+		withSol := must(ebcp.RunCMP(sources(), solihinPF, cfg))
 
 		fmt.Printf("%8d %+17.1f%% %+21.1f%%\n",
 			cores,

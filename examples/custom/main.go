@@ -49,7 +49,7 @@ func main() {
 	for _, pf := range []ebcp.Prefetcher{
 		nextN{n: 1},
 		nextN{n: 4},
-		must(ebcp.NewStream(6)),
+		must(ebcp.NewPrefetcher("stream", []byte(`{"streams": 32, "degree": 6}`), 0)),
 		must(ebcp.NewEBCP(ebcp.TunedEBCP())),
 	} {
 		res := must(ebcp.Run(must(ebcp.NewTrace(bench)), pf, cfg))

@@ -32,21 +32,19 @@ func main() {
 	base := must(ebcp.Run(must(ebcp.NewTrace(bench)), ebcp.Baseline(), cfg))
 	fmt.Printf("baseline CPI %.3f\n\n", base.CPI())
 
-	ebcpCfg := ebcp.TunedEBCP()
-	ebcpCfg.Degree = 6
-	ebcpCfg.TableMaxAddrs = 6
-	minusCfg := ebcpCfg
-	contenders := []func() ebcp.Prefetcher{
-		func() ebcp.Prefetcher { return must(ebcp.NewGHBSmall(6)) },
-		func() ebcp.Prefetcher { return must(ebcp.NewGHBLarge(6)) },
-		func() ebcp.Prefetcher { return must(ebcp.NewTCPSmall(6)) },
-		func() ebcp.Prefetcher { return must(ebcp.NewTCPLarge(6)) },
-		func() ebcp.Prefetcher { return must(ebcp.NewStream(6)) },
-		func() ebcp.Prefetcher { return ebcp.NewSMS() },
-		func() ebcp.Prefetcher { return must(ebcp.NewSolihin(3, 2)) },
-		func() ebcp.Prefetcher { return must(ebcp.NewSolihin(6, 1)) },
-		func() ebcp.Prefetcher { return must(ebcp.NewEBCPMinus(minusCfg)) },
-		func() ebcp.Prefetcher { return must(ebcp.NewEBCP(ebcpCfg)) },
+	// The contenders of the committed fig9 spec
+	// (internal/exp/specs/fig9.json), with its parameter blocks.
+	contenders := []struct{ name, params string }{
+		{"ghb-small", `{"degree": 6}`},
+		{"ghb-large", `{"degree": 6}`},
+		{"tcp-small", `{"degree": 6}`},
+		{"tcp-large", `{"degree": 6}`},
+		{"stream", `{"streams": 32, "degree": 6}`},
+		{"sms", ``},
+		{"solihin", `{"depth": 3, "width": 2, "table_entries": 1048576}`},
+		{"solihin", `{"depth": 6, "width": 1, "table_entries": 1048576}`},
+		{"ebcp", `{"degree": 6, "table_max_addrs": 6, "minus": true}`},
+		{"ebcp", `{"degree": 6, "table_max_addrs": 6}`},
 	}
 
 	type entry struct {
@@ -54,8 +52,8 @@ func main() {
 		imp, cov, acc float64
 	}
 	var table []entry
-	for _, build := range contenders {
-		pf := build()
+	for _, c := range contenders {
+		pf := must(ebcp.NewPrefetcher(c.name, []byte(c.params), 0))
 		res := must(ebcp.Run(must(ebcp.NewTrace(bench)), pf, cfg))
 		table = append(table, entry{
 			name: pf.Name(),

@@ -99,8 +99,9 @@ func nondeterministicRef(obj types.Object) string {
 // checkMapRanges flags `for k := range m` statements where m's type is
 // a map (its underlying type, so named map types and map-typed fields,
 // results and values of any package count) and the loop body reaches a
-// writer or encoder — a Print/Fprint/Write/Encode/append call — meaning
-// iteration order becomes output order.
+// writer or encoder — a Print/Fprint/Write/Encode/Marshal call — or
+// appends to a slice that is not sorted afterwards, meaning iteration
+// order becomes output order.
 func checkMapRanges(p *Pkg, fn *ast.FuncDecl) []Diagnostic {
 	var out []Diagnostic
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -111,8 +112,8 @@ func checkMapRanges(p *Pkg, fn *ast.FuncDecl) []Diagnostic {
 		if _, isMap := p.Info.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
 			return true
 		}
-		writesIO, appends := bodyWrites(rs.Body)
-		if writesIO || (appends && !fnSorts(fn)) {
+		writesIO, appended := bodyWrites(p.Info, rs.Body)
+		if writesIO || !sortedAfter(p.Info, fn, rs, appended) {
 			out = append(out, Diagnostic{p.Fset.Position(rs.Pos()), "determinism",
 				"range over a map feeds a writer: iteration order is randomized; sort the keys into a slice first"})
 		}
@@ -121,39 +122,79 @@ func checkMapRanges(p *Pkg, fn *ast.FuncDecl) []Diagnostic {
 	return out
 }
 
-// fnSorts reports whether the function calls something named Sort* —
-// the sorted-keys idiom (collect into a slice, sort, range the slice)
-// appends inside the map range and sorts afterwards, and is the
-// sanctioned fix, not a violation.
-func fnSorts(fn *ast.FuncDecl) bool {
-	sorts := false
+// sortedAfter reports whether every slice appended to inside the map
+// range rs is passed to a sort call later in fn: the sorted-keys idiom
+// (collect into a slice, sort it, range the slice) appends inside the
+// map range, and is the sanctioned fix, not a violation. Sorting some
+// other slice fixes nothing, so the slices are matched by the
+// types.Object they denote; an append target that denotes no object
+// (an element of a slice of slices, say) is never proven sorted.
+func sortedAfter(info *types.Info, fn *ast.FuncDecl, rs *ast.RangeStmt, appended []types.Object) bool {
+	sorted := map[types.Object]bool{}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
+		if !ok || call.Pos() < rs.End() || len(call.Args) == 0 || !isSortCall(info, call) {
 			return true
 		}
-		name := ""
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			name = fun.Name
-		case *ast.SelectorExpr:
-			name = fun.Sel.Name
+		if obj := sliceObject(info, call.Args[0]); obj != nil {
+			sorted[obj] = true
 		}
-		if strings.HasPrefix(name, "Sort") || name == "Strings" || name == "Ints" || name == "Slice" {
-			sorts = true
-		}
-		return !sorts
+		return true
 	})
-	return sorts
+	for _, obj := range appended {
+		if obj == nil || !sorted[obj] {
+			return false
+		}
+	}
+	return true
+}
+
+// isSortCall reports whether call sorts its first argument in place:
+// sort.Strings, Ints, Float64s, Slice, SliceStable, Sort and Stable, and
+// the slices.Sort family.
+func isSortCall(info *types.Info, call *ast.CallExpr) bool {
+	path, name, ok := calleePkgFunc(info, call)
+	switch {
+	case !ok:
+		return false
+	case path == "sort":
+		switch name {
+		case "Strings", "Ints", "Float64s", "Slice", "SliceStable", "Sort", "Stable":
+			return true
+		}
+	case path == "slices":
+		return strings.HasPrefix(name, "Sort")
+	}
+	return false
+}
+
+// sliceObject returns the object a slice expression denotes — the
+// variable of `keys`, the field of `t.keys` — looking through parentheses
+// and conversions such as sort.StringSlice(keys), or nil when it
+// denotes none.
+func sliceObject(info *types.Info, e ast.Expr) types.Object {
+	switch e := unparen(e).(type) {
+	case *ast.Ident:
+		return info.Uses[e]
+	case *ast.SelectorExpr:
+		return info.Uses[e.Sel]
+	case *ast.CallExpr:
+		if tv, ok := info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
+			return sliceObject(info, e.Args[0])
+		}
+	}
+	return nil
 }
 
 // bodyWrites classifies what a loop body does with each map entry:
 // writesIO when it calls anything that looks like a writer or encoder
 // (a function or method whose name starts with Print, Fprint, Write,
-// Encode or Marshal), and appends when it calls the append builtin
-// (appending map entries in iteration order defers the nondeterminism
-// to whoever consumes the slice, unless it is sorted afterwards).
-func bodyWrites(body *ast.BlockStmt) (writesIO, appends bool) {
+// Encode or Marshal), and appended lists the slice each call of the
+// append builtin appends to (appending map entries in iteration order
+// defers the nondeterminism to whoever consumes the slice, unless it is
+// sorted afterwards). The builtin is recognized through Info.Uses, so a
+// local function that happens to be named append is not one.
+func bodyWrites(info *types.Info, body *ast.BlockStmt) (writesIO bool, appended []types.Object) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -171,10 +212,10 @@ func bodyWrites(body *ast.BlockStmt) (writesIO, appends bool) {
 				writesIO = true
 			}
 		}
-		if name == "append" {
-			appends = true
+		if b, ok := calleeObject(info, call).(*types.Builtin); ok && b.Name() == "append" && len(call.Args) > 0 {
+			appended = append(appended, sliceObject(info, call.Args[0]))
 		}
 		return true
 	})
-	return writesIO, appends
+	return writesIO, appended
 }

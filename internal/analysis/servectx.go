@@ -13,9 +13,10 @@ import (
 // connection or expired deadline keeps simulating. The fix is always
 // the same: thread r.Context() through, and use exp.NewSessionContext.
 //
-// The check resolves through go/types: a function is in scope when a
-// parameter's type is *net/http.Request, whatever net/http is imported
-// as, and the calls are matched by their resolved callee. Functions the
+// The check resolves through go/types: a function — declared or a
+// function literal, such as a handler a factory returns — is in scope
+// when a parameter's type is *net/http.Request, whatever net/http is
+// imported as, and the calls are matched by their resolved callee. Functions the
 // request never reaches are out of scope — a daemon's main() may well
 // own a Background root for its signal handling.
 type ServeCtx struct{}
@@ -35,12 +36,23 @@ var detachingCalls = map[[2]string]string{
 func (ServeCtx) Check(p *Pkg) []Diagnostic {
 	var out []Diagnostic
 	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !hasRequestParam(p.Info, fn) {
-				continue
+		ast.Inspect(f, func(n ast.Node) bool {
+			var typ *ast.FuncType
+			var body *ast.BlockStmt
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				typ, body = fn.Type, fn.Body
+			case *ast.FuncLit:
+				typ, body = fn.Type, fn.Body
+			default:
+				return true
 			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
+			if body == nil || !hasRequestParam(p.Info, typ) {
+				return true // a request may still reach a literal inside
+			}
+			// The scan covers every literal nested in this body, so it
+			// stops the outer walk: each call is reported once.
+			ast.Inspect(body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -52,15 +64,16 @@ func (ServeCtx) Check(p *Pkg) []Diagnostic {
 				}
 				return true
 			})
-		}
+			return false
+		})
 	}
 	return out
 }
 
-// hasRequestParam reports whether any parameter of fn has type
-// *net/http.Request.
-func hasRequestParam(info *types.Info, fn *ast.FuncDecl) bool {
-	for _, field := range fn.Type.Params.List {
+// hasRequestParam reports whether any parameter of a function type has
+// type *net/http.Request.
+func hasRequestParam(info *types.Info, fn *ast.FuncType) bool {
+	for _, field := range fn.Params.List {
 		ptr, ok := types.Unalias(info.TypeOf(field.Type)).(*types.Pointer)
 		if ok && types.TypeString(types.Unalias(ptr.Elem()), nil) == "net/http.Request" {
 			return true

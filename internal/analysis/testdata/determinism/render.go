@@ -55,6 +55,39 @@ func renderSorted(w io.Writer, t *table) {
 	}
 }
 
+// keysSortingOther sorts a slice, but not the one the map range fills:
+// the keys leave in iteration order.
+func keysSortingOther(t *table, other []string) []string {
+	var keys []string
+	for k := range t.cells { // want `\[determinism\] range over a map feeds a writer`
+		keys = append(keys, k)
+	}
+	sort.Strings(other)
+	return keys
+}
+
+// keysSortedTooEarly sorts the right slice before the map range fills
+// it: the appended keys still leave in iteration order.
+func keysSortedTooEarly(t *table) []string {
+	keys := []string{"first"}
+	sort.Strings(keys)
+	for k := range t.cells { // want `\[determinism\] range over a map feeds a writer`
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// keysSortedAsInterface sorts the filled slice through a conversion:
+// not flagged.
+func keysSortedAsInterface(t *table) []string {
+	var keys []string
+	for k := range t.cells {
+		keys = append(keys, k)
+	}
+	sort.Sort(sort.StringSlice(keys))
+	return keys
+}
+
 func localMap(w io.Writer) {
 	m := make(map[int]int)
 	for k := range m { // want `\[determinism\] range over a map feeds a writer`

@@ -55,6 +55,26 @@ func derived(w http.ResponseWriter, r *http.Request) {
 	_ = ctx
 }
 
+// handlerFactory returns its handler as a function literal: the
+// literal receives the request, so it is checked like a declared
+// handler.
+func handlerFactory() http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx := context.Background() // want `\[servectx\] context.Background in a request-handling function detaches work from the client`
+		_ = ctx
+	}
+}
+
+// nestedInHandler is a closure inside a checked handler: its call is
+// reported once.
+func nestedInHandler(w http.ResponseWriter, r *http.Request) {
+	run := func(r *http.Request) {
+		s := exp.NewSession(exp.Options{}) // want `\[servectx\] exp.NewSession in a request-handling function cannot be cancelled`
+		_ = s
+	}
+	run(r)
+}
+
 // noRequest never sees a request: out of scope, a Background root is
 // legitimate (a daemon main, a test helper, a cron job).
 func noRequest() context.Context {

@@ -60,11 +60,11 @@ func compileSpec(sp spec.SpecV1) (*compiledSpec, error) {
 		c.pfs[name] = e
 	}
 	for _, bn := range sp.Benchmarks {
-		e, err := registry.Workload(bn)
+		b, err := workload.ByName(bn)
 		if err != nil {
 			return nil, ebcperr.Invalidf("spec %q: %v", sp.ID, err)
 		}
-		c.benches = append(c.benches, e.Params())
+		c.benches = append(c.benches, b)
 	}
 	return c, nil
 }

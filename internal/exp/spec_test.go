@@ -10,6 +10,7 @@ import (
 	"ebcp/internal/ebcperr"
 	"ebcp/internal/registry"
 	"ebcp/internal/spec"
+	"ebcp/internal/workload"
 )
 
 // TestCanonicalSpecsMatchFiles pins the committed spec files to the
@@ -61,8 +62,8 @@ func TestCanonicalSpecsMatchFiles(t *testing.T) {
 // data, so the compiler cannot catch a registry rename stranding one.
 // It checks both directions:
 //
-//   - every prefetcher a spec's cells name and every workload its
-//     benchmarks field names is registered;
+//   - every prefetcher a spec's cells name is registered, and every
+//     workload its benchmarks field names is in workload.All;
 //   - every registered prefetcher is used by some spec (the canonical
 //     set includes the full Figure 9 comparison, so an unused
 //     registration means the coverage, or the registration, is wrong);
@@ -73,8 +74,8 @@ func TestCanonicalSpecsMatchRegistry(t *testing.T) {
 		used[name] = false
 	}
 	workloads := map[string]bool{}
-	for _, name := range registry.WorkloadNames() {
-		workloads[name] = true
+	for _, b := range workload.All() {
+		workloads[b.Name] = true
 	}
 	entries, err := specFS.ReadDir("specs")
 	if err != nil {

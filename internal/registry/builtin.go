@@ -1,6 +1,6 @@
 // The built-in registry entries: every contender the paper's Figure 9
-// comparison and the CMP extension use, and the four commercial
-// workloads. Map literals make duplicate names a compile error;
+// comparison, the CMP extension and the frontier experiment use. The
+// map literal makes duplicate names a compile error;
 // TestCanonicalSpecsMatchRegistry in internal/exp checks these names
 // against the committed spec files under internal/exp/specs.
 package registry
@@ -10,7 +10,6 @@ import (
 
 	"ebcp/internal/core"
 	"ebcp/internal/prefetch"
-	"ebcp/internal/workload"
 )
 
 // ebcpParams are the spec-settable knobs of the EBCP core. Every field
@@ -195,7 +194,7 @@ func degreeFactory(name string, build func(degree int) (prefetch.Prefetcher, err
 }
 
 func builtinPrefetchers() map[string]PrefetcherEntry {
-	entries := map[string]PrefetcherEntry{
+	return map[string]PrefetcherEntry{
 		"none": { // no prefetching (the baseline machine)
 			New: func(params json.RawMessage, _ int) (prefetch.Prefetcher, error) {
 				if _, err := decodeParams[struct{}]("none", params); err != nil {
@@ -251,15 +250,5 @@ func builtinPrefetchers() map[string]PrefetcherEntry {
 				return prefetch.NewSolihin(p.Depth, p.Width, p.TableEntries)
 			},
 		},
-	}
-	return entries
-}
-
-func builtinWorkloads() map[string]WorkloadEntry {
-	return map[string]WorkloadEntry{
-		"Database":           {Params: workload.Database},           // OLTP database backend miss stream
-		"TPC-W":              {Params: workload.TPCW},               // web-commerce application server miss stream
-		"SPECjbb2005":        {Params: workload.SPECjbb2005},        // server-side Java business logic miss stream
-		"SPECjAppServer2004": {Params: workload.SPECjAppServer2004}, // J2EE application server miss stream
 	}
 }

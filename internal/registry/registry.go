@@ -1,11 +1,12 @@
-// Package registry names the building blocks an experiment spec
-// (ebcp.spec/v1, internal/spec) can reference: prefetcher constructors
-// and workload-generator parameter sets, each registered under a short
-// stable name. The spec compiler (internal/exp) resolves names through
-// this package, so adding a contender or a workload touches exactly one
-// place — its registration — instead of every experiment definition.
+// Package registry is the one table that turns a contender name and its
+// parameter block into a prefetcher. Experiment specs (ebcp.spec/v1,
+// internal/spec), ebcpsim's -prefetcher/-params, the ebcp facade's
+// NewPrefetcher, ebcpd and the benchmark all build contenders through
+// it, so adding a contender touches exactly one place — its
+// registration — instead of every caller. Workloads are not registered:
+// workload.All is the one list, and workload.ByName resolves a name.
 //
-// The entries live in builtin.go as map literals (duplicate names are
+// The entries live in builtin.go as a map literal (duplicate names are
 // then a compile error) and are read-only after package initialization,
 // so lookups need no locking. TestCanonicalSpecsMatchRegistry in
 // internal/exp keeps the built-in names and the committed spec files
@@ -20,7 +21,6 @@ import (
 
 	"ebcp/internal/ebcperr"
 	"ebcp/internal/prefetch"
-	"ebcp/internal/workload"
 )
 
 // PrefetcherEntry is one named contender. New builds a fresh prefetcher
@@ -31,16 +31,7 @@ type PrefetcherEntry struct {
 	New func(params json.RawMessage, cores int) (prefetch.Prefetcher, error)
 }
 
-// WorkloadEntry is one named workload: Params returns the generator
-// parameter set workload.New consumes.
-type WorkloadEntry struct {
-	Params func() workload.Params
-}
-
-var (
-	prefetchers = builtinPrefetchers()
-	workloads   = builtinWorkloads()
-)
+var prefetchers = builtinPrefetchers()
 
 // Prefetcher resolves a contender name. Unknown names are
 // ErrInvalidConfig errors listing what is registered.
@@ -53,30 +44,10 @@ func Prefetcher(name string) (PrefetcherEntry, error) {
 	return e, nil
 }
 
-// Workload resolves a workload name, with the same error contract as
-// Prefetcher.
-func Workload(name string) (WorkloadEntry, error) {
-	e, ok := workloads[name]
-	if !ok {
-		return WorkloadEntry{}, ebcperr.Invalidf("registry: unknown workload %q (registered: %s)",
-			name, strings.Join(WorkloadNames(), ", "))
-	}
-	return e, nil
-}
-
 // PrefetcherNames returns every registered contender name, sorted.
 func PrefetcherNames() []string {
-	return sortedKeys(prefetchers)
-}
-
-// WorkloadNames returns every registered workload name, sorted.
-func WorkloadNames() []string {
-	return sortedKeys(workloads)
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for name := range m {
+	names := make([]string, 0, len(prefetchers))
+	for name := range prefetchers {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -85,7 +56,10 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // decodeParams strict-decodes a constructor's parameter block into P.
 // An absent or empty block yields the zero value, so parameterless
-// entries accept both `"params": {}` and no params field at all.
+// entries accept both `"params": {}` and no params field at all. A
+// block is one JSON value: anything after it (possible in a block
+// typed on ebcpsim's command line, never in a decoded spec) is
+// rejected like an unknown field.
 func decodeParams[P any](name string, params json.RawMessage) (P, error) {
 	var p P
 	if len(params) == 0 {
@@ -95,6 +69,9 @@ func decodeParams[P any](name string, params json.RawMessage) (P, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
 		return p, ebcperr.Invalidf("registry: prefetcher %q params: %v", name, err)
+	}
+	if len(bytes.TrimSpace(params[dec.InputOffset():])) > 0 {
+		return p, ebcperr.Invalidf("registry: prefetcher %q params: data after the parameter block", name)
 	}
 	return p, nil
 }

@@ -3,7 +3,6 @@ package registry
 import (
 	"encoding/json"
 	"errors"
-	"sort"
 	"strings"
 	"testing"
 
@@ -46,28 +45,6 @@ func TestBuiltinPrefetchersBuild(t *testing.T) {
 	}
 }
 
-// TestBuiltinWorkloads checks each workload entry's name matches its
-// parameter set (the spec compiler uses the name as the report column).
-func TestBuiltinWorkloads(t *testing.T) {
-	want := []string{"Database", "SPECjAppServer2004", "SPECjbb2005", "TPC-W"}
-	got := WorkloadNames()
-	if !sort.StringsAreSorted(got) {
-		t.Errorf("WorkloadNames() not sorted: %v", got)
-	}
-	if strings.Join(got, "|") != strings.Join(want, "|") {
-		t.Errorf("WorkloadNames() = %v, want %v", got, want)
-	}
-	for _, name := range got {
-		e, err := Workload(name)
-		if err != nil {
-			t.Fatalf("Workload(%q): %v", name, err)
-		}
-		if p := e.Params(); p.Name != name {
-			t.Errorf("Workload(%q).Params().Name = %q", name, p.Name)
-		}
-	}
-}
-
 // TestUnknownNames pins the error contract: ErrInvalidConfig, naming
 // the unknown and listing what is registered.
 func TestUnknownNames(t *testing.T) {
@@ -78,14 +55,11 @@ func TestUnknownNames(t *testing.T) {
 	} else if !strings.Contains(err.Error(), `"markov"`) || !strings.Contains(err.Error(), "ebcp") {
 		t.Errorf("error should name the unknown and list registered names: %v", err)
 	}
-	if _, err := Workload("SPECweb99"); err == nil || !errors.Is(err, ebcperr.ErrInvalidConfig) {
-		t.Errorf("Workload(SPECweb99) = %v, want ErrInvalidConfig", err)
-	}
 }
 
-// TestStrictParams: unknown parameter fields and params on
-// parameterless prefetchers are rejected, like every other strict
-// decoder in the repo.
+// TestStrictParams: unknown parameter fields, params on parameterless
+// prefetchers, malformed blocks and data after a block are rejected,
+// like every other strict decoder in the repo.
 func TestStrictParams(t *testing.T) {
 	cases := []struct{ name, params string }{
 		{"ebcp", `{"degre": 6}`},
@@ -96,6 +70,9 @@ func TestStrictParams(t *testing.T) {
 		{"chain", `{"entries": 1000}`},
 		{"hermes", `{"tablebits": 11}`},
 		{"hermes", `{"table_bits": 99}`},
+		{"ebcp", `x`},
+		{"ghb-small", `{"degree": 6} {"degree": 7}`},
+		{"none", `{} x`},
 	}
 	for _, c := range cases {
 		e, err := Prefetcher(c.name)

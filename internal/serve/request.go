@@ -7,7 +7,6 @@ import (
 
 	"ebcp/internal/ebcperr"
 	"ebcp/internal/exp"
-	"ebcp/internal/registry"
 	"ebcp/internal/spec"
 	"ebcp/internal/workload"
 )
@@ -150,11 +149,11 @@ func (rq RunRequestV1) options(cfg Config, restricted []string) (exp.Options, er
 		if len(restricted) > 0 {
 			base = base[:0:0]
 			for _, name := range restricted {
-				e, err := registry.Workload(name)
+				b, err := workload.ByName(name)
 				if err != nil {
 					return exp.Options{}, err
 				}
-				base = append(base, e.Params())
+				base = append(base, b)
 			}
 		}
 		var scaled []workload.Params

@@ -56,8 +56,9 @@ type SpecV1 struct {
 	// which always win.
 	WarmInsts    uint64 `json:"warm_insts,omitempty"`
 	MeasureInsts uint64 `json:"measure_insts,omitempty"`
-	// Benchmarks restricts the workload set to these registry names
-	// (empty = the session's default, the paper's four benchmarks).
+	// Benchmarks restricts the workload set to these names, resolved by
+	// workload.ByName (empty = the session's default, the paper's four
+	// benchmarks).
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Report carries the presentation half: title, unit, notes and the
 	// paper's reference rows.

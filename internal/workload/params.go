@@ -30,6 +30,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"ebcp/internal/amo"
 	"ebcp/internal/ebcperr"
@@ -459,17 +460,25 @@ func Scaled(p Params, f float64) (Params, error) {
 }
 
 // All returns the four commercial benchmark parameter sets in the order
-// the paper reports them.
+// the paper reports them. It is the repository's one list of workloads:
+// specs, ebcpd requests and the CLIs name a workload by its Params.Name
+// and resolve it through ByName.
 func All() []Params {
 	return []Params{Database(), TPCW(), SPECjbb2005(), SPECjAppServer2004()}
 }
 
-// ByName returns the parameter set with the given name.
+// ByName returns the parameter set with the given name. Unknown names
+// are ErrInvalidConfig errors listing every workload.
 func ByName(name string) (Params, error) {
 	for _, p := range All() {
 		if p.Name == name {
 			return p, nil
 		}
 	}
-	return Params{}, ebcperr.Invalidf("workload: unknown benchmark %q", name)
+	names := make([]string, 0, len(All()))
+	for _, p := range All() {
+		names = append(names, p.Name)
+	}
+	return Params{}, ebcperr.Invalidf("workload: unknown benchmark %q (known: %s)",
+		name, strings.Join(names, ", "))
 }

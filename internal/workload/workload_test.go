@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ebcp/internal/amo"
+	"ebcp/internal/ebcperr"
 	"ebcp/internal/trace"
 )
 
@@ -88,6 +91,40 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Error("unknown name accepted")
+	}
+}
+
+// TestWorkloadNames pins the workload list every spec, ebcpd request
+// and CLI resolves names against: the four benchmarks in the paper's
+// order, each name resolving to its own parameter set (the spec
+// compiler uses the name as the report column), and an unknown name
+// rejected as ErrInvalidConfig naming it and listing every workload.
+func TestWorkloadNames(t *testing.T) {
+	want := []string{"Database", "TPC-W", "SPECjbb2005", "SPECjAppServer2004"}
+	var got []string
+	for _, p := range All() {
+		got = append(got, p.Name)
+	}
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("All() names = %v, want %v", got, want)
+	}
+	for _, name := range want {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if p.Name != name {
+			t.Errorf("ByName(%q).Name = %q", name, p.Name)
+		}
+	}
+	_, err := ByName("SPECweb99")
+	if !errors.Is(err, ebcperr.ErrInvalidConfig) {
+		t.Fatalf("ByName(SPECweb99) = %v, want ErrInvalidConfig", err)
+	}
+	for _, name := range append(want, "SPECweb99") {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error should name %q: %v", name, err)
+		}
 	}
 }
 
