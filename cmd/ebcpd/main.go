@@ -11,7 +11,7 @@
 // Endpoints:
 //
 //	POST /v1/run   — one ebcp.runreq/v1 body in, one ebcp.report/v1
-//	                 grid out. Full queues answer 429 + Retry-After.
+//	                 grid out. A full queue answers 429 + Retry-After.
 //	GET  /healthz  — 200 while serving, 503 while draining.
 //	GET  /metrics  — ebcp.servestats/v1: request/queue/cache counters
 //	                 and latency histograms.
@@ -40,7 +40,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8344", "listen address (host:port; port 0 picks a free port)")
 		workers      = flag.Int("workers", 0, "concurrent requests executing (0 = all CPU cores)")
 		simWorkers   = flag.Int("sim-workers", 1, "per-request simulation parallelism")
-		queueDepth   = flag.Int("queue", 64, "max waiting requests per priority class before 429")
+		queueDepth   = flag.Int("queue", 64, "max waiting requests before 429")
 		cacheMB      = flag.Int64("cache-mb", 256, "shared result cache budget in MiB (0 = unbounded)")
 		timeout      = flag.Duration("timeout", 0, "default per-request deadline (0 = none; requests may set timeout_ms)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight requests")

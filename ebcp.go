@@ -80,7 +80,10 @@ type (
 	ShortTraceError = sim.ShortTraceError
 	// CMPShortTraceError is the multi-core analogue of ShortTraceError.
 	CMPShortTraceError = sim.CMPShortTraceError
-	// Prefetcher is the interface all prefetchers implement.
+	// Prefetcher is the interface all prefetchers implement: Name and
+	// OnAccess are the whole contract. A custom contender reaches the
+	// machine only through the PrefetchContext OnAccess hands it, so a
+	// wrapper that forwards OnAccess forwards everything it does.
 	Prefetcher = prefetch.Prefetcher
 	// EBCPConfig parameterizes the epoch-based correlation prefetcher.
 	EBCPConfig = core.Config
@@ -91,9 +94,11 @@ type (
 	// Access is one L2-level access presented to a prefetcher (implement
 	// Prefetcher against it to plug a custom scheme into Run).
 	Access = prefetch.Access
-	// PrefetchContext lets a prefetcher issue prefetches and
-	// correlation-table traffic under the memory system's bandwidth and
-	// priority rules.
+	// PrefetchContext is a custom prefetcher's only way to the machine:
+	// it issues prefetches and correlation-table traffic under the
+	// memory system's bandwidth and priority rules, and carries the
+	// demand-side hooks (Filtered for an issue filter, RejectThread for
+	// an access from a thread the prefetcher does not track).
 	PrefetchContext = prefetch.Context
 	// CacheConfig describes one cache.
 	CacheConfig = cache.Config
@@ -164,10 +169,11 @@ func Run(src TraceSource, pf Prefetcher, cfg SystemConfig) (Result, error) {
 // EBCPConfig.Cores to the thread count so the prefetcher control tracks
 // each thread's epochs separately (the paper's Section 6 direction).
 // RunCMP's error contract matches Run: ErrInvalidConfig for bad
-// configurations (including a prefetcher that tracks fewer threads than
-// there are traces), and a *CMPShortTraceError (wrapping ErrShortTrace,
-// carrying the partial CMPResult) when any thread's trace ends before
-// its warmup window completes. The traces are read ahead on one
+// configurations (including a prefetcher that got an access from a
+// thread it does not track, PrefetchContext.RejectThread), and a
+// *CMPShortTraceError (wrapping ErrShortTrace, carrying the partial
+// CMPResult) when any thread's trace ends before its warmup window
+// completes. The traces are read ahead on one
 // goroutine of RunCMP's own, so the sources must not be used elsewhere
 // until RunCMP returns, and how far each was read is unspecified.
 func RunCMP(sources []TraceSource, pf Prefetcher, cfg SystemConfig) (CMPResult, error) {

@@ -14,10 +14,10 @@ import (
 //   - the global math/rand functions — their shared state depends on
 //     every other caller; seeded rand.New(rand.NewSource(...)) streams
 //     are fine and are what workload generators use
-//   - ranging over a map while writing/encoding in internal/{exp,metrics}
-//     render and report paths — Go randomizes map iteration order, so
-//     the bytes differ run to run unless the keys are sorted into a
-//     slice first (which is then a slice range, not a map range)
+//   - ranging over a map in internal/{exp,metrics} render and report
+//     paths unless the body only collects into slices sorted afterwards
+//     — Go randomizes map iteration order, so anything else built in the
+//     loop differs run to run (sort the keys into a slice first)
 //
 // The first two rules cover all of internal/*; the map-range rule is
 // scoped to the two packages that render output. Every rule resolves
@@ -41,7 +41,7 @@ var globalRandFuncs = map[string]bool{
 }
 
 // renderPathPkgs are the packages whose output must be byte-stable and
-// where a map range feeding a writer is therefore a diagnostic.
+// where a map range that exposes its iteration order is a diagnostic.
 var renderPathPkgs = map[string]bool{
 	"internal/exp":     true,
 	"internal/metrics": true,
@@ -98,10 +98,10 @@ func nondeterministicRef(obj types.Object) string {
 
 // checkMapRanges flags `for k := range m` statements where m's type is
 // a map (its underlying type, so named map types and map-typed fields,
-// results and values of any package count) and the loop body reaches a
-// writer or encoder — a Print/Fprint/Write/Encode/Marshal call — or
-// appends to a slice that is not sorted afterwards, meaning iteration
-// order becomes output order.
+// results and values of any package count) unless the loop body only
+// appends to slices that are all sorted afterwards. Anything else — a
+// write, an encoder call, a string or a sum built in the loop, an
+// unsorted slice — can make iteration order output order.
 func checkMapRanges(p *Pkg, fn *ast.FuncDecl) []Diagnostic {
 	var out []Diagnostic
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -112,10 +112,10 @@ func checkMapRanges(p *Pkg, fn *ast.FuncDecl) []Diagnostic {
 		if _, isMap := p.Info.TypeOf(rs.X).Underlying().(*types.Map); !isMap {
 			return true
 		}
-		writesIO, appended := bodyWrites(p.Info, rs.Body)
-		if writesIO || !sortedAfter(p.Info, fn, rs, appended) {
+		appended, ok := appendOnly(p.Info, rs.Body)
+		if !ok || !sortedAfter(p.Info, fn, rs, appended) {
 			out = append(out, Diagnostic{p.Fset.Position(rs.Pos()), "determinism",
-				"range over a map feeds a writer: iteration order is randomized; sort the keys into a slice first"})
+				"range over a map does more than collect into sorted slices: iteration order is randomized; sort the keys into a slice first"})
 		}
 		return true
 	})
@@ -186,36 +186,30 @@ func sliceObject(info *types.Info, e ast.Expr) types.Object {
 	return nil
 }
 
-// bodyWrites classifies what a loop body does with each map entry:
-// writesIO when it calls anything that looks like a writer or encoder
-// (a function or method whose name starts with Print, Fprint, Write,
-// Encode or Marshal), and appended lists the slice each call of the
-// append builtin appends to (appending map entries in iteration order
-// defers the nondeterminism to whoever consumes the slice, unless it is
-// sorted afterwards). The builtin is recognized through Info.Uses, so a
-// local function that happens to be named append is not one.
-func bodyWrites(info *types.Info, body *ast.BlockStmt) (writesIO bool, appended []types.Object) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+// appendOnly reports whether every statement of a map range's body is
+// `s = append(s, ...)`, and lists the slices appended to (appending map
+// entries in iteration order defers the nondeterminism to whoever
+// consumes the slice, unless it is sorted afterwards). The builtin is
+// recognized through Info.Uses, so a local function that happens to be
+// named append is not one.
+func appendOnly(info *types.Info, body *ast.BlockStmt) (appended []types.Object, ok bool) {
+	for _, st := range body.List {
+		as, isAssign := st.(*ast.AssignStmt)
+		if !isAssign || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+			return nil, false
 		}
-		name := ""
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			name = fun.Name
-		case *ast.SelectorExpr:
-			name = fun.Sel.Name
+		call, isCall := unparen(as.Rhs[0]).(*ast.CallExpr)
+		if !isCall || len(call.Args) == 0 {
+			return nil, false
 		}
-		for _, prefix := range []string{"Print", "Fprint", "Write", "Encode", "Marshal"} {
-			if strings.HasPrefix(name, prefix) {
-				writesIO = true
-			}
+		if b, isBuiltin := calleeObject(info, call).(*types.Builtin); !isBuiltin || b.Name() != "append" {
+			return nil, false
 		}
-		if b, ok := calleeObject(info, call).(*types.Builtin); ok && b.Name() == "append" && len(call.Args) > 0 {
-			appended = append(appended, sliceObject(info, call.Args[0]))
+		target := sliceObject(info, call.Args[0])
+		if target == nil || sliceObject(info, as.Lhs[0]) != target {
+			return nil, false
 		}
-		return true
-	})
-	return writesIO, appended
+		appended = append(appended, target)
+	}
+	return appended, true
 }

@@ -37,7 +37,7 @@ func seeded(seed int64) *rand.Rand {
 }
 
 func renderUnsorted(w io.Writer, t *table) {
-	for k, v := range t.cells { // want `\[determinism\] range over a map feeds a writer`
+	for k, v := range t.cells { // want `\[determinism\] range over a map does more than collect into sorted slices`
 		fmt.Fprintf(w, "%s=%v\n", k, v)
 	}
 }
@@ -59,7 +59,7 @@ func renderSorted(w io.Writer, t *table) {
 // the keys leave in iteration order.
 func keysSortingOther(t *table, other []string) []string {
 	var keys []string
-	for k := range t.cells { // want `\[determinism\] range over a map feeds a writer`
+	for k := range t.cells { // want `\[determinism\] range over a map does more than collect into sorted slices`
 		keys = append(keys, k)
 	}
 	sort.Strings(other)
@@ -71,7 +71,7 @@ func keysSortingOther(t *table, other []string) []string {
 func keysSortedTooEarly(t *table) []string {
 	keys := []string{"first"}
 	sort.Strings(keys)
-	for k := range t.cells { // want `\[determinism\] range over a map feeds a writer`
+	for k := range t.cells { // want `\[determinism\] range over a map does more than collect into sorted slices`
 		keys = append(keys, k)
 	}
 	return keys
@@ -88,9 +88,19 @@ func keysSortedAsInterface(t *table) []string {
 	return keys
 }
 
+// joinUnsorted builds a string in iteration order: no writer is called,
+// but the string is output all the same.
+func joinUnsorted(t *table) string {
+	s := ""
+	for k := range t.cells { // want `\[determinism\] range over a map does more than collect into sorted slices`
+		s += k + ","
+	}
+	return s
+}
+
 func localMap(w io.Writer) {
 	m := make(map[int]int)
-	for k := range m { // want `\[determinism\] range over a map feeds a writer`
+	for k := range m { // want `\[determinism\] range over a map does more than collect into sorted slices`
 		fmt.Fprintln(w, k)
 	}
 }
@@ -98,7 +108,7 @@ func localMap(w io.Writer) {
 // renderSpecCells ranges over a map field declared in another package:
 // the range expression's type decides, not where the field lives.
 func renderSpecCells(w io.Writer, sp spec.SpecV1) {
-	for name, c := range sp.Cells { // want `\[determinism\] range over a map feeds a writer`
+	for name, c := range sp.Cells { // want `\[determinism\] range over a map does more than collect into sorted slices`
 		fmt.Fprintf(w, "%s=%s\n", name, c.Key)
 	}
 }
@@ -119,7 +129,7 @@ func probeMap(m map[string]int) map[string]int { return m }
 
 // renderCallResult ranges over a map a call returns.
 func renderCallResult(w io.Writer, m map[string]int) {
-	for k := range probeMap(m) { // want `\[determinism\] range over a map feeds a writer`
+	for k := range probeMap(m) { // want `\[determinism\] range over a map does more than collect into sorted slices`
 		fmt.Fprintln(w, k)
 	}
 }

@@ -104,6 +104,56 @@ func TestNoTestOnlyCode(t *testing.T) {
 	}
 }
 
+// TestSimAssertsNoContenderCapability fails on a type assertion or type
+// switch, in a non-test file of internal/sim, whose operand is a
+// prefetch.Prefetcher and whose target is anything but
+// interface{ ResetStats() }. A contender reaches the machine only
+// through OnAccess and the Context it is handed; a capability the
+// simulator discovered by assertion would be lost behind any wrapper
+// that forwards OnAccess alone, and the wrapped contender would
+// simulate a different machine without an error. ResetStats is the one
+// exception: it clears statistics and never changes the machine.
+func TestSimAssertsNoContenderCapability(t *testing.T) {
+	pkgs, diags := typedModule(t)
+	for _, d := range diags {
+		t.Fatalf("the module must type-check before its assertions can be read: %s", d)
+	}
+	resetStats := types.NewInterfaceType([]*types.Func{
+		types.NewFunc(token.NoPos, nil, "ResetStats", types.NewSignatureType(nil, nil, nil, nil, nil, false)),
+	}, nil).Complete()
+	checked := false
+	for _, p := range pkgs {
+		if p.Types.Path() != "ebcp/internal/sim" {
+			continue
+		}
+		checked = true
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ta, ok := n.(*ast.TypeAssertExpr)
+				if !ok || !isPrefetcher(p.Info.TypeOf(ta.X)) {
+					return true
+				}
+				if ta.Type == nil || !types.Identical(p.Info.TypeOf(ta.Type), resetStats) {
+					t.Errorf("%s: internal/sim asserts a prefetch.Prefetcher to another capability; "+
+						"give the contender a hook on the prefetch.Context instead", p.Fset.Position(ta.Pos()))
+				}
+				return true
+			})
+		}
+	}
+	if !checked {
+		t.Fatal("package ebcp/internal/sim was not loaded")
+	}
+}
+
+// isPrefetcher reports whether t is the named interface
+// ebcp/internal/prefetch.Prefetcher.
+func isPrefetcher(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil &&
+		named.Obj().Pkg().Path() == "ebcp/internal/prefetch" && named.Obj().Name() == "Prefetcher"
+}
+
 // declUnits splits a top-level declaration into the units whose
 // references to themselves do not count: a function, or one spec of a
 // const, var or type declaration.

@@ -211,10 +211,6 @@ func (e *EBCP) Name() string {
 // Config returns the prefetcher's configuration.
 func (e *EBCP) Config() Config { return e.cfg }
 
-// Cores returns how many hardware threads the prefetcher control
-// tracks; sim.RunCMP rejects runs with more lanes than this.
-func (e *EBCP) Cores() int { return len(e.cores) }
-
 // Stats returns a copy of the counters.
 func (e *EBCP) Stats() Stats { return e.stats }
 
@@ -252,13 +248,16 @@ func (e *EBCP) boundary(cs *coreState, a prefetch.Access) bool {
 	return a.Inst-cs.vTrigger >= e.cfg.VirtualWindow
 }
 
-// OnAccess implements prefetch.Prefetcher.
+// OnAccess implements prefetch.Prefetcher. An access from a thread the
+// control does not track (Config.Cores too small for the machine) is
+// reported on the Context and ignored.
 func (e *EBCP) OnAccess(a prefetch.Access, ctx *prefetch.Context) {
-	if a.L2Hit || a.MissMerged {
+	if a.Core < 0 || a.Core >= len(e.cores) {
+		ctx.RejectThread(e.Name(), a.Core, len(e.cores))
 		return
 	}
-	if a.Core < 0 || a.Core >= len(e.cores) {
-		return // untracked thread (misconfigured core count)
+	if a.L2Hit || a.MissMerged {
+		return
 	}
 	cs := &e.cores[a.Core]
 

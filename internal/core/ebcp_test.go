@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"ebcp/internal/amo"
 	"ebcp/internal/cache"
+	"ebcp/internal/ebcperr"
 	"ebcp/internal/mem"
 	"ebcp/internal/prefetch"
 )
@@ -249,6 +251,28 @@ func TestMergedAndL2HitAccessesIgnored(t *testing.T) {
 	e.OnAccess(prefetch.Access{Line: 2, L2Hit: true}, ctx)
 	if e.Stats().Boundaries != 0 || e.Stats().Lookups != 0 {
 		t.Errorf("stats = %+v", e.Stats())
+	}
+}
+
+// TestUntrackedThreadReported: an access from a thread beyond
+// Config.Cores, even an L2 hit, is reported on the Context and trains
+// nothing.
+func TestUntrackedThreadReported(t *testing.T) {
+	ctx := testCtx()
+	cfg := smallConfig()
+	cfg.Cores = 2
+	e := must(New(cfg))
+	e.OnAccess(prefetch.Access{Core: 1, Line: 1, Miss: true, NewEpoch: true}, ctx)
+	if err := ctx.Err(); err != nil {
+		t.Fatalf("tracked thread reported: %v", err)
+	}
+	e.OnAccess(prefetch.Access{Core: 2, Line: 2, L2Hit: true}, ctx)
+	e.OnAccess(prefetch.Access{Core: 2, Line: 3, Miss: true, NewEpoch: true}, ctx)
+	if err := ctx.Err(); !errors.Is(err, ebcperr.ErrInvalidConfig) {
+		t.Fatalf("untracked thread: Err() = %v, want ErrInvalidConfig", err)
+	}
+	if got := e.Stats().Boundaries; got != 1 {
+		t.Errorf("boundaries = %d, want 1 (the untracked thread's miss must not count)", got)
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 // second network): it composes over any Prefetcher and vetoes the
 // issues whose source page has not been earning its bandwidth. The
 // wrapped prefetcher is driven unchanged — Filter forwards every access
-// — but Context.Prefetch consults Filter.Admit (the IssueFilter hook)
-// after the redundancy check, so a rejection costs neither memory
-// bandwidth nor a prefetch-buffer slot, and the demand path is never
-// touched: filtering can only drop prefetches, never demand misses.
+// through Context.Filtered, so while the wrapped OnAccess runs,
+// Context.Prefetch consults Filter.Admit (the IssueFilter hook) after
+// the redundancy check. A rejection costs neither memory bandwidth nor
+// a prefetch-buffer slot, and the demand path is never touched:
+// filtering can only drop prefetches, never demand misses.
 //
 // The usefulness signal is per page (64 lines), tracked in a hashed,
 // tagless counter table: Admit counts issues, prefetch-buffer hits
@@ -124,7 +125,7 @@ func (f *Filter) Admit(now uint64, line amo.Line) bool {
 
 // OnAccess implements Prefetcher: it books prefetch-buffer hits as uses
 // of the hit line's page, then drives the wrapped prefetcher with the
-// access unchanged.
+// access unchanged and the filter installed on the Context.
 //
 //ebcp:hotpath
 func (f *Filter) OnAccess(a Access, ctx *Context) {
@@ -133,17 +134,7 @@ func (f *Filter) OnAccess(a Access, ctx *Context) {
 			f.used[s]++
 		}
 	}
-	f.inner.OnAccess(a, ctx)
-}
-
-// Cores forwards the wrapped prefetcher's tracked-thread count, so
-// sim.RunCMP can check it through the wrapper; 0 means the wrapped
-// prefetcher keeps no per-thread state.
-func (f *Filter) Cores() int {
-	if tc, ok := f.inner.(interface{ Cores() int }); ok {
-		return tc.Cores()
-	}
-	return 0
+	ctx.Filtered(f, f.inner, a)
 }
 
 // ResetStats forwards the warmup/measurement boundary to the wrapped

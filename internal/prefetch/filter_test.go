@@ -26,15 +26,14 @@ func (p *proposer) OnAccess(a Access, ctx *Context) {
 
 func (p *proposer) ResetStats() { p.resets++ }
 
-// TestFilterIssuesSubsetOfProposals: with the filter installed as the
-// context's issue filter, every line that lands in the prefetch buffer
-// was proposed by the wrapped prefetcher — the filter can veto, never
+// TestFilterIssuesSubsetOfProposals: with the filter vetting the wrapped
+// prefetcher's issues, every line that lands in the prefetch buffer was
+// proposed by the wrapped prefetcher — the filter can veto, never
 // invent.
 func TestFilterIssuesSubsetOfProposals(t *testing.T) {
 	ctx := testContext()
 	inner := &proposer{proposed: map[amo.Line]bool{}}
 	f := must(NewFilter(inner, FilterConfig{TableEntries: 64, ThresholdPct: 80, Probe: 2, Retry: 8}))
-	ctx.SetFilter(f)
 
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 5000; i++ {
@@ -99,11 +98,12 @@ func TestFilterAdaptiveRejectAndReprobe(t *testing.T) {
 }
 
 // TestFilterUsefulPagesKeepIssuing: prefetch-buffer hits on a page keep
-// its used/issued ratio above threshold, so it never gets vetoed.
+// its used/issued ratio above threshold, so it never gets vetoed. The
+// wrapped prefetcher issues nothing of its own, so the only issues the
+// page counts are the ones this test admits.
 func TestFilterUsefulPagesKeepIssuing(t *testing.T) {
 	ctx := testContext()
-	inner := &proposer{proposed: map[amo.Line]bool{}}
-	f := must(NewFilter(inner, FilterConfig{TableEntries: 16, ThresholdPct: 50, Probe: 1, Retry: 100}))
+	f := must(NewFilter(None{}, FilterConfig{TableEntries: 16, ThresholdPct: 50, Probe: 1, Retry: 100}))
 	l := amo.Line(7)
 	for i := 0; i < 1000; i++ {
 		if !f.Admit(uint64(i), l) {
@@ -113,6 +113,46 @@ func TestFilterUsefulPagesKeepIssuing(t *testing.T) {
 		f.OnAccess(Access{Now: uint64(i), Line: l, PBHit: true}, ctx)
 	}
 }
+
+// vetoAll is an IssueFilter that rejects every prefetch.
+type vetoAll struct{}
+
+func (vetoAll) Admit(uint64, amo.Line) bool { return false }
+
+// TestFilteredScopesTheFilter: a filter vets only the issues made inside
+// the OnAccess it wraps. Afterwards the filter installed before it is
+// back: none at the top level, the outer one under nested wrappers.
+func TestFilteredScopesTheFilter(t *testing.T) {
+	ctx := testContext()
+	inner := &proposer{proposed: map[amo.Line]bool{}}
+	ctx.Filtered(vetoAll{}, inner, Access{Line: 100})
+	if st := ctx.Stats(); st.Filtered != 2 || st.Issued != 0 {
+		t.Fatalf("inside the wrapped OnAccess: %+v, want both proposals filtered", st)
+	}
+	if !ctx.Prefetch(0, 200, NoTable) {
+		t.Fatal("an issue after the wrapped OnAccess returned was vetoed: the filter was not removed")
+	}
+	// Nested: the inner filter admits everything (threshold 0); once it
+	// returns, the outer veto applies again.
+	admit := must(NewFilter(inner, FilterConfig{TableEntries: 16, ThresholdPct: 0, Probe: 1, Retry: 1}))
+	outer := prefetcherFunc(func(a Access, c *Context) {
+		admit.OnAccess(a, c)
+		c.Prefetch(a.Now, 300, NoTable)
+	})
+	before := ctx.Stats()
+	ctx.Filtered(vetoAll{}, outer, Access{Line: 400})
+	st := ctx.Stats()
+	if st.Issued-before.Issued != 2 || st.Filtered-before.Filtered != 1 {
+		t.Errorf("nested filters: issued %d, filtered %d; want the inner filter's 2 issues and the outer veto of 1",
+			st.Issued-before.Issued, st.Filtered-before.Filtered)
+	}
+}
+
+// prefetcherFunc adapts a function to Prefetcher.
+type prefetcherFunc func(Access, *Context)
+
+func (prefetcherFunc) Name() string                    { return "func" }
+func (f prefetcherFunc) OnAccess(a Access, c *Context) { f(a, c) }
 
 func TestFilterNameAndForwarding(t *testing.T) {
 	inner := &proposer{proposed: map[amo.Line]bool{}}

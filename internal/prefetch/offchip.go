@@ -7,16 +7,17 @@ import (
 	"ebcp/internal/ebcperr"
 )
 
-// OffChipPredictor is the optional interface a latency-reduction
-// contender implements on top of Prefetcher. Instead of predicting
-// *addresses*, it predicts which accesses will leave the chip and asks
-// the core to dispatch their memory requests early, hiding part of the
-// off-chip latency. PredictOffChip is consulted by the simulator on the
-// demand path before the access's outcome is known; it returns how many
-// cycles of the miss latency an early dispatch would hide (0 = the
+// OffChipPredictor is the interface a latency-reduction contender
+// implements on top of Prefetcher. Instead of predicting *addresses*, it
+// predicts which accesses will leave the chip and asks the core to
+// dispatch their memory requests early, hiding part of the off-chip
+// latency. It attaches itself to the Context from its own OnAccess, and
+// the simulator consults it through Context.EarlyDispatch on the demand
+// path before the access's outcome is known. PredictOffChip returns how
+// many cycles of the miss latency an early dispatch would hide (0 = the
 // access is predicted on-chip, no dispatch). The prediction must be a
-// pure function of the predictor's trained state — training happens in
-// OnAccess, after the outcome is known, like every other contender.
+// pure function of the trained state — training happens in OnAccess,
+// after the outcome is known — and 0 before the first OnAccess.
 type OffChipPredictor interface {
 	Prefetcher
 	PredictOffChip(core int, pc amo.PC, line amo.Line, ifetch bool) uint64
@@ -119,10 +120,6 @@ func NewHermes(cfg HermesConfig, cores int) (*Hermes, error) {
 // Name implements Prefetcher.
 func (h *Hermes) Name() string { return fmt.Sprintf("Hermes %d", h.cfg.EarlyCycles) }
 
-// Cores returns how many hardware threads keep a history register;
-// sim.RunCMP rejects runs with more lanes than this.
-func (h *Hermes) Cores() int { return len(h.history) }
-
 //ebcp:hotpath
 func hermesHash(x uint64) uint64 {
 	x *= 0x9e3779b97f4a7c15
@@ -161,11 +158,15 @@ func (h *Hermes) sum(idx *[hermesFeatures]uint64) int {
 }
 
 // PredictOffChip implements OffChipPredictor: it returns the dispatch
-// headroom when the perceptron predicts off-chip, 0 otherwise. Pure —
-// training state changes only in OnAccess.
+// headroom when the perceptron predicts off-chip, 0 otherwise, and for a
+// thread that keeps no history register. Pure — training state changes
+// only in OnAccess.
 //
 //ebcp:hotpath
 func (h *Hermes) PredictOffChip(core int, pc amo.PC, line amo.Line, ifetch bool) uint64 {
+	if core < 0 || core >= len(h.history) {
+		return 0
+	}
 	var idx [hermesFeatures]uint64
 	h.featureIndexes(&idx, core, pc, line, ifetch)
 	if h.sum(&idx) >= h.cfg.ActivationThreshold {
@@ -174,14 +175,21 @@ func (h *Hermes) PredictOffChip(core int, pc amo.PC, line amo.Line, ifetch bool)
 	return 0
 }
 
-// OnAccess implements Prefetcher: it re-evaluates the perceptron for
-// the access (identical to the demand-path prediction — the per-core
-// state is untouched in between), trains on the actual outcome, charges
-// a false positive's speculative read, and shifts the outcome into the
-// core's history register.
+// OnAccess implements Prefetcher: it attaches Hermes to the Context as
+// its off-chip predictor, re-evaluates the perceptron for the access
+// (identical to the demand-path prediction — the per-core state is
+// untouched in between), trains on the actual outcome, charges a false
+// positive's speculative read, and shifts the outcome into the core's
+// history register. An access from a thread with no history register
+// is reported on the Context and ignored.
 //
 //ebcp:hotpath
 func (h *Hermes) OnAccess(a Access, ctx *Context) {
+	ctx.predictor = h
+	if a.Core < 0 || a.Core >= len(h.history) {
+		ctx.RejectThread(h.Name(), a.Core, len(h.history))
+		return
+	}
 	var idx [hermesFeatures]uint64
 	h.featureIndexes(&idx, a.Core, a.PC, a.Line, a.IFetch)
 	sum := h.sum(&idx)

@@ -1,9 +1,11 @@
 package prefetch
 
 import (
+	"errors"
 	"testing"
 
 	"ebcp/internal/amo"
+	"ebcp/internal/ebcperr"
 )
 
 // hermesTrain drives one access through training with the given actual
@@ -12,6 +14,8 @@ func hermesTrain(h *Hermes, ctx *Context, pc amo.PC, line amo.Line, offchip bool
 	h.OnAccess(Access{PC: pc, Line: line, Miss: offchip, L2Hit: !offchip}, ctx)
 }
 
+// TestHermesLearnsBimodalPCs reads the predictions the way the demand
+// path does, through the Context Hermes attaches itself to.
 func TestHermesLearnsBimodalPCs(t *testing.T) {
 	ctx := testContext()
 	h := must(NewHermes(DefaultHermesConfig(), 1))
@@ -20,12 +24,12 @@ func TestHermesLearnsBimodalPCs(t *testing.T) {
 		hermesTrain(h, ctx, missPC, amo.Line(64*i), true)
 		hermesTrain(h, ctx, hitPC, amo.Line(64*i+7), false)
 	}
-	if got := h.PredictOffChip(0, missPC, amo.Line(64*1000), false); got == 0 {
+	if got := ctx.EarlyDispatch(0, missPC, amo.Line(64*1000), false); got == 0 {
 		t.Error("always-missing PC predicted on-chip after training")
 	} else if got != DefaultHermesConfig().EarlyCycles {
 		t.Errorf("positive prediction returned %d cycles, want EarlyCycles %d", got, DefaultHermesConfig().EarlyCycles)
 	}
-	if got := h.PredictOffChip(0, hitPC, amo.Line(64*1000+7), false); got != 0 {
+	if got := ctx.EarlyDispatch(0, hitPC, amo.Line(64*1000+7), false); got != 0 {
 		t.Errorf("always-hitting PC predicted off-chip (%d cycles)", got)
 	}
 }
@@ -97,6 +101,31 @@ func TestHermesPerCoreHistory(t *testing.T) {
 	for _, core := range []int{0, 1, 3} {
 		if h.history[core] != 0 {
 			t.Errorf("core %d's history changed without any access on it", core)
+		}
+	}
+}
+
+// TestHermesUntrackedThread: an access from a thread with no history
+// register is reported on the Context and changes no state, and a
+// prediction for such a thread is 0 rather than an index past the
+// registers.
+func TestHermesUntrackedThread(t *testing.T) {
+	ctx := testContext()
+	h := must(NewHermes(DefaultHermesConfig(), 2))
+	h.OnAccess(Access{Core: 1, PC: 0x10, Line: 5, Miss: true}, ctx)
+	if err := ctx.Err(); err != nil {
+		t.Fatalf("tracked thread reported: %v", err)
+	}
+	h.OnAccess(Access{Core: 2, PC: 0x10, Line: 5, Miss: true}, ctx)
+	if err := ctx.Err(); !errors.Is(err, ebcperr.ErrInvalidConfig) {
+		t.Fatalf("untracked thread: Err() = %v, want ErrInvalidConfig", err)
+	}
+	if h.history[0] != 0 || h.history[1] != 1 {
+		t.Errorf("history registers %v, want [0 1]", h.history)
+	}
+	for _, core := range []int{-1, 2} {
+		if got := ctx.EarlyDispatch(core, 0x10, 5, false); got != 0 {
+			t.Errorf("prediction for untracked thread %d = %d, want 0", core, got)
 		}
 	}
 }

@@ -18,6 +18,7 @@ package prefetch
 import (
 	"ebcp/internal/amo"
 	"ebcp/internal/cache"
+	"ebcp/internal/ebcperr"
 	"ebcp/internal/mem"
 )
 
@@ -74,9 +75,12 @@ type Access struct {
 // an in-flight prefetch).
 func (a Access) OffChip() bool { return a.Miss || (a.PBHit && a.PBPartial) }
 
-// Prefetcher is the interface the simulator drives. OnAccess is called for
-// every L2-level instruction fetch and load, in program order;
-// implementations train on it and issue prefetches through the Context.
+// Prefetcher is the interface the simulator drives, and the whole
+// contract: OnAccess is called for every L2-level instruction fetch and
+// load, in program order; implementations train on it and reach the
+// machine only through the Context — prefetches, table traffic and the
+// demand-side hooks — so a wrapper that forwards OnAccess forwards them
+// all. (ResetStats, the one optional method, only clears statistics.)
 type Prefetcher interface {
 	// Name identifies the prefetcher in reports ("EBCP", "GHB large", ...).
 	Name() string
@@ -118,8 +122,9 @@ func (s Stats) Accuracy(used uint64) float64 {
 }
 
 // IssueFilter is the hook an adaptive prefetch filter (Filter) installs
-// on the Context: Prefetch consults it after the redundancy check, so a
-// rejection costs neither memory bandwidth nor a buffer slot. The
+// on the Context for the length of its inner contender's OnAccess
+// (Context.Filtered): Prefetch consults it after the redundancy check,
+// so a rejection costs neither memory bandwidth nor a buffer slot. The
 // demand path never consults it — filtering can only drop prefetches.
 type IssueFilter interface {
 	// Admit reports whether the prefetch of line at cycle now may issue.
@@ -127,7 +132,10 @@ type IssueFilter interface {
 }
 
 // Context gives prefetchers access to the memory system and the prefetch
-// buffer, and accounts for their activity.
+// buffer, and accounts for their activity. It also carries the hooks a
+// contender sets from inside its OnAccess: an issue filter (Filtered),
+// an off-chip predictor (EarlyDispatch) and the first report of an
+// untracked thread (RejectThread).
 type Context struct {
 	// Mem is the shared memory/interconnect model.
 	Mem *mem.System
@@ -136,8 +144,10 @@ type Context struct {
 	// L2 is probed (without side effects) to filter redundant prefetches.
 	L2 *cache.Cache
 
-	filter IssueFilter
-	stats  Stats
+	filter    IssueFilter
+	predictor OffChipPredictor
+	err       error
+	stats     Stats
 }
 
 // NewContext assembles a prefetch context.
@@ -196,10 +206,43 @@ func (c *Context) TableWrite(now uint64) bool {
 	return c.Mem.Write(now, mem.TableWrite)
 }
 
-// SetFilter installs (or, with nil, removes) the issue filter Prefetch
-// consults. The simulator installs the filter at construction when the
-// prefetcher itself implements IssueFilter (the Filter wrapper does).
-func (c *Context) SetFilter(f IssueFilter) { c.filter = f }
+// Filtered drives inner with one access while f vets every prefetch it
+// issues, then restores the filter that was installed before, so an
+// issue made outside a filter's OnAccess is never vetted by it.
+//
+//ebcp:hotpath
+func (c *Context) Filtered(f IssueFilter, inner Prefetcher, a Access) {
+	prev := c.filter
+	c.filter = f
+	inner.OnAccess(a, c)
+	c.filter = prev
+}
+
+// EarlyDispatch returns how many cycles of a real miss's latency the
+// attached off-chip predictor hides by dispatching the request early,
+// 0 when no predictor is attached. The simulator calls it on the demand
+// path before the access reaches OnAccess.
+//
+//ebcp:hotpath
+func (c *Context) EarlyDispatch(core int, pc amo.PC, line amo.Line, ifetch bool) uint64 {
+	if c.predictor == nil {
+		return 0
+	}
+	return c.predictor.PredictOffChip(core, pc, line, ifetch)
+}
+
+// RejectThread reports that the calling contender, which keeps state for
+// tracked hardware threads, got an access from thread core. The
+// contender ignores the access; the first report is kept as Err.
+func (c *Context) RejectThread(name string, core, tracked int) {
+	if c.err == nil {
+		c.err = ebcperr.Invalidf("prefetch: %s tracks %d threads and got an access from thread %d", name, tracked, core)
+	}
+}
+
+// Err returns the first RejectThread report, nil if none: a run whose
+// contender could not track every thread simulated a different machine.
+func (c *Context) Err() error { return c.err }
 
 // SpeculativeRead charges a speculative off-chip read — a Hermes-style
 // early dispatch whose access turned out to be on-chip — against the

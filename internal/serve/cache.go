@@ -1,6 +1,6 @@
 // Package serve is the experiment-serving layer behind cmd/ebcpd: one
 // process-wide exp.Cache result store shared by every request's
-// session, a bounded priority worker pool with backpressure, the HTTP
+// session, a bounded FIFO worker pool with backpressure, the HTTP
 // handlers speaking ebcp.runreq/v1 in and ebcp.report/v1 out, and the
 // serving telemetry exposed on /metrics. DESIGN.md §10 documents the
 // cache-keying, eviction and backpressure contracts.

@@ -16,7 +16,7 @@ import (
 func FuzzRunRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"schema":"ebcp.runreq/v1","experiment":"table1","warm_insts":200000,"measure_insts":100000,"bench_scale":0.05}`))
 	f.Add([]byte(`{"schema":"ebcp.runreq/v1","spec":{"schema":"ebcp.spec/v1","id":"x"}}`))
-	f.Add([]byte(`{"schema":"ebcp.runreq/v1","experiment":"table1","priority":"batch","timeout_ms":50}`))
+	f.Add([]byte(`{"schema":"ebcp.runreq/v1","experiment":"table1","timeout_ms":50}`))
 	f.Add([]byte(`{"schema":"ebcp.report/v1"}`))
 	f.Add([]byte(`{"schema":"ebcp.runreq/v1","zap":1}`))
 	f.Add([]byte(`{`))

@@ -16,13 +16,6 @@ import (
 // strictly: unknown fields are rejected so drift fails loudly.
 const RequestSchemaV1 = "ebcp.runreq/v1"
 
-// Request priorities. Interactive requests are dequeued before batch
-// requests; within a class the queue is FIFO.
-const (
-	PriorityInteractive = "interactive"
-	PriorityBatch       = "batch"
-)
-
 // RunRequestV1 is the body of POST /v1/run: which experiment to run and
 // the semantic options of the session that runs it. The zero value of
 // every optional field means "the default" — and, because cache keys
@@ -46,8 +39,6 @@ type RunRequestV1 struct {
 	// (0, 1] via workload.Scaled — the fast preview knob. 0 means full
 	// size.
 	BenchScale float64 `json:"bench_scale,omitempty"`
-	// Priority is "interactive" (default) or "batch".
-	Priority string `json:"priority,omitempty"`
 	// TimeoutMS bounds the request's wall-clock time; cells not
 	// simulated when it expires render as n/a and the request fails
 	// with a 499-class error. 0 means the server's default.
@@ -123,11 +114,6 @@ func (rq RunRequestV1) validate() (resolved, error) {
 	if rq.TimeoutMS < 0 {
 		return resolved{}, ebcperr.Invalidf("serve: timeout_ms %d must be non-negative", rq.TimeoutMS)
 	}
-	switch rq.Priority {
-	case "", PriorityInteractive, PriorityBatch:
-	default:
-		return resolved{}, ebcperr.Invalidf("serve: unknown priority %q (want %q or %q)", rq.Priority, PriorityInteractive, PriorityBatch)
-	}
 	return res, nil
 }
 
@@ -167,12 +153,4 @@ func (rq RunRequestV1) options(cfg Config, restricted []string) (exp.Options, er
 		opts.Benchmarks = scaled
 	}
 	return opts, nil
-}
-
-// priority returns the request's effective priority class.
-func (rq RunRequestV1) priority() string {
-	if rq.Priority == "" {
-		return PriorityInteractive
-	}
-	return rq.Priority
 }

@@ -27,9 +27,9 @@ type Config struct {
 	// not per-request fan-out — fills the cores and one giant request
 	// cannot starve the rest).
 	SimWorkers int
-	// QueueDepth bounds how many requests may wait *per priority class*
-	// (default 64). A request arriving at a full queue is rejected with
-	// 429 and a Retry-After header instead of queuing without bound.
+	// QueueDepth bounds how many requests may wait (default 64). A
+	// request arriving at a full queue is rejected with 429 and a
+	// Retry-After header instead of queuing without bound.
 	QueueDepth int
 	// CacheBytes is the shared result cache's eviction budget (default
 	// 256 MiB; < 0 disables the budget).
@@ -73,7 +73,7 @@ type job struct {
 	err    error
 }
 
-// Server owns the shared cache, the two priority queues and the worker
+// Server owns the shared cache, the FIFO request queue and the worker
 // pool. Build one with New, mount Handler on an http.Server, and stop
 // it with Drain.
 type Server struct {
@@ -82,7 +82,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queues   map[string][]*job // priority class → FIFO
+	queue    []*job // admitted, not yet dequeued; FIFO
 	draining bool
 
 	wg sync.WaitGroup
@@ -107,9 +107,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, ebcperr.Invalidf("serve: workers/sim-workers/queue-depth/max-body must be non-negative")
 	}
 	s := &Server{
-		cfg:    cfg,
-		cache:  NewCache(cfg.CacheBytes),
-		queues: map[string][]*job{PriorityInteractive: nil, PriorityBatch: nil},
+		cfg:   cfg,
+		cache: NewCache(cfg.CacheBytes),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for i := 0; i < cfg.Workers; i++ {
@@ -121,36 +120,32 @@ func New(cfg Config) (*Server, error) {
 
 // enqueue admits a job or rejects it with an ErrOverloaded- or
 // drain-classified error.
-func (s *Server) enqueue(j *job, priority string) error {
+func (s *Server) enqueue(j *job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return ebcperr.Cancelledf("serve: server is draining")
 	}
-	q := s.queues[priority]
-	if len(q) >= s.cfg.QueueDepth {
-		return ebcperr.Wrap(ebcperr.ErrOverloaded, "serve: %s queue full (%d waiting)", priority, len(q))
+	if len(s.queue) >= s.cfg.QueueDepth {
+		return ebcperr.Wrap(ebcperr.ErrOverloaded, "serve: queue full (%d waiting)", len(s.queue))
 	}
-	s.queues[priority] = append(q, j)
+	s.queue = append(s.queue, j)
 	s.cond.Signal()
 	return nil
 }
 
-// dequeue blocks until a job is available (interactive before batch) or
-// the pool is draining with nothing left; ok is false to stop the
-// worker.
+// dequeue blocks until a job is available (the oldest first) or the
+// pool is draining with nothing left; ok is false to stop the worker.
 func (s *Server) dequeue() (*job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		for _, pri := range []string{PriorityInteractive, PriorityBatch} {
-			if q := s.queues[pri]; len(q) > 0 {
-				j := q[0]
-				s.queues[pri] = q[1:]
-				s.queueUS.Observe(uint64(now().Sub(j.enqueued).Microseconds()))
-				s.inflight++
-				return j, true
-			}
+		if len(s.queue) > 0 {
+			j := s.queue[0]
+			s.queue = s.queue[1:]
+			s.queueUS.Observe(uint64(now().Sub(j.enqueued).Microseconds()))
+			s.inflight++
+			return j, true
 		}
 		if s.draining {
 			return nil, false
@@ -280,7 +275,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	j := &job{rq: rq, res: res, ctx: ctx, enqueued: start, done: make(chan struct{})}
-	if err := s.enqueue(j, rq.priority()); err != nil {
+	if err := s.enqueue(j); err != nil {
 		s.mu.Lock()
 		s.rejected++
 		s.mu.Unlock()
@@ -355,10 +350,7 @@ type healthzV1 struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	h := healthzV1{Status: "ok", Inflight: s.inflight}
-	for _, q := range s.queues {
-		h.Queued += len(q)
-	}
+	h := healthzV1{Status: "ok", Queued: len(s.queue), Inflight: s.inflight}
 	code := http.StatusOK
 	if s.draining {
 		h.Status = "draining"
@@ -404,14 +396,12 @@ func (s *Server) Stats() StatsV1 {
 		Completed:   s.completed,
 		Failed:      s.failed,
 		Rejected:    s.rejected,
+		Queued:      len(s.queue),
 		Inflight:    s.inflight,
 		SimRuns:     s.simRuns,
 		SimShared:   s.simShared,
 		QueueWaitUS: s.queueUS,
 		RequestUS:   s.requestUS,
-	}
-	for _, q := range s.queues {
-		st.Queued += len(q)
 	}
 	s.mu.Unlock()
 	st.Cache = s.cache.Stats()

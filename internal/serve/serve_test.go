@@ -228,7 +228,7 @@ func TestRequestValidation(t *testing.T) {
 		{"bad inline spec schema", `{"schema":"ebcp.runreq/v1","spec":{"schema":"nope/v9"}}`, 400, "unsupported schema"},
 		{"inline spec unknown prefetcher", `{"schema":"ebcp.runreq/v1","spec":` + strings.Replace(inlineSpec(8), `"ebcp"`, `"markov"`, 1) + `}`, 400, "markov"},
 		{"bad scale", `{"schema":"ebcp.runreq/v1","experiment":"table1","bench_scale":2}`, 400, "bench_scale"},
-		{"bad priority", `{"schema":"ebcp.runreq/v1","experiment":"table1","priority":"urgent"}`, 400, "unknown priority"},
+		{"priority is an unknown field", `{"schema":"ebcp.runreq/v1","experiment":"table1","priority":"batch"}`, 400, `unknown field \"priority\"`},
 		{"negative timeout", `{"schema":"ebcp.runreq/v1","experiment":"table1","timeout_ms":-5}`, 400, "timeout_ms"},
 		{"retired load_corrtab", smallBody(`,"load_corrtab":"t.corrtab"`), 400, `unknown field \"load_corrtab\"`},
 		{"not json", `go away`, 400, "decoding request"},
@@ -367,44 +367,23 @@ func TestDrainRejectsAndHealthzReports(t *testing.T) {
 	}
 }
 
-// TestPriorityOrdering drives the queues directly: with batch and
-// interactive jobs waiting, dequeue hands out every interactive job
-// first.
-func TestPriorityOrdering(t *testing.T) {
-	s := &Server{
-		cfg:    Config{QueueDepth: 8}.withDefaults(),
-		cache:  NewCache(1 << 20),
-		queues: map[string][]*job{PriorityInteractive: nil, PriorityBatch: nil},
-	}
+// TestQueueIsFIFO drives the queue directly: waiting jobs are handed
+// out in admission order.
+func TestQueueIsFIFO(t *testing.T) {
+	s := &Server{cfg: Config{QueueDepth: 8}.withDefaults(), cache: NewCache(1 << 20)}
 	s.cond = sync.NewCond(&s.mu)
-
-	mk := func(id int) *job {
-		return &job{rq: RunRequestV1{MaxInsts: uint64(id)}, ctx: context.Background(), enqueued: now(), done: make(chan struct{})}
+	for id := uint64(1); id <= 4; id++ {
+		if err := s.enqueue(&job{rq: RunRequestV1{MaxInsts: id}, ctx: context.Background(), enqueued: now(), done: make(chan struct{})}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.enqueue(mk(1), PriorityBatch); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.enqueue(mk(2), PriorityInteractive); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.enqueue(mk(3), PriorityBatch); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.enqueue(mk(4), PriorityInteractive); err != nil {
-		t.Fatal(err)
-	}
-	var order []uint64
-	for i := 0; i < 4; i++ {
+	for want := uint64(1); want <= 4; want++ {
 		j, ok := s.dequeue()
 		if !ok {
 			t.Fatal("dequeue stopped early")
 		}
-		order = append(order, j.rq.MaxInsts)
-	}
-	want := []uint64{2, 4, 1, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("dequeue order = %v, want %v", order, want)
+		if j.rq.MaxInsts != want {
+			t.Fatalf("dequeued job %d, want %d", j.rq.MaxInsts, want)
 		}
 	}
 }

@@ -105,9 +105,11 @@ func (r CMPResult) Speedup(baseline CMPResult) float64 {
 // and the miss streams interleave the way they would on real hardware.
 // Warmup and measurement windows apply per thread; the statistics of
 // every lane and of the shared half reset together when the last lane
-// warms. It returns an ErrInvalidConfig-classified error for a bad
-// configuration, an empty source list, or a prefetcher that tracks fewer
-// threads than there are sources, or an ErrShortTrace-classified
+// warms. It returns an ErrInvalidConfig-classified error, and no
+// result, for a bad configuration, an empty source list, or a
+// prefetcher that reported an access from a thread it does not track
+// (prefetch.Context.RejectThread: it was built for fewer threads than
+// there are sources), or an ErrShortTrace-classified
 // *CMPShortTraceError — alongside the contaminated partial CMPResult —
 // when any lane's trace ends inside its warmup window. All sources are
 // read ahead on one reader goroutine (a trace.Ahead), each up to two
@@ -118,20 +120,14 @@ func RunCMP(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) (CMPResu
 	if len(sources) == 0 {
 		return CMPResult{}, ebcperr.Invalidf("sim: RunCMP needs at least one trace source")
 	}
-	// A prefetcher with per-thread state (EBCP's EMABs, Hermes's history
-	// registers) sizes it at construction; more lanes than that would
-	// index past it or go untrained.
-	if tc, ok := pf.(interface{ Cores() int }); ok {
-		if n := tc.Cores(); n > 0 && n < len(sources) {
-			return CMPResult{}, ebcperr.Invalidf("sim: prefetcher %s tracks %d threads, fewer than the %d CMP lanes",
-				pf.Name(), n, len(sources))
-		}
-	}
 	r, err := newRunner(cfg, pf, len(sources))
 	if err != nil {
 		return CMPResult{}, err
 	}
 	out := CMPResult{Prefetcher: pf.Name(), PerCore: r.run(sources)}
+	if err := r.ctx.Err(); err != nil {
+		return CMPResult{}, err
+	}
 	if out.PerCore[0].WarmupIncomplete {
 		return out, &CMPShortTraceError{Partial: out}
 	}

@@ -2,12 +2,15 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"ebcp/internal/amo"
 	"ebcp/internal/mem"
 	"ebcp/internal/metrics"
 	"ebcp/internal/prefetch"
+	"ebcp/internal/registry"
 	"ebcp/internal/workload"
 )
 
@@ -19,47 +22,78 @@ func scaledCfg(b workload.Params) Config {
 	return cfg
 }
 
-// TestFilterThresholdZeroByteIdentity: a degree-0 (threshold 0) filter
-// admits everything, so the wrapped contender must produce a snapshot
-// byte-identical to running it unwrapped — across all four Table 1
-// workloads. Only the prefetcher label may differ.
+// contenderParams gives each registered contender whose parameter block
+// has no usable zero value a small valid one; every other contender is
+// built from an empty block (its tuned defaults).
+var contenderParams = map[string]string{
+	"ghb-small": `{"degree": 6}`,
+	"ghb-large": `{"degree": 6}`,
+	"tcp-small": `{"degree": 6}`,
+	"tcp-large": `{"degree": 6}`,
+	"stream":    `{"streams": 32, "degree": 6}`,
+	"solihin":   `{"depth": 3, "width": 2, "table_entries": 65536}`,
+}
+
+// passThrough forwards Name and OnAccess and nothing else: the least a
+// wrapper can forward, and under the contender contract all it must.
+type passThrough struct{ inner prefetch.Prefetcher }
+
+func (p passThrough) Name() string                                    { return p.inner.Name() }
+func (p passThrough) OnAccess(a prefetch.Access, c *prefetch.Context) { p.inner.OnAccess(a, c) }
+
+// TestFilterThresholdZeroByteIdentity: wrapping a contender changes no
+// simulated machine. For every registered contender on all four Table 1
+// workloads, a threshold-0 filter (which admits everything) and a
+// pass-through wrapper must each produce a snapshot byte-identical to
+// the bare run; only the filter's "+filter" label may differ. A hook
+// the simulator discovered on the outermost prefetcher (Hermes's early
+// dispatch, say) would be lost behind either wrapper.
 func TestFilterThresholdZeroByteIdentity(t *testing.T) {
+	zero := prefetch.DefaultFilterConfig()
+	zero.ThresholdPct = 0
 	for _, b := range workload.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			cfg := scaledCfg(b)
-			zero := prefetch.DefaultFilterConfig()
-			zero.ThresholdPct = 0
-
-			bare := must(Run(must(workload.New(b)), must(prefetch.NewChain(prefetch.DefaultChainConfig())), cfg))
-			wrapped := must(Run(must(workload.New(b)),
-				must(prefetch.NewFilter(must(prefetch.NewChain(prefetch.DefaultChainConfig())), zero)), cfg))
-
-			sb, sw := bare.Snapshot(), wrapped.Snapshot()
-			if sw.Prefetcher != sb.Prefetcher+"+filter" {
-				t.Fatalf("wrapped run reports %q, want %q", sw.Prefetcher, sb.Prefetcher+"+filter")
-			}
-			sw.Prefetcher = sb.Prefetcher
-			var bufB, bufW bytes.Buffer
-			if err := metrics.WriteJSON(&bufB, sb); err != nil {
-				t.Fatal(err)
-			}
-			if err := metrics.WriteJSON(&bufW, sw); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(bufB.Bytes(), bufW.Bytes()) {
-				t.Errorf("threshold-0 filter perturbed the simulation:\n%s\nvs\n%s", bufB.Bytes(), bufW.Bytes())
+			for _, name := range registry.PrefetcherNames() {
+				name := name
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					build := func() prefetch.Prefetcher {
+						var params json.RawMessage
+						if p, ok := contenderParams[name]; ok {
+							params = json.RawMessage(p)
+						}
+						return must(must(registry.Prefetcher(name)).New(params, 0))
+					}
+					snapshot := func(pf prefetch.Prefetcher) []byte {
+						s := must(Run(must(workload.New(b)), pf, scaledCfg(b))).Snapshot()
+						s.Prefetcher = strings.TrimSuffix(s.Prefetcher, "+filter")
+						var buf bytes.Buffer
+						if err := metrics.WriteJSON(&buf, s); err != nil {
+							t.Fatal(err)
+						}
+						return buf.Bytes()
+					}
+					bare := snapshot(build())
+					if got := snapshot(must(prefetch.NewFilter(build(), zero))); !bytes.Equal(got, bare) {
+						t.Errorf("threshold-0 filter perturbed the simulation:\n%s\nvs bare\n%s", got, bare)
+					}
+					if got := snapshot(passThrough{build()}); !bytes.Equal(got, bare) {
+						t.Errorf("pass-through wrapper perturbed the simulation:\n%s\nvs bare\n%s", got, bare)
+					}
+				})
 			}
 		})
 	}
 }
 
 // denyAll wraps a prefetcher and vetoes every one of its prefetches via
-// the IssueFilter hook — the adversarial extreme of the adaptive filter.
+// the IssueFilter hook it installs around the wrapped OnAccess — the
+// adversarial extreme of the adaptive filter.
 type denyAll struct{ inner prefetch.Prefetcher }
 
 func (d denyAll) Name() string                                    { return d.inner.Name() + "+deny" }
-func (d denyAll) OnAccess(a prefetch.Access, c *prefetch.Context) { d.inner.OnAccess(a, c) }
+func (d denyAll) OnAccess(a prefetch.Access, c *prefetch.Context) { c.Filtered(d, d.inner, a) }
 func (denyAll) Admit(uint64, amo.Line) bool                       { return false }
 
 // TestFilterNeverDropsDemand: a filter that rejects every prefetch

@@ -75,6 +75,14 @@ func TestNegativeConfigs(t *testing.T) {
 			h := must(prefetch.NewHermes(prefetch.DefaultHermesConfig(), 1))
 			return must(prefetch.NewFilter(h, prefetch.DefaultFilterConfig()))
 		})},
+		// The thread check rides the Context, so a wrapper that forwards
+		// only Name and OnAccess cannot hide an under-sized contender.
+		{"CMP more lanes than a wrapped EBCP tracks", cmpLanes(func() prefetch.Prefetcher {
+			return passThrough{must(core.New(core.DefaultConfig()))}
+		})},
+		{"CMP more lanes than a wrapped Hermes tracks", cmpLanes(func() prefetch.Prefetcher {
+			return passThrough{must(prefetch.NewHermes(prefetch.DefaultHermesConfig(), 1))}
+		})},
 		{"CMP bad config", func() error {
 			cfg := DefaultConfig()
 			cfg.PBWays = 0

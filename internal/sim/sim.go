@@ -326,11 +326,6 @@ func (l *lane) resetStats() {
 type Runner struct {
 	cfg Config
 	pf  prefetch.Prefetcher
-	// ocp is non-nil when the prefetcher is an off-chip latency
-	// predictor (prefetch.OffChipPredictor): the demand path consults it
-	// on real misses and shortens the completion by the predicted
-	// dispatch headroom.
-	ocp prefetch.OffChipPredictor
 
 	lanes []*lane
 	l2    *cache.Cache
@@ -368,32 +363,22 @@ func newRunner(cfg Config, pf prefetch.Prefetcher, n int) (*Runner, error) {
 			return nil, err
 		}
 	}
-	ctx := prefetch.NewContext(m, pb, l2)
-	r := &Runner{
+	return &Runner{
 		cfg:   cfg,
 		pf:    pf,
 		lanes: lanes,
 		l2:    l2,
 		pb:    pb,
 		mem:   m,
-		ctx:   ctx,
-	}
-	// Contender capability hooks: an off-chip predictor shortens miss
-	// latency on the demand path; a filtering prefetcher vetoes issues
-	// inside Context.Prefetch. Plain contenders implement neither and
-	// the demand path is byte-identical to before the hooks existed.
-	if ocp, ok := pf.(prefetch.OffChipPredictor); ok {
-		r.ocp = ocp
-	}
-	if f, ok := pf.(prefetch.IssueFilter); ok {
-		ctx.SetFilter(f)
-	}
-	return r, nil
+		ctx:   prefetch.NewContext(m, pb, l2),
+	}, nil
 }
 
 // Run executes warmup then measurement over the trace source and returns
 // the measured statistics. It returns an ErrInvalidConfig-classified
-// error for a bad configuration, or an ErrShortTrace-classified
+// error for a bad configuration or a prefetcher that reported a thread
+// it does not track (prefetch.Context.RejectThread), or an
+// ErrShortTrace-classified
 // *ShortTraceError — alongside the contaminated partial Result — when the
 // source ends inside the warmup window. The source is read ahead on a
 // goroutine of its own (see Runner.Run).
@@ -419,6 +404,9 @@ func Run(src trace.Source, pf prefetch.Prefetcher, cfg Config) (Result, error) {
 // carrying the same Result.
 func (r *Runner) Run(src trace.Source) (Result, error) {
 	res := r.run([]trace.Source{src})[0]
+	if err := r.ctx.Err(); err != nil {
+		return Result{}, err
+	}
 	if res.WarmupIncomplete {
 		return res, &ShortTraceError{Partial: res, Insts: r.lanes[0].core.Insts(), Want: r.cfg.WarmInsts}
 	}
@@ -714,12 +702,12 @@ func (r *Runner) stepRead(l *lane, rec trace.Record, line amo.Line) {
 			// Real off-chip miss.
 			issueAt := l.core.PrepareMiss(rec.DependsOnMiss, rec.Serializing)
 			completion, _ := r.mem.Read(issueAt, mem.Demand)
-			if r.ocp != nil && completion > issueAt {
+			if completion > issueAt {
 				// A predicted-off-chip access dispatched its memory read
 				// early: the predicted headroom comes off the miss latency
 				// (never below the issue cycle). False positives are
 				// charged by the predictor itself via SpeculativeRead.
-				if early := r.ocp.PredictOffChip(l.id, rec.PC, line, ifetch); early > 0 {
+				if early := r.ctx.EarlyDispatch(l.id, rec.PC, line, ifetch); early > 0 {
 					if early > completion-issueAt {
 						early = completion - issueAt
 					}
