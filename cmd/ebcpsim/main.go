@@ -164,13 +164,12 @@ func main() {
 	}
 	rep := ebcp.ReportV1{Schema: ebcp.ReportSchemaV1, Tool: "ebcpsim"}
 	if *jsonOut {
-		snap := res.Snapshot()
 		rep.Runs = append(rep.Runs, ebcp.RunV1{
 			Benchmark: bench.Name,
 			Role:      "measured",
 			Config:    cfg.MetricsConfig(),
-			Raw:       snap,
-			Derived:   snap.Derive(),
+			Raw:       res,
+			Derived:   res.Derive(),
 		})
 	} else {
 		printResult(bench.Name, res)
@@ -185,13 +184,12 @@ func main() {
 			die("baseline: %v", base.err)
 		}
 		if *jsonOut {
-			snap := base.res.Snapshot()
 			rep.Runs = append(rep.Runs, ebcp.RunV1{
 				Benchmark: bench.Name,
 				Role:      "baseline",
 				Config:    cfg.MetricsConfig(),
-				Raw:       snap,
-				Derived:   snap.Derive(),
+				Raw:       base.res,
+				Derived:   base.res.Derive(),
 			})
 			rep.Comparison = &ebcp.ComparisonV1{
 				ImprovementPct:  100 * res.Improvement(base.res),
@@ -266,10 +264,10 @@ func printResult(bench string, r ebcp.Result) {
 	fmt.Printf("  epochs/1000 insts %.3f\n", r.EPKI())
 	fmt.Printf("  L2 inst MPKI      %.3f\n", r.IFetchMPKI())
 	fmt.Printf("  L2 load MPKI      %.3f\n", r.LoadMPKI())
-	fmt.Printf("  overlap           %.3f\n", r.Core.Overlap())
+	fmt.Printf("  overlap           %.3f\n", r.Overlap())
 	fmt.Printf("  on-chip cycles    %d  stall cycles %d\n", r.Core.OnChipCycles, r.Core.StallCycles)
 	fmt.Printf("  epoch closes      window %d dep %d ser %d ifetch %d branch %d mshr %d drain %d\n",
-		r.Core.Closes[0], r.Core.Closes[1], r.Core.Closes[2], r.Core.Closes[3], r.Core.Closes[4], r.Core.Closes[5], r.Core.Closes[6])
+		r.Core.ClosesByReason[0], r.Core.ClosesByReason[1], r.Core.ClosesByReason[2], r.Core.ClosesByReason[3], r.Core.ClosesByReason[4], r.Core.ClosesByReason[5], r.Core.ClosesByReason[6])
 	fmt.Printf("  stall by reason   window %d dep %d ser %d ifetch %d branch %d mshr %d drain %d\n",
 		r.Core.StallByReason[0], r.Core.StallByReason[1], r.Core.StallByReason[2], r.Core.StallByReason[3], r.Core.StallByReason[4], r.Core.StallByReason[5], r.Core.StallByReason[6])
 	if r.Prefetcher != "none" {
@@ -281,9 +279,9 @@ func printResult(bench string, r ebcp.Result) {
 		fmt.Printf("  table reads       %d, writes %d\n", r.PF.TableReads, r.PF.TableWrites)
 	}
 	fmt.Printf("  mem reads         demand %d, table %d, prefetch %d\n",
-		r.Mem.PerClass[0].Reads, r.Mem.PerClass[1].Reads, r.Mem.PerClass[2].Reads)
+		r.Mem.Demand.Reads, r.Mem.TableRead.Reads, r.Mem.Prefetch.Reads)
 	fmt.Printf("  mem drops         table-read %d prefetch %d table-write %d\n",
-		r.Mem.PerClass[1].ReadDrops, r.Mem.PerClass[2].ReadDrops, r.Mem.PerClass[3].WriteDrops)
+		r.Mem.TableRead.ReadDrops, r.Mem.Prefetch.ReadDrops, r.Mem.TableWrite.WriteDrops)
 }
 
 func printEBCP(e *ebcp.EBCP) {

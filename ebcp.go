@@ -70,7 +70,8 @@ type (
 	Benchmark = workload.Params
 	// SystemConfig describes the simulated machine.
 	SystemConfig = sim.Config
-	// Result carries the measured statistics of one run.
+	// Result carries the measured statistics of one run (it is a
+	// MetricsSnapshot).
 	Result = sim.Result
 	// CMPResult carries the per-thread and aggregate statistics of a
 	// multi-core run.
@@ -256,12 +257,12 @@ type (
 // callback printing one line per completed simulation.
 var ExperimentProgressWriter = exp.ProgressWriter
 
-// Metrics and machine-readable reports. A Result flattens into a
-// MetricsSnapshot (Result.Snapshot), which derives the paper's
-// evaluation metrics (Snapshot.Derive) and self-checks its counter
-// identities (Snapshot.CheckInvariants); reports bundle snapshots and
-// experiment grids into the schema-versioned document both commands
-// emit under -json.
+// Metrics and machine-readable reports. A Result is a MetricsSnapshot:
+// its methods are the paper's evaluation metrics (CPI, LoadMPKI,
+// Coverage, Improvement, ...), Derive collects them, and
+// CheckInvariants self-checks its counter identities; reports bundle
+// snapshots and experiment grids into the schema-versioned document
+// both commands emit under -json.
 type (
 	// MetricsSnapshot is the flat raw-counter view of one run.
 	MetricsSnapshot = metrics.Snapshot

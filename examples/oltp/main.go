@@ -42,10 +42,10 @@ func main() {
 
 	fmt.Println("\n=== memory traffic (measurement window) ===")
 	m := res.Mem
-	fmt.Printf("demand reads:    %d\n", m.PerClass[0].Reads)
-	fmt.Printf("table reads:     %d (dropped %d)\n", m.PerClass[1].Reads, m.PerClass[1].ReadDrops)
-	fmt.Printf("prefetch reads:  %d (dropped %d)\n", m.PerClass[2].Reads, m.PerClass[2].ReadDrops)
-	fmt.Printf("table writes:    %d (dropped %d)\n", m.PerClass[3].Writes, m.PerClass[3].WriteDrops)
+	fmt.Printf("demand reads:    %d\n", m.Demand.Reads)
+	fmt.Printf("table reads:     %d (dropped %d)\n", m.TableRead.Reads, m.TableRead.ReadDrops)
+	fmt.Printf("prefetch reads:  %d (dropped %d)\n", m.Prefetch.Reads, m.Prefetch.ReadDrops)
+	fmt.Printf("table writes:    %d (dropped %d)\n", m.TableWrite.Writes, m.TableWrite.WriteDrops)
 
 	fmt.Println("\n=== headline ===")
 	fmt.Printf("overall performance improvement: %+.1f%% (paper, full windows: +23%%)\n",
@@ -61,7 +61,7 @@ func show(label string, r ebcp.Result) {
 		float64(c.OnChipCycles)/float64(c.Instructions),
 		float64(c.StallCycles)/float64(c.Instructions))
 	fmt.Printf("epochs/1000 insts %.2f; window terminations: ROB-full %d, branch-on-miss %d, ifetch %d, serializing %d\n",
-		r.EPKI(), c.Closes[0], c.Closes[4], c.Closes[3], c.Closes[2])
+		r.EPKI(), c.ClosesByReason[0], c.ClosesByReason[4], c.ClosesByReason[3], c.ClosesByReason[2])
 	fmt.Printf("L2 misses: %.2f inst + %.2f load per 1000 insts\n", r.IFetchMPKI(), r.LoadMPKI())
 	if r.Prefetcher != "none" {
 		fmt.Printf("prefetch coverage %.0f%%, accuracy %.0f%% (%d full + %d in-flight buffer hits)\n",

@@ -146,6 +146,43 @@ func TestSimAssertsNoContenderCapability(t *testing.T) {
 	}
 }
 
+// paperMetrics are the names of the paper's derived metrics, each of
+// which is one method of metrics.Snapshot.
+var paperMetrics = map[string]bool{
+	"CPI": true, "EPKI": true, "IFetchMPKI": true, "LoadMPKI": true, "Overlap": true,
+	"Coverage": true, "Accuracy": true, "Timeliness": true, "Improvement": true, "EPIReduction": true,
+}
+
+// TestPaperMetricsHaveOneFormula fails on every method, in a non-test
+// file outside internal/metrics, that is named after a paper metric. Each
+// metric is one method of metrics.Snapshot, the run record every
+// component counts into, so Derive, the experiment grids and the
+// commands print the same bits; a second method of that name would be a
+// second formula free to drift from the first.
+func TestPaperMetricsHaveOneFormula(t *testing.T) {
+	pkgs, diags := typedModule(t)
+	for _, d := range diags {
+		t.Fatalf("the module must type-check before its methods can be read: %s", d)
+	}
+	for _, p := range pkgs {
+		if p.Types.Path() == "ebcp/internal/metrics" {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil || !paperMetrics[fn.Name.Name] {
+					continue
+				}
+				if obj := p.Info.Defs[fn.Name]; obj != nil {
+					t.Errorf("%s: %s computes a paper metric outside internal/metrics; call the metrics.Snapshot method instead",
+						p.Fset.Position(fn.Pos()), qualifiedName(obj))
+				}
+			}
+		}
+	}
+}
+
 // isPrefetcher reports whether t is the named interface
 // ebcp/internal/prefetch.Prefetcher.
 func isPrefetcher(t types.Type) bool {

@@ -10,6 +10,7 @@ package cache
 import (
 	"ebcp/internal/amo"
 	"ebcp/internal/ebcperr"
+	"ebcp/internal/metrics"
 )
 
 // Config describes one cache.
@@ -44,18 +45,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats counts cache events.
-type Stats struct {
-	Accesses uint64
-	Misses   uint64
-	// Fills counts lines installed (demand fills and promotions).
-	Fills uint64
-	// Evictions counts valid lines displaced by fills; DirtyEvictions the
-	// subset needing a writeback.
-	Evictions      uint64
-	DirtyEvictions uint64
-}
-
 // Stamp-word layout: bit 0 is valid, bit 1 is dirty, and the LRU stamp
 // (higher is more recent) fills the bits above them.
 const (
@@ -84,7 +73,7 @@ type Cache struct {
 	stamp    uint64
 	pend     int // tag-word index of the remembered victim, or -1
 	pendLine amo.Line
-	stats    Stats
+	stats    metrics.CacheCounters
 }
 
 // New builds a cache from cfg. It returns an ErrInvalidConfig-classified
@@ -102,12 +91,17 @@ func New(cfg Config) (*Cache, error) {
 	}, nil
 }
 
-// Stats returns a copy of the event counters.
-func (c *Cache) Stats() Stats { return c.stats }
+// Stats returns a copy of the event counters. Access counts accesses
+// and misses only, so Hits is filled in here, off the per-access path.
+func (c *Cache) Stats() metrics.CacheCounters {
+	s := c.stats
+	s.Hits = s.Accesses - s.Misses
+	return s
+}
 
 // ResetStats zeroes the event counters (used at the warmup/measure
 // boundary) without disturbing cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
+func (c *Cache) ResetStats() { c.stats = metrics.CacheCounters{} }
 
 // locate returns the index of the line's set in words, and the set's tag
 // and stamp words.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"ebcp/internal/amo"
+	"ebcp/internal/metrics"
 )
 
 func smallCache(t *testing.T) *Cache {
@@ -45,7 +46,7 @@ func TestMissThenHit(t *testing.T) {
 		t.Fatal("access after fill should hit")
 	}
 	st := c.Stats()
-	if st.Accesses != 2 || st.Misses != 1 || st.Fills != 1 {
+	if st.Accesses != 2 || st.Hits != 1 || st.Misses != 1 || st.Fills != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -99,7 +100,7 @@ type refCache struct {
 	nSets, ways int
 	sets        map[int][]amo.Line
 	dirty       map[amo.Line]bool
-	stats       Stats
+	stats       metrics.CacheCounters
 }
 
 func (r *refCache) set(l amo.Line) int { return int(uint64(l) & uint64(r.nSets-1)) }
@@ -123,6 +124,7 @@ func (r *refCache) access(l amo.Line) bool {
 	r.stats.Accesses++
 	if i := r.pos(l); i >= 0 {
 		r.toFront(l, i)
+		r.stats.Hits++
 		return true
 	}
 	r.stats.Misses++
@@ -286,7 +288,7 @@ func TestResetStats(t *testing.T) {
 	c.Access(amo.LineOf(0x40))
 	c.Fill(amo.LineOf(0x40), false)
 	c.ResetStats()
-	if c.Stats() != (Stats{}) {
+	if c.Stats() != (metrics.CacheCounters{}) {
 		t.Errorf("stats not cleared: %+v", c.Stats())
 	}
 	if !c.Lookup(amo.LineOf(0x40)) {

@@ -3,6 +3,7 @@ package cache
 import (
 	"ebcp/internal/amo"
 	"ebcp/internal/ebcperr"
+	"ebcp/internal/metrics"
 )
 
 // PBEntry describes a line resident in (or in flight to) the prefetch
@@ -27,18 +28,6 @@ type PBEntry struct {
 // correlation-table entry.
 const NoTableIndex int64 = -1
 
-// PBStats counts prefetch buffer events.
-type PBStats struct {
-	Inserts     uint64
-	Hits        uint64 // demand hits on arrived lines
-	PartialHits uint64 // demand hits on in-flight lines
-	// Evictions counts valid entries displaced by an insert. A hit
-	// consumes its entry, so every displaced entry was never used.
-	Evictions     uint64
-	Replaced      uint64 // inserts that found the line already present
-	Invalidations uint64
-}
-
 // pbWay is one buffer entry. lru is its recency stamp (higher is more
 // recent); stamps start at 1, so 0 marks an empty way.
 type pbWay struct {
@@ -57,7 +46,7 @@ type PrefetchBuffer struct {
 	setBits uint
 	slots   []pbWay // set-major: set s is slots[s*ways : (s+1)*ways]
 	stamp   uint64
-	stats   PBStats
+	stats   metrics.PBCounters
 }
 
 // NewPrefetchBuffer creates a buffer with the given total entries and
@@ -84,10 +73,10 @@ func NewPrefetchBuffer(entries, ways int) (*PrefetchBuffer, error) {
 }
 
 // Stats returns a copy of the counters.
-func (b *PrefetchBuffer) Stats() PBStats { return b.stats }
+func (b *PrefetchBuffer) Stats() metrics.PBCounters { return b.stats }
 
 // ResetStats zeroes the counters without touching contents.
-func (b *PrefetchBuffer) ResetStats() { b.stats = PBStats{} }
+func (b *PrefetchBuffer) ResetStats() { b.stats = metrics.PBCounters{} }
 
 // locate returns the line's set and tag.
 //

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ebcp/internal/amo"
+	"ebcp/internal/metrics"
 )
 
 func TestPBInsertHit(t *testing.T) {
@@ -159,7 +160,7 @@ func TestPBSmallerThanWays(t *testing.T) {
 type refPB struct {
 	nSets, ways int
 	sets        map[int][]refPBLine
-	stats       PBStats
+	stats       metrics.PBCounters
 }
 
 type refPBLine struct {

@@ -64,6 +64,8 @@ func (c Config) Validate() error {
 }
 
 // CloseReason says which window termination condition ended an epoch.
+// It indexes metrics.CoreCounters' per-reason arrays, which hold
+// metrics.NumCloseReasons entries, one per constant below.
 type CloseReason int
 
 const (
@@ -81,54 +83,7 @@ const (
 	CloseMSHRFull
 	// CloseDrain: simulation drain.
 	CloseDrain
-	numCloseReasons
 )
-
-// Stats aggregates core activity over the measurement window.
-type Stats struct {
-	Instructions uint64
-	Cycles       uint64
-	// OnChipCycles is time spent executing (not stalled on epochs).
-	OnChipCycles uint64
-	// OverlappedCycles is the subset of OnChipCycles spent while an epoch
-	// was open (hidden under off-chip accesses).
-	OverlappedCycles uint64
-	// StallCycles is time stalled waiting for epoch completion.
-	StallCycles uint64
-	// Epochs is the number of 0->1 outstanding-miss transitions.
-	Epochs uint64
-	// MissesOverlapped counts off-chip accesses that joined an existing
-	// epoch (did not trigger one).
-	MissesOverlapped uint64
-	// Closes counts epoch terminations by reason; StallByReason
-	// attributes the stall cycles to the closing condition.
-	Closes        [numCloseReasons]uint64
-	StallByReason [numCloseReasons]uint64
-}
-
-// CPI returns overall cycles per instruction.
-func (s Stats) CPI() float64 {
-	if s.Instructions == 0 {
-		return 0
-	}
-	return float64(s.Cycles) / float64(s.Instructions)
-}
-
-// EPKI returns epochs per 1000 instructions.
-func (s Stats) EPKI() float64 {
-	if s.Instructions == 0 {
-		return 0
-	}
-	return 1000 * float64(s.Epochs) / float64(s.Instructions)
-}
-
-// Overlap returns the fraction of on-chip cycles hidden under epochs.
-func (s Stats) Overlap() float64 {
-	if s.OnChipCycles == 0 {
-		return 0
-	}
-	return float64(s.OverlappedCycles) / float64(s.OnChipCycles)
-}
 
 // Model is the epoch-based core timing model.
 type Model struct {
@@ -150,7 +105,7 @@ type Model struct {
 	epochCompletion  uint64
 	outstanding      int
 
-	stats Stats
+	stats metrics.CoreCounters
 
 	// reg, when non-nil, receives the epoch histograms (length in cycles
 	// and misses overlapped) as each epoch closes. skipHist suppresses
@@ -190,7 +145,7 @@ func (m *Model) InEpoch() bool { return m.inEpoch }
 
 // Stats returns a copy of the counters for the current measurement window
 // (since the last ResetStats).
-func (m *Model) Stats() Stats {
+func (m *Model) Stats() metrics.CoreCounters {
 	s := m.stats
 	s.Instructions = m.insts - m.baseInsts
 	s.Cycles = m.now - m.baseNow
@@ -202,7 +157,7 @@ func (m *Model) Stats() Stats {
 // completion times and memory-bus cursors stay consistent); reported
 // statistics are relative to this point.
 func (m *Model) ResetStats() {
-	m.stats = Stats{}
+	m.stats = metrics.CoreCounters{}
 	m.baseNow = m.now
 	m.baseInsts = m.insts
 	// An epoch open across the boundary straddles both windows; its
@@ -284,7 +239,7 @@ func (m *Model) closeEpoch(r CloseReason) {
 	}
 	m.inEpoch = false
 	m.outstanding = 0
-	m.stats.Closes[r]++
+	m.stats.ClosesByReason[r]++
 }
 
 // CloseEpoch forces the open epoch (if any) closed, stalling to its

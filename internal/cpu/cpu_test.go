@@ -3,6 +3,8 @@ package cpu
 import (
 	"testing"
 	"testing/quick"
+
+	"ebcp/internal/metrics"
 )
 
 func model() *Model {
@@ -30,8 +32,8 @@ func TestOnChipAdvance(t *testing.T) {
 	if st.Epochs != 0 || st.StallCycles != 0 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.CPI() != 1.0 {
-		t.Errorf("CPI = %v", st.CPI())
+	if st.Cycles != 1000 || st.Instructions != 1000 {
+		t.Errorf("cycles %d over %d instructions, want CPI 1", st.Cycles, st.Instructions)
 	}
 }
 
@@ -69,8 +71,8 @@ func TestSingleMissEpoch(t *testing.T) {
 	if st.Epochs != 1 || st.StallCycles != 600-228 {
 		t.Errorf("stats = %+v", st)
 	}
-	if st.Closes[CloseWindowFull] != 1 {
-		t.Errorf("closes = %+v", st.Closes)
+	if st.ClosesByReason[CloseWindowFull] != 1 {
+		t.Errorf("closes = %+v", st.ClosesByReason)
 	}
 	if st.OverlappedCycles != 128 {
 		t.Errorf("overlapped = %d, want 128", st.OverlappedCycles)
@@ -113,8 +115,8 @@ func TestDependentMissClosesEpoch(t *testing.T) {
 	if st.Epochs != 2 {
 		t.Errorf("epochs = %d, want 2", st.Epochs)
 	}
-	if st.Closes[CloseDependent] != 1 {
-		t.Errorf("closes = %+v", st.Closes)
+	if st.ClosesByReason[CloseDependent] != 1 {
+		t.Errorf("closes = %+v", st.ClosesByReason)
 	}
 	if m.Now() != 500 {
 		t.Errorf("now = %d, want 500 (stalled to first completion)", m.Now())
@@ -162,8 +164,8 @@ func TestIFetchMissTerminatesWindow(t *testing.T) {
 	if m.Now() != 600 {
 		t.Errorf("now = %d, want 600 (stalled to ifetch completion)", m.Now())
 	}
-	if st.Closes[CloseIFetch] != 1 {
-		t.Errorf("closes = %+v", st.Closes)
+	if st.ClosesByReason[CloseIFetch] != 1 {
+		t.Errorf("closes = %+v", st.ClosesByReason)
 	}
 }
 
@@ -193,8 +195,8 @@ func TestSerializingInstruction(t *testing.T) {
 	}
 	// Serialize with no epoch open is a no-op.
 	m.Serialize()
-	if m.Stats().Closes[CloseSerializing] != 1 {
-		t.Errorf("closes = %+v", m.Stats().Closes)
+	if m.Stats().ClosesByReason[CloseSerializing] != 1 {
+		t.Errorf("closes = %+v", m.Stats().ClosesByReason)
 	}
 }
 
@@ -206,8 +208,8 @@ func TestMSHRFullCloses(t *testing.T) {
 	if m.InEpoch() {
 		t.Error("epoch should close when MSHRs fill")
 	}
-	if m.Stats().Closes[CloseMSHRFull] != 1 {
-		t.Errorf("closes = %+v", m.Stats().Closes)
+	if m.Stats().ClosesByReason[CloseMSHRFull] != 1 {
+		t.Errorf("closes = %+v", m.Stats().ClosesByReason)
 	}
 }
 
@@ -337,20 +339,11 @@ func TestEpochIDMonotone(t *testing.T) {
 	}
 }
 
-func TestStatsDerived(t *testing.T) {
-	s := Stats{Instructions: 1000, Cycles: 3270, Epochs: 4, OnChipCycles: 600, OverlappedCycles: 150}
-	if s.CPI() != 3.27 {
-		t.Errorf("CPI = %v", s.CPI())
-	}
-	if s.EPKI() != 4 {
-		t.Errorf("EPKI = %v", s.EPKI())
-	}
-	if s.Overlap() != 0.25 {
-		t.Errorf("Overlap = %v", s.Overlap())
-	}
-	var z Stats
-	if z.CPI() != 0 || z.EPKI() != 0 || z.Overlap() != 0 {
-		t.Error("zero stats should return zero rates")
+// TestCloseReasonsFillCounters: the close reasons index the per-reason
+// counter arrays one to one.
+func TestCloseReasonsFillCounters(t *testing.T) {
+	if int(CloseDrain)+1 != metrics.NumCloseReasons {
+		t.Errorf("%d close reasons, metrics.NumCloseReasons is %d", CloseDrain+1, metrics.NumCloseReasons)
 	}
 }
 
@@ -358,7 +351,7 @@ func TestBreakWindow(t *testing.T) {
 	m := model()
 	// No epoch open: no-op.
 	m.BreakWindow()
-	if m.Stats().Closes[CloseBranch] != 0 {
+	if m.Stats().ClosesByReason[CloseBranch] != 0 {
 		t.Error("BreakWindow with no epoch should be a no-op")
 	}
 	// Open an epoch, break it: stall to completion.
@@ -372,8 +365,8 @@ func TestBreakWindow(t *testing.T) {
 		t.Errorf("now = %d, want 500", m.Now())
 	}
 	st := m.Stats()
-	if st.Closes[CloseBranch] != 1 {
-		t.Errorf("closes = %+v", st.Closes)
+	if st.ClosesByReason[CloseBranch] != 1 {
+		t.Errorf("closes = %+v", st.ClosesByReason)
 	}
 	if st.StallByReason[CloseBranch] != 490 {
 		t.Errorf("branch stall = %d, want 490", st.StallByReason[CloseBranch])
@@ -395,7 +388,7 @@ func TestBranchBreakGivesFullPenaltyEpochs(t *testing.T) {
 	if per < 480 || per > 500 {
 		t.Errorf("stall per branch-broken epoch = %.0f, want ~497", per)
 	}
-	if st.Overlap() > 0.05 {
-		t.Errorf("overlap = %.3f, want near zero in the branch-broken regime", st.Overlap())
+	if overlap := float64(st.OverlappedCycles) / float64(st.OnChipCycles); overlap > 0.05 {
+		t.Errorf("overlap = %.3f, want near zero in the branch-broken regime", overlap)
 	}
 }

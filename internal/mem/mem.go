@@ -22,6 +22,7 @@ import (
 
 	"ebcp/internal/amo"
 	"ebcp/internal/ebcperr"
+	"ebcp/internal/metrics"
 )
 
 // Priority orders request classes from most to least urgent. Demand
@@ -125,23 +126,6 @@ func lineOccupancy(gbps, coreGHz float64) uint64 {
 	return occ
 }
 
-// ClassStats counts per-priority activity.
-type ClassStats struct {
-	Reads      uint64
-	Writes     uint64
-	ReadDrops  uint64
-	WriteDrops uint64
-}
-
-// Stats aggregates memory-system activity.
-type Stats struct {
-	PerClass [numPriorities]ClassStats
-	// ReadBusyCycles / WriteBusyCycles accumulate reserved bus occupancy,
-	// for utilization reporting.
-	ReadBusyCycles  uint64
-	WriteBusyCycles uint64
-}
-
 // System is the memory + interconnect model.
 type System struct {
 	cfg      Config
@@ -160,7 +144,12 @@ type System struct {
 	demandWriteBusy uint64
 	tableWriteBusy  uint64
 
-	stats Stats
+	// Counters of the current measurement window: per-class activity,
+	// indexed by Priority (Stats names the classes), and reserved bus
+	// occupancy.
+	perClass        [numPriorities]metrics.MemClassCounters
+	readBusyCycles  uint64
+	writeBusyCycles uint64
 }
 
 // New builds a memory system. It returns an ErrInvalidConfig-classified
@@ -176,12 +165,24 @@ func New(cfg Config) (*System, error) {
 	}, nil
 }
 
-// Stats returns a copy of the counters.
-func (m *System) Stats() Stats { return m.stats }
+// Stats returns a copy of the counters, one named entry per class.
+func (m *System) Stats() metrics.MemCounters {
+	return metrics.MemCounters{
+		Demand:          m.perClass[Demand],
+		TableRead:       m.perClass[TableRead],
+		Prefetch:        m.perClass[PrefetchData],
+		TableWrite:      m.perClass[TableWrite],
+		ReadBusyCycles:  m.readBusyCycles,
+		WriteBusyCycles: m.writeBusyCycles,
+	}
+}
 
 // ResetStats zeroes the counters (at the warmup/measure boundary). Bus
 // cursors are preserved: in-flight traffic remains in flight.
-func (m *System) ResetStats() { m.stats = Stats{} }
+func (m *System) ResetStats() {
+	m.perClass = [numPriorities]metrics.MemClassCounters{}
+	m.readBusyCycles, m.writeBusyCycles = 0, 0
+}
 
 // Read requests one line (64B) from memory at cycle now with the given
 // priority. It returns the completion cycle and whether the request was
@@ -189,7 +190,7 @@ func (m *System) ResetStats() { m.stats = Stats{} }
 // behind their own class and every class above, and are dropped when
 // their backlog bound is exceeded.
 func (m *System) Read(now uint64, pri Priority) (completion uint64, accepted bool) {
-	cs := &m.stats.PerClass[pri]
+	cs := &m.perClass[pri]
 	var cursor *uint64
 	switch pri {
 	case Demand:
@@ -216,7 +217,7 @@ func (m *System) Read(now uint64, pri Priority) (completion uint64, accepted boo
 		m.prefetchReadBusy = m.tableReadBusy
 	}
 	cs.Reads++
-	m.stats.ReadBusyCycles += m.readOcc
+	m.readBusyCycles += m.readOcc
 	return start + m.cfg.UnloadedLatency, true
 }
 
@@ -226,7 +227,7 @@ func (m *System) Read(now uint64, pri Priority) (completion uint64, accepted boo
 // backlog bound is exceeded (a dropped table write simply loses the
 // update, which the correlation table tolerates).
 func (m *System) Write(now uint64, pri Priority) (accepted bool) {
-	cs := &m.stats.PerClass[pri]
+	cs := &m.perClass[pri]
 	if pri == Demand {
 		start := max64(now, m.demandWriteBusy)
 		m.demandWriteBusy = start + m.writeOcc
@@ -234,7 +235,7 @@ func (m *System) Write(now uint64, pri Priority) (accepted bool) {
 			m.tableWriteBusy = m.demandWriteBusy
 		}
 		cs.Writes++
-		m.stats.WriteBusyCycles += m.writeOcc
+		m.writeBusyCycles += m.writeOcc
 		return true
 	}
 	backlog := int64(m.tableWriteBusy) - int64(now)
@@ -245,7 +246,7 @@ func (m *System) Write(now uint64, pri Priority) (accepted bool) {
 	start := max64(now, m.tableWriteBusy)
 	m.tableWriteBusy = start + m.writeOcc
 	cs.Writes++
-	m.stats.WriteBusyCycles += m.writeOcc
+	m.writeBusyCycles += m.writeOcc
 	return true
 }
 

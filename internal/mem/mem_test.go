@@ -3,6 +3,8 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+
+	"ebcp/internal/metrics"
 )
 
 func defaultSystem() *System { return must(New(DefaultConfig())) }
@@ -91,8 +93,8 @@ func TestLowPriorityDropOnBacklog(t *testing.T) {
 		t.Errorf("accepted %d prefetches, want a small bounded number", accepted)
 	}
 	st := m.Stats()
-	if st.PerClass[PrefetchData].ReadDrops != uint64(50-accepted) {
-		t.Errorf("drops = %d, want %d", st.PerClass[PrefetchData].ReadDrops, 50-accepted)
+	if st.Prefetch.ReadDrops != uint64(50-accepted) {
+		t.Errorf("drops = %d, want %d", st.Prefetch.ReadDrops, 50-accepted)
 	}
 	// Backlog drains with time: much later, requests are accepted again.
 	if _, ok := m.Read(100000, PrefetchData); !ok {
@@ -116,8 +118,8 @@ func TestWritePostedAndDropped(t *testing.T) {
 	if drops == 0 {
 		t.Error("table writes should be dropped once the write backlog fills")
 	}
-	if m.Stats().PerClass[TableWrite].WriteDrops != uint64(drops) {
-		t.Errorf("stats drops = %d, want %d", m.Stats().PerClass[TableWrite].WriteDrops, drops)
+	if m.Stats().TableWrite.WriteDrops != uint64(drops) {
+		t.Errorf("stats drops = %d, want %d", m.Stats().TableWrite.WriteDrops, drops)
 	}
 }
 
@@ -145,17 +147,17 @@ func TestStatsAccounting(t *testing.T) {
 	m.Read(0, TableRead)
 	m.Write(0, TableWrite)
 	st := m.Stats()
-	if st.PerClass[Demand].Reads != 1 || st.PerClass[TableRead].Reads != 1 {
+	if st.Demand.Reads != 1 || st.TableRead.Reads != 1 {
 		t.Errorf("read counts wrong: %+v", st)
 	}
-	if st.PerClass[TableWrite].Writes != 1 {
+	if st.TableWrite.Writes != 1 {
 		t.Errorf("write counts wrong: %+v", st)
 	}
 	if st.ReadBusyCycles != 40 || st.WriteBusyCycles != 40 {
 		t.Errorf("busy cycles = %d/%d", st.ReadBusyCycles, st.WriteBusyCycles)
 	}
 	m.ResetStats()
-	if m.Stats() != (Stats{}) {
+	if m.Stats() != (metrics.MemCounters{}) {
 		t.Error("ResetStats should clear counters")
 	}
 }
@@ -250,13 +252,13 @@ func TestPerClassBacklogIndependence(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m.Read(0, PrefetchData)
 	}
-	if m.Stats().PerClass[PrefetchData].ReadDrops == 0 {
+	if m.Stats().Prefetch.ReadDrops == 0 {
 		t.Fatal("expected prefetch drops")
 	}
 	if _, ok := m.Read(0, TableRead); !ok {
 		t.Error("table read dropped because of prefetch backlog")
 	}
-	if m.Stats().PerClass[TableRead].ReadDrops != 0 {
+	if m.Stats().TableRead.ReadDrops != 0 {
 		t.Error("table-read drops should be independent of the prefetch queue")
 	}
 }

@@ -66,13 +66,12 @@ func singleRunReport(t *testing.T) metrics.ReportV1 {
 		role string
 		res  sim.Result
 	}{{"measured", res}, {"baseline", base}} {
-		snap := r.res.Snapshot()
 		rep.Runs = append(rep.Runs, metrics.RunV1{
 			Benchmark: bench.Name,
 			Role:      r.role,
 			Config:    cfg.MetricsConfig(),
-			Raw:       snap,
-			Derived:   snap.Derive(),
+			Raw:       r.res,
+			Derived:   r.res.Derive(),
 		})
 	}
 	rep.Comparison = &metrics.ComparisonV1{

@@ -8,55 +8,81 @@ import "ebcp/internal/ebcperr"
 // serializing, ifetch, branch, MSHR-full, drain.
 const NumCloseReasons = 7
 
-// CoreCounters are the raw core-model counters of one lane's measured
-// window.
+// CoreCounters are the core model's counters (cpu.Model counts into
+// them) for one lane's measured window.
 type CoreCounters struct {
-	Instructions     uint64                  `json:"instructions"`
-	Cycles           uint64                  `json:"cycles"`
-	OnChipCycles     uint64                  `json:"on_chip_cycles"`
-	OverlappedCycles uint64                  `json:"overlapped_cycles"`
-	StallCycles      uint64                  `json:"stall_cycles"`
-	Epochs           uint64                  `json:"epochs"`
-	MissesOverlapped uint64                  `json:"misses_overlapped"`
-	ClosesByReason   [NumCloseReasons]uint64 `json:"closes_by_reason"`
-	StallByReason    [NumCloseReasons]uint64 `json:"stall_by_reason"`
+	Instructions uint64 `json:"instructions"`
+	Cycles       uint64 `json:"cycles"`
+	// OnChipCycles is time spent executing (not stalled on epochs);
+	// OverlappedCycles is the subset spent while an epoch was open
+	// (hidden under off-chip accesses).
+	OnChipCycles     uint64 `json:"on_chip_cycles"`
+	OverlappedCycles uint64 `json:"overlapped_cycles"`
+	// StallCycles is time stalled waiting for epoch completion.
+	StallCycles uint64 `json:"stall_cycles"`
+	// Epochs counts 0->1 outstanding-miss transitions; MissesOverlapped
+	// counts off-chip accesses that joined an open epoch instead.
+	Epochs           uint64 `json:"epochs"`
+	MissesOverlapped uint64 `json:"misses_overlapped"`
+	// ClosesByReason counts epoch terminations by reason; StallByReason
+	// attributes the stall cycles to the closing condition.
+	ClosesByReason [NumCloseReasons]uint64 `json:"closes_by_reason"`
+	StallByReason  [NumCloseReasons]uint64 `json:"stall_by_reason"`
 }
 
-// CacheCounters are the raw event counters of one cache. Hits is stored
-// explicitly (not recomputed on demand) so the accesses = hits + misses
-// reconciliation is a real check on the snapshot, not a tautology.
+// CacheCounters are the event counters of one cache (cache.Cache counts
+// into them). The cache counts accesses and misses and fills in Hits =
+// Accesses - Misses when it returns its counters, so the accesses =
+// hits + misses reconciliation is a real check only on a snapshot
+// decoded from a report.
 type CacheCounters struct {
-	Accesses       uint64 `json:"accesses"`
-	Hits           uint64 `json:"hits"`
-	Misses         uint64 `json:"misses"`
-	Fills          uint64 `json:"fills"`
+	Accesses uint64 `json:"accesses"`
+	Hits     uint64 `json:"hits"`
+	Misses   uint64 `json:"misses"`
+	// Fills counts lines installed (demand fills and promotions).
+	Fills uint64 `json:"fills"`
+	// Evictions counts valid lines displaced by fills; DirtyEvictions
+	// the subset needing a writeback.
 	Evictions      uint64 `json:"evictions"`
 	DirtyEvictions uint64 `json:"dirty_evictions"`
 }
 
-// PBCounters are the prefetch-buffer event counters.
+// PBCounters are the prefetch-buffer event counters
+// (cache.PrefetchBuffer counts into them).
 type PBCounters struct {
-	Inserts       uint64 `json:"inserts"`
-	Hits          uint64 `json:"hits"`
-	PartialHits   uint64 `json:"partial_hits"`
+	Inserts     uint64 `json:"inserts"`
+	Hits        uint64 `json:"hits"`         // demand hits on arrived lines
+	PartialHits uint64 `json:"partial_hits"` // demand hits on in-flight lines
+	// Evictions counts valid entries displaced by an insert. A hit
+	// consumes its entry, so every displaced entry was never used.
 	Evictions     uint64 `json:"evictions"`
-	Replaced      uint64 `json:"replaced"`
+	Replaced      uint64 `json:"replaced"` // inserts that found the line already present
 	Invalidations uint64 `json:"invalidations"`
 }
 
-// PFCounters are the prefetcher activity counters. SpecReads/SpecDrops
-// count speculative off-chip reads launched by latency predictors
-// (Hermes-style early dispatch on a mispredicted on-chip access);
-// Filtered counts prefetches an issue filter rejected after the
-// redundancy check. All three are omitempty: they are zero for every
-// contender that predates them, keeping older reports byte-identical.
+// PFCounters are the prefetcher activity counters (prefetch.Context
+// counts into them). Filtered, SpecReads and SpecDrops are omitempty:
+// they are zero for every contender that predates them, keeping older
+// reports byte-identical.
 type PFCounters struct {
-	Issued      uint64 `json:"issued"`
-	Dropped     uint64 `json:"dropped"`
-	Redundant   uint64 `json:"redundant"`
-	Filtered    uint64 `json:"filtered,omitempty"`
-	SpecReads   uint64 `json:"spec_reads,omitempty"`
-	SpecDrops   uint64 `json:"spec_drops,omitempty"`
+	// Issued counts prefetches accepted by the memory system; Dropped
+	// those rejected for lack of bandwidth.
+	Issued  uint64 `json:"issued"`
+	Dropped uint64 `json:"dropped"`
+	// Redundant counts prefetch requests filtered because the line was
+	// already in the L2 or the prefetch buffer.
+	Redundant uint64 `json:"redundant"`
+	// Filtered counts prefetch requests an installed issue filter
+	// rejected (after the redundancy check, before memory traffic).
+	Filtered uint64 `json:"filtered,omitempty"`
+	// SpecReads / SpecDrops count speculative off-chip reads launched by
+	// a latency predictor (Hermes-style early dispatch on an access that
+	// turned out on-chip): accepted / rejected by memory bandwidth. They
+	// buy no prefetch-buffer lines, only bus occupancy.
+	SpecReads uint64 `json:"spec_reads,omitempty"`
+	SpecDrops uint64 `json:"spec_drops,omitempty"`
+	// TableReads / TableWrites count correlation-table traffic to main
+	// memory (EBCP, Solihin), including dropped requests.
 	TableReads  uint64 `json:"table_reads"`
 	TableWrites uint64 `json:"table_writes"`
 }
@@ -71,23 +97,31 @@ type MemClassCounters struct {
 
 // MemCounters name the memory system's four priority classes explicitly
 // (rather than as an indexed array), so the JSON is self-describing.
+// mem.System counts per class in an array and names the classes when it
+// returns its counters.
 type MemCounters struct {
-	Demand          MemClassCounters `json:"demand"`
-	TableRead       MemClassCounters `json:"table_read"`
-	Prefetch        MemClassCounters `json:"prefetch"`
-	TableWrite      MemClassCounters `json:"table_write"`
-	ReadBusyCycles  uint64           `json:"read_busy_cycles"`
-	WriteBusyCycles uint64           `json:"write_busy_cycles"`
+	Demand     MemClassCounters `json:"demand"`
+	TableRead  MemClassCounters `json:"table_read"`
+	Prefetch   MemClassCounters `json:"prefetch"`
+	TableWrite MemClassCounters `json:"table_write"`
+	// ReadBusyCycles / WriteBusyCycles accumulate reserved bus
+	// occupancy, for utilization reporting.
+	ReadBusyCycles  uint64 `json:"read_busy_cycles"`
+	WriteBusyCycles uint64 `json:"write_busy_cycles"`
 }
 
-// Snapshot is the complete raw-counter view of one single-core run's
-// measured window: everything sim.Result knows, flattened into
-// schema-stable leaf structs. Snapshots are built by Result.Snapshot,
-// serialized inside RunV1, and are what Derive and CheckInvariants
-// operate on.
+// Snapshot is the run record: the complete raw-counter view of one
+// lane's measured window. The components count into its leaf structs,
+// the simulator assembles one per lane (sim.Result is this type), RunV1
+// serializes it, and its methods are the paper's derived metrics, each
+// with its one formula, shared by Derive, the experiment grids and the
+// commands.
 type Snapshot struct {
-	Prefetcher       string `json:"prefetcher"`
-	WarmupIncomplete bool   `json:"warmup_incomplete"`
+	Prefetcher string `json:"prefetcher"`
+	// WarmupIncomplete reports that the trace ended before the warmup
+	// window did: the counters were never reset, so they include warmup,
+	// and a caller asking for a warmed run must treat them as invalid.
+	WarmupIncomplete bool `json:"warmup_incomplete"`
 
 	Core CoreCounters  `json:"core"`
 	L1I  CacheCounters `json:"l1i"`
@@ -106,6 +140,8 @@ type Snapshot struct {
 	PF  PFCounters  `json:"pf"`
 	Mem MemCounters `json:"mem"`
 
+	// Hist carries the lane's histograms: epoch length in cycles, misses
+	// per epoch, and prefetch-to-use distance (timeliness).
 	Hist Registry `json:"histograms"`
 }
 
@@ -140,6 +176,8 @@ type Derived struct {
 	TimelyEarly  float64 `json:"timely_early"`
 }
 
+// ratio is num/den, 0 when den is 0: a rate over an empty window reads
+// 0, never NaN (NaN is not JSON).
 func ratio(num, den uint64) float64 {
 	if den == 0 {
 		return 0
@@ -147,20 +185,86 @@ func ratio(num, den uint64) float64 {
 	return float64(num) / float64(den)
 }
 
-// Derive computes the paper's metrics from the raw counters.
+// perKiloInst is n per 1000 instructions, computed as
+// float64(1000*n)/float64(insts): the product is exact, so the one
+// rounding is the division's and the result is correctly rounded.
+func (s Snapshot) perKiloInst(n uint64) float64 { return ratio(1000*n, s.Core.Instructions) }
+
+// CPI is overall cycles per instruction (Table 1 row 1).
+func (s Snapshot) CPI() float64 { return ratio(s.Core.Cycles, s.Core.Instructions) }
+
+// EPKI is epochs per 1000 instructions (Table 1 row 2; Fig. 5's EPI).
+func (s Snapshot) EPKI() float64 { return s.perKiloInst(s.Core.Epochs) }
+
+// IFetchMPKI is off-chip instruction misses per 1000 instructions
+// (Table 1 row 3).
+func (s Snapshot) IFetchMPKI() float64 { return s.perKiloInst(s.L2MissIFetch) }
+
+// LoadMPKI is off-chip load misses per 1000 instructions (Table 1 row 4).
+func (s Snapshot) LoadMPKI() float64 { return s.perKiloInst(s.L2MissLoad) }
+
+// Overlap is the fraction of on-chip cycles hidden under epochs.
+func (s Snapshot) Overlap() float64 {
+	return ratio(s.Core.OverlappedCycles, s.Core.OnChipCycles)
+}
+
+// pbHits is the prefetches used: full plus partial prefetch-buffer hits.
+func (s Snapshot) pbHits() uint64 { return s.PBHitIFetch + s.PBHitLoad }
+
+// Coverage is the fraction of would-be off-chip instruction and load
+// misses the prefetch buffer satisfied: hits / (hits + remaining
+// misses) (Fig. 5).
+func (s Snapshot) Coverage() float64 {
+	return ratio(s.pbHits(), s.pbHits()+s.L2MissIFetch+s.L2MissLoad)
+}
+
+// Accuracy is used prefetches / issued prefetches (Fig. 5).
+func (s Snapshot) Accuracy() float64 { return ratio(s.pbHits(), s.PF.Issued) }
+
+// Timeliness is on-time used prefetches / issued prefetches: full
+// prefetch-buffer hits only, excluding partial hits on lines still in
+// flight (a partial hit arrived too late to hide the whole latency).
+func (s Snapshot) Timeliness() float64 { return ratio(s.PB.Hits, s.PF.Issued) }
+
+// Improvement is the overall performance improvement of this run over
+// a baseline run, CPIbase/CPI - 1 (the paper's primary metric); 0 when
+// this run's CPI is 0.
+func (s Snapshot) Improvement(base Snapshot) float64 {
+	if s.CPI() == 0 {
+		return 0
+	}
+	return base.CPI()/s.CPI() - 1
+}
+
+// EPIReduction is the relative reduction in epochs per instruction
+// against a baseline run, 1 - EPKI/EPKIbase; 0 when the baseline's EPKI
+// is 0.
+func (s Snapshot) EPIReduction(base Snapshot) float64 {
+	if base.EPKI() == 0 {
+		return 0
+	}
+	return 1 - s.EPKI()/base.EPKI()
+}
+
+// Snapshot returns s. It keeps the benchmark's res.Snapshot() calls
+// compiling now that sim.Result is a Snapshot; ROADMAP item 10's change
+// to the benchmark drops those calls and deletes it.
+func (s Snapshot) Snapshot() Snapshot { return s }
+
+// Derive computes the paper's metrics from the raw counters, through
+// the methods above.
 func (s *Snapshot) Derive() Derived {
-	pbHits := s.PBHitIFetch + s.PBHitLoad
 	return Derived{
-		CPI:             ratio(s.Core.Cycles, s.Core.Instructions),
-		EPKI:            1000 * ratio(s.Core.Epochs, s.Core.Instructions),
-		IFetchMPKI:      1000 * ratio(s.L2MissIFetch, s.Core.Instructions),
-		LoadMPKI:        1000 * ratio(s.L2MissLoad, s.Core.Instructions),
-		Overlap:         ratio(s.Core.OverlappedCycles, s.Core.OnChipCycles),
+		CPI:             s.CPI(),
+		EPKI:            s.EPKI(),
+		IFetchMPKI:      s.IFetchMPKI(),
+		LoadMPKI:        s.LoadMPKI(),
+		Overlap:         s.Overlap(),
 		MeanEpochCycles: s.Hist.EpochLen.Mean(),
 		MeanEpochMisses: s.Hist.EpochMisses.Mean(),
-		Coverage:        ratio(pbHits, pbHits+s.L2MissIFetch+s.L2MissLoad),
-		Accuracy:        ratio(pbHits, s.PF.Issued),
-		TimelyOnTime:    ratio(s.PB.Hits, s.PF.Issued),
+		Coverage:        s.Coverage(),
+		Accuracy:        s.Accuracy(),
+		TimelyOnTime:    s.Timeliness(),
 		TimelyLate:      ratio(s.PB.PartialHits, s.PF.Issued),
 		TimelyEarly:     ratio(s.PB.Evictions, s.PF.Issued),
 	}
@@ -200,7 +304,7 @@ func (s *Snapshot) CheckInvariants() error {
 		return ebcperr.Wrap(ebcperr.ErrInvariant, "metrics: L2 misses %d != PB hits %d+%d + kind-split misses %d+%d+%d",
 			s.L2.Misses, s.PB.Hits, s.PB.PartialHits, s.L2MissIFetch, s.L2MissLoad, s.L2MissStore)
 	}
-	pbHits := s.PBHitIFetch + s.PBHitLoad
+	pbHits := s.pbHits()
 	if pbHits != s.PB.Hits+s.PB.PartialHits {
 		return ebcperr.Wrap(ebcperr.ErrInvariant, "metrics: kind-split PB hits %d+%d != PB hits %d + partial %d",
 			s.PBHitIFetch, s.PBHitLoad, s.PB.Hits, s.PB.PartialHits)

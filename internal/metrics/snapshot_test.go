@@ -72,6 +72,46 @@ func TestDerive(t *testing.T) {
 	approx("MeanEpochMisses", d.MeanEpochMisses, 2.5)
 }
 
+// TestPerKiloInstFormula pins the one per-1000 formula,
+// float64(1000*n)/float64(insts), on the measured Database run of
+// testdata/report_single.json: 13,568 off-chip load misses over
+// 2,000,106 instructions, exactly 6.78364046705524607.... The product is
+// exact, so the division's rounding is the only one and the result is
+// the correctly rounded ...246; 1000*(n/insts) rounds twice and reads
+// ...245. The method and Derive must both give the former, bit for bit.
+func TestPerKiloInstFormula(t *testing.T) {
+	n, insts := uint64(13568), uint64(2000106)
+	want := float64(1000*n) / float64(insts)
+	if twice := 1000 * (float64(n) / float64(insts)); twice == want {
+		t.Fatalf("the two operation orders agree on %v; the case no longer tells them apart", want)
+	}
+	s := Snapshot{Core: CoreCounters{Instructions: insts}, L2MissLoad: n}
+	if got := s.LoadMPKI(); got != want {
+		t.Errorf("LoadMPKI = %v, want %v", got, want)
+	}
+	if got := s.Derive().LoadMPKI; got != want {
+		t.Errorf("Derive().LoadMPKI = %v, want %v", got, want)
+	}
+}
+
+// TestCoreRates pins the core-counter rates on exact values.
+func TestCoreRates(t *testing.T) {
+	s := Snapshot{Core: CoreCounters{Instructions: 1000, Cycles: 3270, Epochs: 4, OnChipCycles: 600, OverlappedCycles: 150}}
+	if s.CPI() != 3.27 {
+		t.Errorf("CPI = %v", s.CPI())
+	}
+	if s.EPKI() != 4 {
+		t.Errorf("EPKI = %v", s.EPKI())
+	}
+	if s.Overlap() != 0.25 {
+		t.Errorf("Overlap = %v", s.Overlap())
+	}
+	var z Snapshot
+	if z.CPI() != 0 || z.EPKI() != 0 || z.Overlap() != 0 {
+		t.Error("zero counters should give zero rates")
+	}
+}
+
 func TestDeriveZeroSnapshot(t *testing.T) {
 	// All-zero denominators must yield zeros, never NaN or Inf (the
 	// report layer serializes Derived directly, and NaN is not JSON).

@@ -20,6 +20,7 @@ import (
 	"ebcp/internal/cache"
 	"ebcp/internal/ebcperr"
 	"ebcp/internal/mem"
+	"ebcp/internal/metrics"
 )
 
 // Access describes one L2-level access (an L1 miss request) presented to a
@@ -88,39 +89,6 @@ type Prefetcher interface {
 	OnAccess(a Access, ctx *Context)
 }
 
-// Stats counts prefetch activity.
-type Stats struct {
-	// Issued counts prefetches accepted by the memory system.
-	Issued uint64
-	// Dropped counts prefetches rejected for lack of bandwidth.
-	Dropped uint64
-	// Redundant counts prefetch requests filtered because the line was
-	// already in the L2 or the prefetch buffer.
-	Redundant uint64
-	// Filtered counts prefetch requests an installed issue filter
-	// rejected (after the redundancy check, before memory traffic).
-	Filtered uint64
-	// SpecReads / SpecDrops count speculative off-chip reads launched by
-	// a latency predictor (Hermes-style early dispatch on an access that
-	// turned out on-chip): accepted / rejected by memory bandwidth. They
-	// buy no prefetch-buffer lines, only bus occupancy.
-	SpecReads uint64
-	SpecDrops uint64
-	// TableReads / TableWrites count correlation-table traffic to main
-	// memory (EBCP, Solihin), including dropped requests.
-	TableReads  uint64
-	TableWrites uint64
-}
-
-// Accuracy returns used/issued given the number of useful prefetches
-// (prefetch-buffer hits) observed by the caller.
-func (s Stats) Accuracy(used uint64) float64 {
-	if s.Issued == 0 {
-		return 0
-	}
-	return float64(used) / float64(s.Issued)
-}
-
 // IssueFilter is the hook an adaptive prefetch filter (Filter) installs
 // on the Context for the length of its inner contender's OnAccess
 // (Context.Filtered): Prefetch consults it after the redundancy check,
@@ -147,7 +115,7 @@ type Context struct {
 	filter    IssueFilter
 	predictor OffChipPredictor
 	err       error
-	stats     Stats
+	stats     metrics.PFCounters
 }
 
 // NewContext assembles a prefetch context.
@@ -156,10 +124,10 @@ func NewContext(m *mem.System, buf *cache.PrefetchBuffer, l2 *cache.Cache) *Cont
 }
 
 // Stats returns a copy of the counters.
-func (c *Context) Stats() Stats { return c.stats }
+func (c *Context) Stats() metrics.PFCounters { return c.stats }
 
 // ResetStats zeroes the counters at the warmup/measurement boundary.
-func (c *Context) ResetStats() { c.stats = Stats{} }
+func (c *Context) ResetStats() { c.stats = metrics.PFCounters{} }
 
 // Prefetch requests the line at cycle now. The request is filtered if the
 // line is already on chip, charged against the prefetch-data bandwidth

@@ -28,8 +28,8 @@ type ebcpParams struct {
 }
 
 func newEBCP(params json.RawMessage, cores int) (prefetch.Prefetcher, error) {
-	p, err := decodeParams[ebcpParams]("ebcp", params)
-	if err != nil {
+	var p ebcpParams
+	if err := decodeParams("ebcp", params, &p); err != nil {
 		return nil, err
 	}
 	cfg := core.DefaultConfig()
@@ -62,6 +62,7 @@ func newEBCP(params json.RawMessage, cores int) (prefetch.Prefetcher, error) {
 }
 
 // degreeParams parameterize the fixed-geometry comparison prefetchers.
+// The default degree is Figure 9's 6.
 type degreeParams struct {
 	Degree int `json:"degree"`
 }
@@ -76,8 +77,8 @@ type chainParams struct {
 }
 
 func newChain(params json.RawMessage, _ int) (prefetch.Prefetcher, error) {
-	p, err := decodeParams[chainParams]("chain", params)
-	if err != nil {
+	var p chainParams
+	if err := decodeParams("chain", params, &p); err != nil {
 		return nil, err
 	}
 	cfg := prefetch.DefaultChainConfig()
@@ -107,8 +108,8 @@ type hermesParams struct {
 }
 
 func newHermes(params json.RawMessage, cores int) (prefetch.Prefetcher, error) {
-	p, err := decodeParams[hermesParams]("hermes", params)
-	if err != nil {
+	var p hermesParams
+	if err := decodeParams("hermes", params, &p); err != nil {
 		return nil, err
 	}
 	cfg := prefetch.DefaultHermesConfig()
@@ -150,8 +151,8 @@ func WrapFilter(pf prefetch.Prefetcher, params json.RawMessage) (prefetch.Prefet
 	if params == nil {
 		return pf, nil
 	}
-	p, err := decodeParams[filterParams]("filter", params)
-	if err != nil {
+	var p filterParams
+	if err := decodeParams("filter", params, &p); err != nil {
 		return nil, err
 	}
 	cfg := prefetch.DefaultFilterConfig()
@@ -170,13 +171,15 @@ func WrapFilter(pf prefetch.Prefetcher, params json.RawMessage) (prefetch.Prefet
 	return prefetch.NewFilter(pf, cfg)
 }
 
-// streamParams parameterize the stream prefetcher.
+// streamParams parameterize the stream prefetcher. The defaults are
+// Figure 9's: 32 streams, degree 6.
 type streamParams struct {
 	Streams int `json:"streams"`
 	Degree  int `json:"degree"`
 }
 
-// solihinParams parameterize the memory-side correlation engine.
+// solihinParams parameterize the memory-side correlation engine. The
+// defaults are Figure 9's Solihin 6,1 with a 1,048,576-entry table.
 type solihinParams struct {
 	Depth        int `json:"depth"`
 	Width        int `json:"width"`
@@ -185,8 +188,8 @@ type solihinParams struct {
 
 func degreeFactory(name string, build func(degree int) (prefetch.Prefetcher, error)) func(json.RawMessage, int) (prefetch.Prefetcher, error) {
 	return func(params json.RawMessage, _ int) (prefetch.Prefetcher, error) {
-		p, err := decodeParams[degreeParams](name, params)
-		if err != nil {
+		p := degreeParams{Degree: 6}
+		if err := decodeParams(name, params, &p); err != nil {
 			return nil, err
 		}
 		return build(p.Degree)
@@ -197,7 +200,7 @@ func builtinPrefetchers() map[string]PrefetcherEntry {
 	return map[string]PrefetcherEntry{
 		"none": { // no prefetching (the baseline machine)
 			New: func(params json.RawMessage, _ int) (prefetch.Prefetcher, error) {
-				if _, err := decodeParams[struct{}]("none", params); err != nil {
+				if err := decodeParams("none", params, &struct{}{}); err != nil {
 					return nil, err
 				}
 				return prefetch.None{}, nil
@@ -226,8 +229,8 @@ func builtinPrefetchers() map[string]PrefetcherEntry {
 		},
 		"stream": { // sequential stream prefetcher
 			New: func(params json.RawMessage, _ int) (prefetch.Prefetcher, error) {
-				p, err := decodeParams[streamParams]("stream", params)
-				if err != nil {
+				p := streamParams{Streams: 32, Degree: 6}
+				if err := decodeParams("stream", params, &p); err != nil {
 					return nil, err
 				}
 				return prefetch.NewStream(p.Streams, p.Degree)
@@ -235,7 +238,7 @@ func builtinPrefetchers() map[string]PrefetcherEntry {
 		},
 		"sms": { // spatial memory streaming
 			New: func(params json.RawMessage, _ int) (prefetch.Prefetcher, error) {
-				if _, err := decodeParams[struct{}]("sms", params); err != nil {
+				if err := decodeParams("sms", params, &struct{}{}); err != nil {
 					return nil, err
 				}
 				return prefetch.NewSMS(), nil
@@ -243,8 +246,8 @@ func builtinPrefetchers() map[string]PrefetcherEntry {
 		},
 		"solihin": { // Solihin's memory-side pair-correlation engine
 			New: func(params json.RawMessage, _ int) (prefetch.Prefetcher, error) {
-				p, err := decodeParams[solihinParams]("solihin", params)
-				if err != nil {
+				p := solihinParams{Depth: 6, Width: 1, TableEntries: 1 << 20}
+				if err := decodeParams("solihin", params, &p); err != nil {
 					return nil, err
 				}
 				return prefetch.NewSolihin(p.Depth, p.Width, p.TableEntries)

@@ -54,24 +54,26 @@ func PrefetcherNames() []string {
 	return names
 }
 
-// decodeParams strict-decodes a constructor's parameter block into P.
-// An absent or empty block yields the zero value, so parameterless
-// entries accept both `"params": {}` and no params field at all. A
-// block is one JSON value: anything after it (possible in a block
-// typed on ebcpsim's command line, never in a decoded spec) is
-// rejected like an unknown field.
-func decodeParams[P any](name string, params json.RawMessage) (P, error) {
-	var p P
+// decodeParams strict-decodes a constructor's parameter block over *p,
+// which the caller pre-fills with the contender's defaults: a field the
+// block leaves out keeps its default, and an explicit value, zero
+// included, replaces it (and meets the constructor's checks). An absent
+// or empty block leaves *p as it is, so parameterless entries accept
+// both `"params": {}` and no params field at all. A block is one JSON
+// value: anything after it (possible in a block typed on ebcpsim's
+// command line, never in a decoded spec) is rejected like an unknown
+// field.
+func decodeParams(name string, params json.RawMessage, p any) error {
 	if len(params) == 0 {
-		return p, nil
+		return nil
 	}
 	dec := json.NewDecoder(bytes.NewReader(params))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
-		return p, ebcperr.Invalidf("registry: prefetcher %q params: %v", name, err)
+	if err := dec.Decode(p); err != nil {
+		return ebcperr.Invalidf("registry: prefetcher %q params: %v", name, err)
 	}
 	if len(bytes.TrimSpace(params[dec.InputOffset():])) > 0 {
-		return p, ebcperr.Invalidf("registry: prefetcher %q params: data after the parameter block", name)
+		return ebcperr.Invalidf("registry: prefetcher %q params: data after the parameter block", name)
 	}
-	return p, nil
+	return nil
 }

@@ -45,6 +45,27 @@ func TestBuiltinPrefetchersBuild(t *testing.T) {
 	}
 }
 
+// TestBuiltinPrefetchersDefault builds every registered contender from
+// no parameter block at all: each has defaults (Figure 9's parameters
+// for the comparison prefetchers).
+func TestBuiltinPrefetchersDefault(t *testing.T) {
+	for _, name := range PrefetcherNames() {
+		t.Run(name, func(t *testing.T) {
+			e, err := Prefetcher(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pf, err := e.New(nil, 0)
+			if err != nil {
+				t.Fatalf("building %q from no params: %v", name, err)
+			}
+			if pf == nil {
+				t.Fatalf("building %q returned a nil prefetcher", name)
+			}
+		})
+	}
+}
+
 // TestUnknownNames pins the error contract: ErrInvalidConfig, naming
 // the unknown and listing what is registered.
 func TestUnknownNames(t *testing.T) {
@@ -59,7 +80,8 @@ func TestUnknownNames(t *testing.T) {
 
 // TestStrictParams: unknown parameter fields, params on parameterless
 // prefetchers, malformed blocks and data after a block are rejected,
-// like every other strict decoder in the repo.
+// like every other strict decoder in the repo, and so are bad values:
+// an explicit zero is not a default, it reaches the constructor.
 func TestStrictParams(t *testing.T) {
 	cases := []struct{ name, params string }{
 		{"ebcp", `{"degre": 6}`},
@@ -70,6 +92,10 @@ func TestStrictParams(t *testing.T) {
 		{"chain", `{"entries": 1000}`},
 		{"hermes", `{"tablebits": 11}`},
 		{"hermes", `{"table_bits": 99}`},
+		{"ghb-small", `{"degree": 0}`},
+		{"tcp-large", `{"degree": 0}`},
+		{"stream", `{"streams": 0}`},
+		{"solihin", `{"width": 0}`},
 		{"ebcp", `x`},
 		{"ghb-small", `{"degree": 6} {"degree": 7}`},
 		{"none", `{} x`},
@@ -80,7 +106,7 @@ func TestStrictParams(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := e.New(json.RawMessage(c.params), 0); err == nil {
-			t.Errorf("%s with params %s built; want unknown-field rejection", c.name, c.params)
+			t.Errorf("%s with params %s built; want rejection", c.name, c.params)
 		} else if !errors.Is(err, ebcperr.ErrInvalidConfig) {
 			t.Errorf("%s param error not ErrInvalidConfig: %v", c.name, err)
 		}

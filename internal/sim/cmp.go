@@ -76,19 +76,6 @@ func (r CMPResult) AggregateIPC() float64 {
 	return float64(r.Instructions()) / float64(cy)
 }
 
-// Coverage returns the aggregate prefetch coverage across threads.
-func (r CMPResult) Coverage() float64 {
-	var hits, miss uint64
-	for _, c := range r.PerCore {
-		hits += c.PBHitsIFetch + c.PBHitsLoad
-		miss += c.L2MissesIFetch + c.L2MissesLoad
-	}
-	if hits+miss == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+miss)
-}
-
 // Speedup returns this run's aggregate IPC over a baseline run's.
 func (r CMPResult) Speedup(baseline CMPResult) float64 {
 	b := baseline.AggregateIPC()
@@ -136,6 +123,5 @@ func RunCMP(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) (CMPResu
 
 // String summarizes the CMP result.
 func (r CMPResult) String() string {
-	return fmt.Sprintf("%s: %d cores, aggregate IPC %.3f, coverage %.2f",
-		r.Prefetcher, len(r.PerCore), r.AggregateIPC(), r.Coverage())
+	return fmt.Sprintf("%s: %d cores, aggregate IPC %.3f", r.Prefetcher, len(r.PerCore), r.AggregateIPC())
 }

@@ -44,12 +44,12 @@ func TestGoldenCycleCounts(t *testing.T) {
 			pf := must(Run(must(workload.New(b)), must(core.New(core.DefaultConfig())), cfg))
 			hits := pf.PB.Hits + pf.PB.PartialHits
 
-			if base.Core.Cycles != g.baseCycles || base.L2MissesLoad != g.baseMiss ||
+			if base.Core.Cycles != g.baseCycles || base.L2MissLoad != g.baseMiss ||
 				pf.Core.Cycles != g.ebcpCycles || hits != g.ebcpHits {
 				t.Errorf("golden drift for %s:\n  got  {%q, %d, %d, %d, %d}\n  want {%q, %d, %d, %d, %d}\n"+
 					"if this change is intentional, update the golden table and re-validate EXPERIMENTS.md",
 					g.name,
-					g.name, base.Core.Cycles, base.L2MissesLoad, pf.Core.Cycles, hits,
+					g.name, base.Core.Cycles, base.L2MissLoad, pf.Core.Cycles, hits,
 					g.name, g.baseCycles, g.baseMiss, g.ebcpCycles, g.ebcpHits)
 			}
 		})

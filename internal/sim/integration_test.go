@@ -124,19 +124,19 @@ func TestAccountingInvariants(t *testing.T) {
 			res.Core.Cycles, res.Core.OnChipCycles, res.Core.StallCycles)
 	}
 	var closes uint64
-	for _, c := range res.Core.Closes {
+	for _, c := range res.Core.ClosesByReason {
 		closes += c
 	}
 	if closes != res.Core.Epochs {
 		t.Errorf("closes %d != epochs %d", closes, res.Core.Epochs)
 	}
 	hits := res.PB.Hits + res.PB.PartialHits
-	if hits != res.PBHitsIFetch+res.PBHitsLoad {
-		t.Errorf("PB hits %d != per-kind sum %d", hits, res.PBHitsIFetch+res.PBHitsLoad)
+	if hits != res.PBHitIFetch+res.PBHitLoad {
+		t.Errorf("PB hits %d != per-kind sum %d", hits, res.PBHitIFetch+res.PBHitLoad)
 	}
-	if res.PF.Issued != res.Mem.PerClass[2].Reads {
+	if res.PF.Issued != res.Mem.Prefetch.Reads {
 		t.Errorf("issued prefetches %d != prefetch-class reads %d",
-			res.PF.Issued, res.Mem.PerClass[2].Reads)
+			res.PF.Issued, res.Mem.Prefetch.Reads)
 	}
 	if res.Coverage() < 0 || res.Coverage() > 1 {
 		t.Errorf("coverage out of range: %v", res.Coverage())
@@ -153,9 +153,9 @@ func TestDeterministicRuns(t *testing.T) {
 	cfg.WarmInsts, cfg.MeasureInsts = 1e6, 2e6
 	r1 := must(Run(must(workload.New(p)), ebcpFor(8), cfg))
 	r2 := must(Run(must(workload.New(p)), ebcpFor(8), cfg))
-	if r1.Core.Cycles != r2.Core.Cycles || r1.L2MissesLoad != r2.L2MissesLoad {
+	if r1.Core.Cycles != r2.Core.Cycles || r1.L2MissLoad != r2.L2MissLoad {
 		t.Errorf("runs not deterministic: %d/%d vs %d/%d",
-			r1.Core.Cycles, r1.L2MissesLoad, r2.Core.Cycles, r2.L2MissesLoad)
+			r1.Core.Cycles, r1.L2MissLoad, r2.Core.Cycles, r2.L2MissLoad)
 	}
 }
 

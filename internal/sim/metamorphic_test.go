@@ -6,6 +6,7 @@ import (
 
 	"ebcp/internal/amo"
 	"ebcp/internal/core"
+	"ebcp/internal/metrics"
 	"ebcp/internal/prefetch"
 	"ebcp/internal/trace"
 	"ebcp/internal/workload"
@@ -178,7 +179,7 @@ func TestMetamorphicBandwidthMonotone(t *testing.T) {
 					}
 				}
 				var drops uint64
-				for _, c := range last.Mem.PerClass {
+				for _, c := range []metrics.MemClassCounters{last.Mem.Demand, last.Mem.TableRead, last.Mem.Prefetch, last.Mem.TableWrite} {
 					drops += c.ReadDrops + c.WriteDrops
 				}
 				if drops != 0 {

@@ -82,9 +82,8 @@ func referenceOrder(sources []trace.Source, pf prefetch.Prefetcher, cfg Config) 
 	snaps := make([]metrics.Snapshot, n)
 	for i, l := range r.lanes {
 		l.core.CloseEpoch()
-		res := r.laneResult(l)
-		res.WarmupIncomplete = short
-		snaps[i] = res.Snapshot()
+		snaps[i] = r.laneResult(l)
+		snaps[i].WarmupIncomplete = short
 	}
 	return snaps, short
 }
@@ -143,8 +142,8 @@ func TestCMPLaneOrderMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, pc := range res.PerCore {
-				if got := pc.Snapshot(); !reflect.DeepEqual(got, want[i]) {
-					t.Errorf("lane %d diverges from the reference order:\n%s", i, snapshotDiff(got, want[i]))
+				if !reflect.DeepEqual(pc, want[i]) {
+					t.Errorf("lane %d diverges from the reference order:\n%s", i, snapshotDiff(pc, want[i]))
 				}
 			}
 		})

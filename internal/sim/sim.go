@@ -95,95 +95,21 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Result carries all measured statistics of one run.
-type Result struct {
-	Prefetcher string
-	Core       cpu.Stats
-	L1I, L1D   cache.Stats
-	L2         cache.Stats
-	PB         cache.PBStats
-	Mem        mem.Stats
-	PF         prefetch.Stats
+// Result is the record of one run: one lane's counters for the measured
+// window, as the components counted them, with the paper's derived
+// metrics as its methods.
+type Result = metrics.Snapshot
 
-	// Off-chip demand misses by kind (excluding merged/duplicate).
-	L2MissesIFetch uint64
-	L2MissesLoad   uint64
-	L2MissesStore  uint64
-	// Prefetch-buffer hits by kind (full + partial).
-	PBHitsIFetch uint64
-	PBHitsLoad   uint64
-
-	// Hist carries the fixed-bucket histograms collected for this lane
-	// during the measured window: epoch length in cycles, misses per
-	// epoch, and prefetch-to-use distance (timeliness).
-	Hist metrics.Registry
-
-	// WarmupIncomplete reports that the trace source was exhausted before
-	// WarmInsts instructions retired: statistics were never reset, so the
-	// "measured" numbers include the warmup window. Callers asking for a
-	// warmed run must treat such a result as invalid.
-	WarmupIncomplete bool
-}
-
-// CPI returns overall cycles per instruction.
-func (r Result) CPI() float64 { return r.Core.CPI() }
-
-// EPKI returns epochs per 1000 instructions.
-func (r Result) EPKI() float64 { return r.Core.EPKI() }
-
-func per1000(n, insts uint64) float64 {
-	if insts == 0 {
-		return 0
+// MetricsConfig extracts the configuration fields a JSON report records
+// alongside each run.
+func (c Config) MetricsConfig() metrics.ConfigV1 {
+	return metrics.ConfigV1{
+		WarmInsts:    c.WarmInsts,
+		MeasureInsts: c.MeasureInsts,
+		PBEntries:    c.PBEntries,
+		ReadGBps:     c.Mem.ReadGBps,
+		WriteGBps:    c.Mem.WriteGBps,
 	}
-	return 1000 * float64(n) / float64(insts)
-}
-
-// IFetchMPKI returns off-chip instruction misses per 1000 instructions.
-func (r Result) IFetchMPKI() float64 { return per1000(r.L2MissesIFetch, r.Core.Instructions) }
-
-// LoadMPKI returns off-chip load misses per 1000 instructions.
-func (r Result) LoadMPKI() float64 { return per1000(r.L2MissesLoad, r.Core.Instructions) }
-
-// Coverage returns the fraction of would-be off-chip misses satisfied by
-// the prefetch buffer: hits / (hits + remaining misses).
-func (r Result) Coverage() float64 {
-	hits := r.PBHitsIFetch + r.PBHitsLoad
-	total := hits + r.L2MissesIFetch + r.L2MissesLoad
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
-
-// Accuracy returns used prefetches / issued prefetches.
-func (r Result) Accuracy() float64 {
-	return r.PF.Accuracy(r.PBHitsIFetch + r.PBHitsLoad)
-}
-
-// Timeliness returns on-time used prefetches / issued prefetches: full
-// prefetch-buffer hits only, excluding partial hits on lines still in
-// flight (a partial hit arrived too late to hide the whole latency).
-func (r Result) Timeliness() float64 {
-	return r.PF.Accuracy(r.PB.Hits)
-}
-
-// Improvement returns the overall performance improvement of this run
-// relative to a baseline run: CPIbase/CPI - 1 (the paper's primary
-// metric).
-func (r Result) Improvement(baseline Result) float64 {
-	if r.CPI() == 0 {
-		return 0
-	}
-	return baseline.CPI()/r.CPI() - 1
-}
-
-// EPIReduction returns the relative reduction in epochs per instruction
-// against a baseline run.
-func (r Result) EPIReduction(baseline Result) float64 {
-	if baseline.EPKI() == 0 {
-		return 0
-	}
-	return 1 - r.EPKI()/baseline.EPKI()
 }
 
 // missSet is the per-epoch duplicate-miss filter: a small open-addressed
@@ -537,20 +463,20 @@ func (r *Runner) resetStats() {
 // laneResult assembles a Result from one lane plus the shared components.
 func (r *Runner) laneResult(l *lane) Result {
 	return Result{
-		Prefetcher:     r.pf.Name(),
-		Core:           l.core.Stats(),
-		L1I:            l.l1i.Stats(),
-		L1D:            l.l1d.Stats(),
-		L2:             r.l2.Stats(),
-		PB:             r.pb.Stats(),
-		Mem:            r.mem.Stats(),
-		PF:             r.ctx.Stats(),
-		L2MissesIFetch: l.missIF,
-		L2MissesLoad:   l.missLD,
-		L2MissesStore:  l.missST,
-		PBHitsIFetch:   l.pbHitIF,
-		PBHitsLoad:     l.pbHitLD,
-		Hist:           l.reg,
+		Prefetcher:   r.pf.Name(),
+		Core:         l.core.Stats(),
+		L1I:          l.l1i.Stats(),
+		L1D:          l.l1d.Stats(),
+		L2:           r.l2.Stats(),
+		L2MissIFetch: l.missIF,
+		L2MissLoad:   l.missLD,
+		L2MissStore:  l.missST,
+		PBHitIFetch:  l.pbHitIF,
+		PBHitLoad:    l.pbHitLD,
+		PB:           r.pb.Stats(),
+		PF:           r.ctx.Stats(),
+		Mem:          r.mem.Stats(),
+		Hist:         l.reg,
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"ebcp/internal/amo"
-	"ebcp/internal/cpu"
+	"ebcp/internal/metrics"
 	"ebcp/internal/prefetch"
 	"ebcp/internal/trace"
 )
@@ -41,8 +41,8 @@ func TestBaselineIsolatedMissTiming(t *testing.T) {
 	const n, gap = 1000, 300
 	res := must(Run(isolatedLoads(n, gap), prefetch.None{}, testConfig(uint64(n*(gap+1)))))
 
-	if res.L2MissesLoad != n {
-		t.Fatalf("misses = %d, want %d", res.L2MissesLoad, n)
+	if res.L2MissLoad != n {
+		t.Fatalf("misses = %d, want %d", res.L2MissLoad, n)
 	}
 	if got := res.Core.Epochs; got != n {
 		t.Fatalf("epochs = %d, want %d", got, n)
@@ -107,8 +107,8 @@ func TestOverlappedGroupSharesEpoch(t *testing.T) {
 	if res.Core.Epochs != groups {
 		t.Errorf("epochs = %d, want %d (3 misses share one epoch)", res.Core.Epochs, groups)
 	}
-	if res.L2MissesLoad != 3*groups {
-		t.Errorf("misses = %d, want %d", res.L2MissesLoad, 3*groups)
+	if res.L2MissLoad != 3*groups {
+		t.Errorf("misses = %d, want %d", res.L2MissLoad, 3*groups)
 	}
 	if res.Core.MissesOverlapped != 2*groups {
 		t.Errorf("overlapped = %d, want %d", res.Core.MissesOverlapped, 2*groups)
@@ -124,8 +124,8 @@ func TestL2HitsNoEpochs(t *testing.T) {
 		}
 	}
 	res := must(Run(trace.NewSlice(recs), prefetch.None{}, testConfig(1<<40)))
-	if res.L2MissesLoad != 10 {
-		t.Errorf("misses = %d, want 10 cold misses", res.L2MissesLoad)
+	if res.L2MissLoad != 10 {
+		t.Errorf("misses = %d, want 10 cold misses", res.L2MissLoad)
 	}
 	if res.Core.Epochs > 10 {
 		t.Errorf("epochs = %d, want <= 10", res.Core.Epochs)
@@ -139,14 +139,14 @@ func TestIFetchMissCountsAndCloses(t *testing.T) {
 		recs[i].PC = amo.PC(recs[i].Addr)
 	}
 	res := must(Run(trace.NewSlice(recs), prefetch.None{}, testConfig(1<<40)))
-	if res.L2MissesIFetch != 100 {
-		t.Errorf("ifetch misses = %d", res.L2MissesIFetch)
+	if res.L2MissIFetch != 100 {
+		t.Errorf("ifetch misses = %d", res.L2MissIFetch)
 	}
 	if res.Core.Epochs != 100 {
 		t.Errorf("epochs = %d", res.Core.Epochs)
 	}
-	if res.Core.Closes[3] != 100 { // CloseIFetch
-		t.Errorf("ifetch closes = %d", res.Core.Closes[3])
+	if res.Core.ClosesByReason[3] != 100 { // CloseIFetch
+		t.Errorf("ifetch closes = %d", res.Core.ClosesByReason[3])
 	}
 	// Each ifetch epoch stalls the full 500 cycles.
 	per := float64(res.Core.StallCycles) / 100
@@ -167,13 +167,13 @@ func TestStoresDoNotStall(t *testing.T) {
 	if res.Core.StallCycles != 0 {
 		t.Errorf("stores stalled %d cycles", res.Core.StallCycles)
 	}
-	if res.L2MissesStore != 1000 {
-		t.Errorf("store misses = %d", res.L2MissesStore)
+	if res.L2MissStore != 1000 {
+		t.Errorf("store misses = %d", res.L2MissStore)
 	}
 	// Write-allocate: each store miss fetches its line; writebacks happen
 	// later, when the dirty lines are evicted (not here: 1000 lines fit).
-	if res.Mem.PerClass[0].Reads != 1000 {
-		t.Errorf("store fetches = %d", res.Mem.PerClass[0].Reads)
+	if res.Mem.Demand.Reads != 1000 {
+		t.Errorf("store fetches = %d", res.Mem.Demand.Reads)
 	}
 	if res.CPI() < 0.99 || res.CPI() > 1.01 {
 		t.Errorf("CPI = %.3f, want ~1.0", res.CPI())
@@ -189,8 +189,8 @@ func TestWarmupResetsStats(t *testing.T) {
 	if res.Core.Instructions > 1000*301+400 {
 		t.Errorf("measured instructions = %d, want ~%d", res.Core.Instructions, 1000*301)
 	}
-	if res.L2MissesLoad < 990 || res.L2MissesLoad > 1010 {
-		t.Errorf("measured misses = %d, want ~1000", res.L2MissesLoad)
+	if res.L2MissLoad < 990 || res.L2MissLoad > 1010 {
+		t.Errorf("measured misses = %d, want ~1000", res.L2MissLoad)
 	}
 }
 
@@ -202,14 +202,14 @@ func TestMergedMissesDoNotDoubleCount(t *testing.T) {
 		{Gap: 4, Kind: trace.Load, Addr: 0x10_0000_0010, PC: 0x40}, // same line
 	}
 	res := must(Run(trace.NewSlice(recs), prefetch.None{}, testConfig(1<<40)))
-	if res.L2MissesLoad != 1 {
-		t.Errorf("misses = %d, want 1 (second access merges)", res.L2MissesLoad)
+	if res.L2MissLoad != 1 {
+		t.Errorf("misses = %d, want 1 (second access merges)", res.L2MissLoad)
 	}
 	if res.Core.Epochs != 1 {
 		t.Errorf("epochs = %d, want 1", res.Core.Epochs)
 	}
-	if res.Mem.PerClass[0].Reads != 1 {
-		t.Errorf("demand reads = %d, want 1", res.Mem.PerClass[0].Reads)
+	if res.Mem.Demand.Reads != 1 {
+		t.Errorf("demand reads = %d, want 1", res.Mem.Demand.Reads)
 	}
 }
 
@@ -222,13 +222,13 @@ func TestResultDerivedMetrics(t *testing.T) {
 	if red := pf.EPIReduction(base); red != 0.5 {
 		t.Errorf("EPIReduction = %v, want 0.5", red)
 	}
-	r := Result{PBHitsLoad: 30, PBHitsIFetch: 10, L2MissesLoad: 50, L2MissesIFetch: 10}
+	r := Result{PBHitLoad: 30, PBHitIFetch: 10, L2MissLoad: 50, L2MissIFetch: 10}
 	if cov := r.Coverage(); cov != 0.4 {
 		t.Errorf("Coverage = %v, want 0.4", cov)
 	}
 }
 
-func cpuStats(insts, cycles, epochs uint64) (s cpu.Stats) {
+func cpuStats(insts, cycles, epochs uint64) (s metrics.CoreCounters) {
 	s.Instructions = insts
 	s.Cycles = cycles
 	s.Epochs = epochs

@@ -71,8 +71,7 @@ func TestBaselineCalibration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap := res.Snapshot()
-			d := snap.Derive()
+			d := res.Derive()
 			checks := []struct {
 				metric          string
 				paper, measured float64
