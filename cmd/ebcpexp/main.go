@@ -124,7 +124,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ebcpexp: -spec and -exp are mutually exclusive")
 			os.Exit(1)
 		}
-		e, sp, err := loadSpec(*specPath, &opts)
+		e, sp, err := loadSpec(*specPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ebcpexp: %v\n", err)
 			os.Exit(1)
@@ -276,11 +276,10 @@ func instCount(name string, v float64) (uint64, error) {
 	return uint64(v), nil
 }
 
-// loadSpec reads and compiles one user-authored spec file, and records
-// its canonical encoding in the session options so the shared result
-// cache keys the spec's cells by content (a user-authored cell key
-// string is only unique within its spec, unlike the canonical ones).
-func loadSpec(path string, opts *exp.Options) (exp.Experiment, spec.SpecV1, error) {
+// loadSpec reads and compiles one user-authored spec file. Its cells
+// share the session's store with every other spec's: the store keys a
+// cell by what it simulates, not by the spec that names it.
+func loadSpec(path string) (exp.Experiment, spec.SpecV1, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return exp.Experiment{}, spec.SpecV1{}, err
@@ -294,11 +293,6 @@ func loadSpec(path string, opts *exp.Options) (exp.Experiment, spec.SpecV1, erro
 	if err != nil {
 		return exp.Experiment{}, spec.SpecV1{}, fmt.Errorf("-spec %s: %w", path, err)
 	}
-	canon, err := spec.Canonical(sp)
-	if err != nil {
-		return exp.Experiment{}, spec.SpecV1{}, fmt.Errorf("-spec %s: %w", path, err)
-	}
-	opts.SpecJSON = string(canon)
 	return e, sp, nil
 }
 

@@ -13,25 +13,24 @@ import (
 )
 
 // CodecStrict enforces the schema-codec discipline every ebcp.*/v1
-// format follows by convention (DESIGN.md "Schema-versioned artifacts"):
+// format follows (DESIGN.md "Schema-versioned artifacts"):
 //
-//	A. every json.NewDecoder in internal/* is configured with
-//	   DisallowUnknownFields in the same function — a loose decoder
-//	   silently accepts the typos strict ones reject;
+//	A. JSON in internal/* routes through internal/metrics's one codec
+//	   pair: metrics.WriteJSON (two-space indent, trailing newline, the
+//	   byte form every golden depends on) and metrics.ReadJSON (unknown
+//	   fields and trailing data rejected — a loose decoder silently
+//	   accepts the typos strict ones reject). json.NewEncoder,
+//	   json.MarshalIndent and json.NewDecoder are banned outside
+//	   internal/metrics, which hosts both;
 //	B. every schema-version constant (a string const matching
 //	   ebcp.<name>/v<N>) has a fuzz target in its package's tests that
 //	   exercises it — directly or through a package function that
-//	   references it — with a committed corpus under testdata/fuzz;
-//	C. JSON encoding in internal/* routes through the one canonical
-//	   encoder, metrics.WriteJSON (two-space indent, trailing newline,
-//	   the byte form every golden and cache key depends on):
-//	   json.NewEncoder and json.MarshalIndent are banned outside
-//	   internal/metrics, which hosts it.
+//	   references it — with a committed corpus under testdata/fuzz.
 //
-// Rule A and C resolve callees through go/types, so aliased imports
-// can't dodge them. Rule B reads the package's _test.go files and
-// corpus directories from disk: the contract is about committed
-// artifacts, not just source shape.
+// Rule A resolves callees through go/types, so aliased imports can't
+// dodge it. Rule B reads the package's _test.go files and corpus
+// directories from disk: the contract is about committed artifacts,
+// not just source shape.
 type CodecStrict struct{}
 
 // Name implements Analyzer.
@@ -46,55 +45,16 @@ func (CodecStrict) Check(p *Pkg) []Diagnostic {
 		return nil
 	}
 	var out []Diagnostic
-	out = append(out, checkDecoders(p)...)
-	out = append(out, checkEncoders(p)...)
+	out = append(out, checkCodecs(p)...)
 	out = append(out, checkSchemaFuzz(p)...)
 	return out
 }
 
-// checkDecoders is rule A: each function that constructs a
-// json.NewDecoder must also call DisallowUnknownFields.
-func checkDecoders(p *Pkg) []Diagnostic {
-	var out []Diagnostic
-	for _, f := range p.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			var newDecoders []token.Pos
-			strict := false
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if path, name, ok := calleePkgFunc(p.Info, call); ok && path == "encoding/json" {
-					switch name {
-					case "NewDecoder":
-						newDecoders = append(newDecoders, call.Pos())
-					case "DisallowUnknownFields":
-						strict = true
-					}
-				}
-				return true
-			})
-			if !strict {
-				for _, pos := range newDecoders {
-					out = append(out, Diagnostic{p.Fset.Position(pos), "codecstrict",
-						"json.NewDecoder without DisallowUnknownFields; internal decoders reject unknown fields by contract"})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// checkEncoders is rule C: no hand-rolled canonical encoding outside
+// checkCodecs is rule A: no JSON encoder or decoder outside
 // internal/metrics.
-func checkEncoders(p *Pkg) []Diagnostic {
+func checkCodecs(p *Pkg) []Diagnostic {
 	if p.Rel == "internal/metrics" {
-		return nil // hosts the canonical encoder
+		return nil // hosts the codec pair
 	}
 	var out []Diagnostic
 	for _, f := range p.Files {
@@ -107,9 +67,13 @@ func checkEncoders(p *Pkg) []Diagnostic {
 			if !ok || path != "encoding/json" {
 				return true
 			}
-			if name == "NewEncoder" || name == "MarshalIndent" {
+			switch name {
+			case "NewEncoder", "MarshalIndent":
 				out = append(out, Diagnostic{p.Fset.Position(call.Pos()), "codecstrict",
 					fmt.Sprintf("json.%s bypasses the canonical encoder; route through metrics.WriteJSON", name)})
+			case "NewDecoder":
+				out = append(out, Diagnostic{p.Fset.Position(call.Pos()), "codecstrict",
+					"json.NewDecoder bypasses the strict decoder; route through metrics.ReadJSON"})
 			}
 			return true
 		})

@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	j "encoding/json"
 	"io"
+
+	"ebcp/internal/metrics"
 )
 
 const (
@@ -26,10 +28,12 @@ type doc struct {
 	Schema string `json:"schema"`
 }
 
-// decodeLoose never calls DisallowUnknownFields: rule A violation.
+// decodeLoose builds its own decoder: rule A violation, strict or not.
 func decodeLoose(r io.Reader) (doc, error) {
 	var d doc
-	err := json.NewDecoder(r).Decode(&d) // want `\[codecstrict\] json\.NewDecoder without DisallowUnknownFields; internal decoders reject unknown fields by contract`
+	dec := json.NewDecoder(r) // want `\[codecstrict\] json\.NewDecoder bypasses the strict decoder; route through metrics\.ReadJSON`
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&d)
 	return d, err
 }
 
@@ -37,9 +41,7 @@ func decodeLoose(r io.Reader) (doc, error) {
 // fuzz target calling it covers that constant.
 func decodeStrict(r io.Reader) (doc, error) {
 	var d doc
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&d); err != nil {
+	if err := metrics.ReadJSON(r, &d); err != nil {
 		return doc{}, err
 	}
 	if d.Schema != GoodSchemaV1 {
@@ -52,7 +54,7 @@ func decodeStrict(r io.Reader) (doc, error) {
 // decoder is accepted and keeps its allow live.
 func decodeSanctioned(r io.Reader) (doc, error) {
 	var d doc
-	err := json.NewDecoder(r).Decode(&d) //ebcp:allow codecstrict fixture: tolerant decoder for a schema migration window
+	err := j.NewDecoder(r).Decode(&d) //ebcp:allow codecstrict fixture: tolerant decoder for a schema migration window
 	return d, err
 }
 

@@ -27,36 +27,36 @@ import (
 type Config struct {
 	// TableEntries is the number of direct-mapped main-memory correlation
 	// table entries (1M tuned, 8M idealized).
-	TableEntries int
+	TableEntries int `json:"table_entries"`
 	// TableMaxAddrs bounds prefetch addresses per table entry (8 fit in a
 	// 64B transfer unit; 32 in the idealized configuration).
-	TableMaxAddrs int
+	TableMaxAddrs int `json:"table_max_addrs"`
 	// Degree is the maximum prefetches issued per correlation table match.
-	Degree int
+	Degree int `json:"degree"`
 	// EMABEpochs is the Epoch Miss Address Buffer depth (4 in the paper).
-	EMABEpochs int
+	EMABEpochs int `json:"emab_epochs"`
 	// VirtualWindow is the instruction distance that separates virtual
 	// epochs once prefetching removes the real ones; it mirrors the reorder
 	// buffer size that bounds real epochs (128).
-	VirtualWindow uint64
+	VirtualWindow uint64 `json:"virtual_window"`
 	// Cores is the number of hardware threads the prefetcher control
 	// tracks (Section 3.2: the control sits in front of the core-to-L2
 	// crossbar so it sees each thread's whole miss stream separately; the
 	// correlation table itself is shared). 0 means 1.
-	Cores int
+	Cores int `json:"-"`
 	// Minus selects the handicapped EBCP-minus variant of Section 5.3,
 	// which stores the misses of epochs i+1 and i+2 after the trigger
 	// (including the untimely next epoch) instead of i+2 and i+3.
-	Minus bool
+	Minus bool `json:"minus"`
 	// LRUWriteback enables the table write that records prefetch-buffer
 	// hits in the entry's LRU information (on by default in the paper).
-	LRUWriteback bool
+	LRUWriteback bool `json:"lru_writeback"`
 	// NoVirtualEpochs disables the prefetch-buffer-hit boundary rule (an
 	// ablation): lookups and EMAB rotation then happen only at *real*
 	// epoch triggers, so the lookup chain starves as soon as prefetching
 	// starts removing epochs. The paper's "first L2 miss (or prefetch
 	// buffer hit) in a new epoch" rule is what this switch turns off.
-	NoVirtualEpochs bool
+	NoVirtualEpochs bool `json:"no_virtual_epochs"`
 }
 
 // DefaultConfig is the tuned configuration of Section 5.2: one million

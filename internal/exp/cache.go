@@ -7,25 +7,26 @@
 // identical cells coalesce into one simulation and completed ones stay
 // until evicted.
 //
-// Keys are content hashes. A cell's key digests everything that
-// determines its result — the cell identity (cellReq key, which by
-// contract uniquely describes benchmark × prefetcher × system config),
-// the full workload parameter struct, the resolved warmup/measure
-// windows, the trace truncation limit, the *content* of any
-// user-authored spec, and CacheCodeVersion — and nothing that doesn't
-// (worker counts, progress callbacks, the store itself). Two sessions
-// built from different Options structs that resolve to the same
-// semantics therefore share cells, and any semantic difference keeps
-// them apart.
-// cachekey_test.go enforces both directions field by field,
-// reflectively, so a new Options field cannot silently miss the key.
+// Keys are content hashes. A cell's key digests everything that decides
+// its result and nothing else: the code version, the resolved
+// warmup/measure windows and the trace limit (the session seed), the
+// cell's content (cellIdentity: engine kind, contender name, parameter
+// and filter blocks, core count, system tweaks), and the full workload
+// parameter struct. What only names or relates a cell — its spec key
+// string, its baseline, the spec it came from — and how a session runs
+// (worker counts, progress callbacks, the store itself) stay out. Equal
+// cells therefore simulate once whichever spec, session or invocation
+// path names them, and any difference in what they simulate keeps them
+// apart. cachekey_test.go enforces both directions, field by field.
 package exp
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strconv"
@@ -34,6 +35,7 @@ import (
 
 	"ebcp/internal/metrics"
 	"ebcp/internal/sim"
+	"ebcp/internal/spec"
 	"ebcp/internal/workload"
 )
 
@@ -244,48 +246,71 @@ func (c *Cache) Stats() CacheStats {
 	return st
 }
 
-// sealCellKey returns the canonical content-hash cache key of one cell:
-// the digest of the session-level seed (cacheSeed: resolved windows,
-// trace limit, spec content, code version), the cell kind ("sim" or
-// "cmp"), the cell identity string, and the cell's full workload
-// parameter struct. The workload parameters are serialized with %+v:
-// struct fields print in declaration order, so the encoding is
-// deterministic and automatically picks up any field added to
-// workload.Params.
-func sealCellKey(seed, kind, cell string, bench workload.Params) string {
+// sealCellKey returns the content-hash store key of one cell: the
+// digest of the session seed (cacheSeed), the cell's content
+// (cellIdentity) and its full workload parameter struct. The workload
+// parameters are serialized with %+v: struct fields print in
+// declaration order, so the encoding is deterministic and picks up any
+// field added to workload.Params.
+func sealCellKey(seed, cell string, bench workload.Params) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\n%s\n%+v\n", seed, kind, cell, bench)
+	fmt.Fprintf(h, "%s\n%s\n%+v\n", seed, cell, bench)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cacheSeed builds the session-level part of every cell key: the code
+// cellIdentity renders what a cell template simulates: the engine kind,
+// the contender reference and the system tweaks. Parameter and filter
+// blocks enter in compact form, so layout never splits two cells; an
+// absent parameter block is the empty one (the registry decodes both
+// alike), while an absent filter block (no filter) differs from `{}`
+// (the tuned filter). Absent tweaks are zero tweaks, which keep the
+// simulator defaults. The key string and the baseline only name and
+// relate cells, so they stay out.
+func cellIdentity(c spec.CellV1) string {
+	kind := "sim"
+	if c.Cores > 0 {
+		kind = "cmp"
+	}
+	var tw spec.SimTweaksV1
+	if c.Sim != nil {
+		tw = *c.Sim
+	}
+	params := compactJSON(c.Prefetcher.Params)
+	if params == "" {
+		params = "{}"
+	}
+	return fmt.Sprintf("%s cores=%d pf=%q params=%s filter=%s sim=%+v",
+		kind, c.Cores, c.Prefetcher.Name, params, compactJSON(c.Prefetcher.Filter), tw)
+}
+
+// compactJSON returns a JSON block without insignificant whitespace
+// ("" for an absent block). A block that is not valid JSON never gets
+// past spec decoding; it would enter verbatim.
+func compactJSON(raw json.RawMessage) string {
+	var b bytes.Buffer
+	if err := json.Compact(&b, raw); err != nil {
+		return string(raw)
+	}
+	return b.String()
+}
+
+// cacheSeed builds the session-level part of every store key: the code
 // version, the resolved windows (so a zero field and an explicit
-// default digest identically), the trace limit, and the content hash of
-// the user-authored spec, if any (so two specs reusing one cell key
-// string for different contents stay apart). Every session builds its
-// seed when it is created, so it is appended with strconv rather than
-// formatted with fmt, which cost a grid session's set-up about 13%.
+// default digest identically) and the trace limit. Every session builds
+// its seed when it is created, so it is appended with strconv rather
+// than formatted with fmt, which cost a grid session's set-up about 13%.
 func (o Options) cacheSeed() string {
 	warm, measure := o.windows()
-	b := append(make([]byte, 0, 192), CacheCodeVersion+"|warm="...)
+	b := append(make([]byte, 0, 128), CacheCodeVersion+"|warm="...)
 	b = strconv.AppendUint(b, warm, 10)
 	b = strconv.AppendUint(append(b, "|measure="...), measure, 10)
 	b = strconv.AppendUint(append(b, "|max="...), o.MaxInsts, 10)
-	b = append(b, "|spec="...)
-	if o.SpecJSON != "" {
-		sum := sha256.Sum256([]byte(o.SpecJSON))
-		b = hex.AppendEncode(b, sum[:])
-	}
 	return string(b)
 }
 
-// cellKey returns the cell key of r under the session's seed.
+// cellKey returns the store key of r under the session's seed.
 func (s *Session) cellKey(r cellReq) string {
-	kind := "sim"
-	if r.cores > 0 {
-		kind = "cmp"
-	}
-	return sealCellKey(s.seed, kind, r.key, r.bench)
+	return sealCellKey(s.seed, r.tpl.id, r.bench)
 }
 
 // Approximate in-memory cost of a stored cell, for the store's byte

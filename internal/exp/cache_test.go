@@ -2,9 +2,13 @@ package exp
 
 import (
 	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
+
+	"ebcp/internal/spec"
+	"ebcp/internal/workload"
 )
 
 // The Do(ctx) contract: a cancelled context never starts a computation,
@@ -116,5 +120,82 @@ func TestCacheOneLookupPerPlannedCell(t *testing.T) {
 		if s.Runs()+s.SharedHits() != lookups {
 			t.Errorf("after %s: runs %d + shared hits %d != %d planned cells", id, s.Runs(), s.SharedHits(), lookups)
 		}
+	}
+}
+
+// scaledBenches returns the named paper workloads at a twentieth of
+// their working sets, for store tests that need real cells quickly.
+func scaledBenches(t *testing.T, names ...string) []workload.Params {
+	t.Helper()
+	var out []workload.Params
+	for _, n := range names {
+		b, err := workload.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err = workload.Scaled(b, 0.05); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// TestCacheKeysCellsByContentNotLabel: a spec that reuses fig9's EBCP
+// label for a different contender setting gets its own simulation, so
+// it reports the same value after fig9 in one session as it does alone.
+func TestCacheKeysCellsByContentNotLabel(t *testing.T) {
+	opts := Options{Warm: 4e6, Measure: 2e6, Workers: 2, Benchmarks: scaledBenches(t, "SPECjbb2005")}
+	col := opts.Benchmarks[0].Name
+	fig9, err := CanonicalSpec("fig9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := fig9.Cells["ebcp"]
+	cell.Prefetcher.Params = json.RawMessage(`{"degree": 2, "table_max_addrs": 6}`)
+	variant, err := FromSpec(spec.SpecV1{
+		Schema:  spec.SchemaV1,
+		ID:      "variant",
+		Title:   "fig9's EBCP label at degree 2",
+		Kind:    "sim",
+		Report:  spec.ReportMetaV1{Title: "EBCP at degree 2"},
+		Columns: spec.ColumnsV1{Benchmarks: true},
+		Cells:   map[string]spec.CellV1{"base": fig9.Cells["base"], "ebcp": cell},
+		Rows:    []spec.RowGroupV1{{Rows: []spec.RowV1{{Label: "EBCP", Metric: "improvement_pct", Cells: []string{"ebcp"}}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, _ := variant.Run(NewSession(opts)).Value("EBCP", col)
+
+	s := NewSession(opts)
+	atSix, _ := mustExp(t, "fig9").Run(s).Value("EBCP", col)
+	after, _ := variant.Run(s).Value("EBCP", col)
+	if alone == atSix {
+		t.Fatalf("degree 2 and degree 6 both read %.4f; the test cannot tell the cells apart", alone)
+	}
+	if after != alone {
+		t.Errorf("after fig9 the variant reads %.4f, alone %.4f (fig9's cell: %.4f)", after, alone, atSix)
+	}
+}
+
+// TestCacheSharesEqualCellsAcrossSpecs: fig6's 8M-entry point and its
+// baseline are fig4's degree-8 point and baseline under other labels,
+// so after fig4 a session simulates only fig6's four other sizes.
+func TestCacheSharesEqualCellsAcrossSpecs(t *testing.T) {
+	opts := Options{Warm: 1e5, Measure: 1e5, Workers: 2, Benchmarks: scaledBenches(t, "Database", "SPECjbb2005")}
+	s := NewSession(opts)
+	mustExp(t, "fig4").Run(s)
+	before := s.Runs()
+	fig6 := mustExp(t, "fig6").Run(s)
+	if got, want := s.Runs()-before, 4*len(opts.Benchmarks); got != want {
+		t.Errorf("fig6 after fig4 ran %d simulations, want %d (4 per benchmark)", got, want)
+	}
+	if fig6.NACells() != 0 {
+		t.Errorf("fig6 has %d n/a cells", fig6.NACells())
+	}
+	alone := mustExp(t, "fig6").Run(NewSession(opts))
+	if alone.String() != fig6.String() {
+		t.Error("fig6 after fig4 renders differently from fig6 alone")
 	}
 }

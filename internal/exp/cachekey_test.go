@@ -1,11 +1,13 @@
 package exp
 
 import (
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
 
 	"ebcp/internal/ebcperr"
+	"ebcp/internal/spec"
 	"ebcp/internal/workload"
 )
 
@@ -16,7 +18,7 @@ import (
 // Options field fails TestCacheKeyFieldClassification until it is
 // classified here AND exercised in the matching behavioural test.
 var (
-	seedFields    = map[string]bool{"Warm": true, "Measure": true, "MaxInsts": true, "SpecJSON": true}
+	seedFields    = map[string]bool{"Warm": true, "Measure": true, "MaxInsts": true}
 	perCellFields = map[string]bool{"Benchmarks": true}
 	ignoredFields = map[string]bool{"Workers": true, "Progress": true, "Cache": true}
 )
@@ -41,9 +43,25 @@ func TestCacheKeyFieldClassification(t *testing.T) {
 	}
 }
 
+// testCell is the cell the key tests mutate: Figure 4's idealized EBCP
+// at degree 8 on a 1K-entry prefetch buffer.
+func testCell() spec.CellV1 {
+	return spec.CellV1{
+		Key:        "ebcp-ideal/{bench}/d8",
+		Prefetcher: spec.PrefetcherRefV1{Name: "ebcp", Params: json.RawMessage(`{"table_entries": 8388608, "degree": 8}`)},
+		Baseline:   "base",
+		Sim:        &spec.SimTweaksV1{PBEntries: 1024},
+	}
+}
+
 // keyOf computes one cell key.
 func keyOf(o Options) string {
-	return sealCellKey(o.cacheSeed(), "sim", "cell/db/ebcp", workload.Database())
+	return sealCellKey(o.cacheSeed(), cellIdentity(testCell()), workload.Database())
+}
+
+// cellKeyOf computes the key of a cell under fixed session options.
+func cellKeyOf(c spec.CellV1) string {
+	return sealCellKey(Options{Warm: 1e6, Measure: 1e6}.cacheSeed(), cellIdentity(c), workload.Database())
 }
 
 // TestCacheKeySemanticFieldsChangeKey: every seed-classified field,
@@ -54,7 +72,6 @@ func TestCacheKeySemanticFieldsChangeKey(t *testing.T) {
 		"Warm":     {Warm: 2e6, Measure: 1e6},
 		"Measure":  {Warm: 1e6, Measure: 2e6},
 		"MaxInsts": {Warm: 1e6, Measure: 1e6, MaxInsts: 5e5},
-		"SpecJSON": {Warm: 1e6, Measure: 1e6, SpecJSON: `{"schema": "ebcp.spec/v1", "id": "x"}`},
 	}
 	for name := range seedFields {
 		if _, ok := mutations[name]; !ok {
@@ -92,28 +109,69 @@ func TestCacheKeyIgnoredFieldsKeepKey(t *testing.T) {
 }
 
 // TestCacheKeyPerCellIdentity: the Benchmarks field reaches the key
-// through each cell's own parameter struct, and the cell kind and
-// identity string separate otherwise-identical cells.
+// through each cell's own parameter struct.
 func TestCacheKeyPerCellIdentity(t *testing.T) {
-	o := Options{Warm: 1e6, Measure: 1e6}
+	seed, id := Options{Warm: 1e6, Measure: 1e6}.cacheSeed(), cellIdentity(testCell())
 	db, web := workload.Database(), workload.TPCW()
-	k1 := sealCellKey(o.cacheSeed(), "sim", "cell/x", db)
-	if sealCellKey(o.cacheSeed(), "sim", "cell/x", web) == k1 {
+	k1 := sealCellKey(seed, id, db)
+	if sealCellKey(seed, id, web) == k1 {
 		t.Error("different workload params share a key")
-	}
-	if sealCellKey(o.cacheSeed(), "cmp", "cell/x", db) == k1 {
-		t.Error("sim and cmp cells share a key")
-	}
-	if sealCellKey(o.cacheSeed(), "sim", "cell/y", db) == k1 {
-		t.Error("different cell identities share a key")
 	}
 	// A scaled variant is a different workload, hence a different key.
 	scaled, err := workload.Scaled(db, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sealCellKey(o.cacheSeed(), "sim", "cell/x", scaled) == k1 {
+	if sealCellKey(seed, id, scaled) == k1 {
 		t.Error("scaled workload shares the full-size key")
+	}
+}
+
+// TestCacheKeyCellContent: everything a cell template says about what
+// it simulates moves the key; what only names or relates the cell does
+// not, and neither does the layout of its JSON blocks.
+func TestCacheKeyCellContent(t *testing.T) {
+	base := cellKeyOf(testCell())
+	moves := map[string]func(*spec.CellV1){
+		"prefetcher name": func(c *spec.CellV1) { c.Prefetcher.Name = "ghb-large" },
+		"params":          func(c *spec.CellV1) { c.Prefetcher.Params = json.RawMessage(`{"table_entries": 8388608, "degree": 2}`) },
+		"no params":       func(c *spec.CellV1) { c.Prefetcher.Params = nil },
+		"filter {}":       func(c *spec.CellV1) { c.Prefetcher.Filter = json.RawMessage(`{}`) },
+		"filter block":    func(c *spec.CellV1) { c.Prefetcher.Filter = json.RawMessage(`{"threshold_pct": 0}`) },
+		"cores":           func(c *spec.CellV1) { c.Cores = 1 },
+		"pb_entries":      func(c *spec.CellV1) { c.Sim.PBEntries = 512 },
+		"read_gbps":       func(c *spec.CellV1) { c.Sim.ReadGBps = 3.2 },
+		"write_gbps":      func(c *spec.CellV1) { c.Sim.WriteGBps = 3.2 },
+		"no sim tweaks":   func(c *spec.CellV1) { c.Sim = nil },
+	}
+	for name, mutate := range moves {
+		c := testCell()
+		mutate(&c)
+		if cellKeyOf(c) == base {
+			t.Errorf("changing the cell's %s did not change its key", name)
+		}
+	}
+	keeps := map[string]func(*spec.CellV1){
+		"label":    func(c *spec.CellV1) { c.Key = "fig6/{bench}/8388608" },
+		"baseline": func(c *spec.CellV1) { c.Baseline = "" },
+		"params layout": func(c *spec.CellV1) {
+			c.Prefetcher.Params = json.RawMessage("{\n  \"table_entries\":8388608,\n  \"degree\": 8\n}")
+		},
+	}
+	for name, mutate := range keeps {
+		c := testCell()
+		mutate(&c)
+		if cellKeyOf(c) != base {
+			t.Errorf("changing the cell's %s changed its key", name)
+		}
+	}
+	// Absent blocks and their empty spellings decide the same run.
+	bare := spec.CellV1{Key: "base/{bench}", Prefetcher: spec.PrefetcherRefV1{Name: "none"}}
+	spelled := bare
+	spelled.Prefetcher.Params = json.RawMessage(`{ }`)
+	spelled.Sim = &spec.SimTweaksV1{}
+	if cellKeyOf(spelled) != cellKeyOf(bare) {
+		t.Error("an empty params block or empty sim tweaks changed the key of a bare cell")
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 	"sync"
 
 	"ebcp/internal/ebcperr"
-	"ebcp/internal/prefetch"
+	"ebcp/internal/registry"
 	"ebcp/internal/sim"
 	"ebcp/internal/trace"
 	"ebcp/internal/workload"
@@ -61,20 +61,13 @@ type Options struct {
 	// session computes, only whether it has to; it is ignored by the
 	// cache key itself.
 	Cache *Cache
-	// SpecJSON, when non-empty, is the canonical encoding
-	// (spec.Canonical) of the user-authored spec this session runs. It
-	// is digested into every cell key: the canonical experiments' cell
-	// identity strings uniquely describe their cells by contract, but a
-	// user-authored spec may bind an arbitrary cell key string to
-	// different contents, so the spec text itself must separate the
-	// entries. Runners of committed canonical experiments leave it
-	// empty — their cells stay shared across invocation paths.
-	SpecJSON string
 }
 
 // RunUpdate describes one completed simulation.
 type RunUpdate struct {
-	// Key is the cell key: unique per (benchmark, prefetcher, config).
+	// Key is the cell's label: its spec key instantiated for the
+	// benchmark. It names the cell; the store identifies cells by
+	// content, so one simulation may serve cells of several labels.
 	Key string
 	// Metric names Value: "CPI" for single-core runs, "IPC" for CMP runs.
 	Metric string
@@ -155,11 +148,11 @@ type Session struct {
 	sharedHits int
 	failures   int
 	firstErr   error
-	skipped    map[string]struct{} // cells that never simulated, by cell key
+	skipped    map[string]struct{} // cells that never simulated, by store key
 
 	progressMu sync.Mutex
 
-	seed string // the session-level part of every cell key (cacheSeed)
+	seed string // the session-level part of every store key (cacheSeed)
 }
 
 // outcome is the stored result of one cell together with the error that
@@ -247,39 +240,45 @@ func (s *Session) FirstError() error {
 	return s.firstErr
 }
 
-// cellReq names one grid cell: its key plus everything needed to
-// simulate it. cores == 0 is a single-core cell; cores > 0 is a CMP
-// cell of that many lanes. Experiments plan each cell once and collect
-// by its key, so the key must uniquely describe (benchmark, prefetcher,
-// system config).
+// cellReq is one grid cell: a spec cell template bound to a
+// benchmark. label is the template's key instantiated for the benchmark;
+// it names the cell in progress lines and in a run's plan and collect
+// table. The store key is the cell's content instead (Session.cellKey).
 type cellReq struct {
-	key   string
+	label string
 	bench workload.Params
-	cores int
-	pf    func() (prefetch.Prefetcher, error)
-	mut   func(*sim.Config)
+	tpl   *cellTemplate
 }
 
-// simulate executes one cell. A CMP cell runs cores threads of the
-// workload (each seeded apart) sharing the L2 and the interconnect —
-// this reproduction's extension: the paper's Section 6 future work plus
-// a quantitative test of its Section 3.3.1 placement argument; the
-// canonical grid lives in specs/cmp.json.
+// simulate executes one cell. A CMP cell (Cores > 0) runs that many
+// threads of the workload (each seeded apart) sharing the L2 and the
+// interconnect — this reproduction's extension: the paper's Section 6
+// future work plus a quantitative test of its Section 3.3.1 placement
+// argument; the canonical grid lives in specs/cmp.json.
 func (s *Session) simulate(r cellReq) *outcome {
+	cell := r.tpl
 	cfg := sim.DefaultConfig()
 	cfg.Core.OnChipCPI = r.bench.OnChipCPI
 	cfg.WarmInsts, cfg.MeasureInsts = s.opts.windows()
-	if r.mut != nil {
-		r.mut(&cfg)
+	if tw := cell.Sim; tw != nil {
+		if tw.PBEntries != 0 {
+			cfg.PBEntries = tw.PBEntries
+		}
+		if tw.ReadGBps != 0 {
+			cfg.Mem.ReadGBps = tw.ReadGBps
+		}
+		if tw.WriteGBps != 0 {
+			cfg.Mem.WriteGBps = tw.WriteGBps
+		}
 	}
-	if r.cores > 0 {
+	if cell.Cores > 0 {
 		// Per-thread windows at the single-core length would multiply
 		// runtime by the core count; scale them down so each CMP point
 		// costs about one single-core run.
-		cfg.WarmInsts /= uint64(r.cores)
-		cfg.MeasureInsts /= uint64(r.cores)
+		cfg.WarmInsts /= uint64(cell.Cores)
+		cfg.MeasureInsts /= uint64(cell.Cores)
 	}
-	sources := make([]trace.Source, max(r.cores, 1))
+	sources := make([]trace.Source, max(cell.Cores, 1))
 	for i := range sources {
 		b := r.bench
 		b.Seed += int64(i) * 7919
@@ -292,11 +291,14 @@ func (s *Session) simulate(r cellReq) *outcome {
 			sources[i] = trace.NewLimit(src, s.opts.MaxInsts)
 		}
 	}
-	pf, err := r.pf()
+	pf, err := cell.pf.New(cell.Prefetcher.Params, cell.Cores)
+	if err == nil {
+		pf, err = registry.WrapFilter(pf, cell.Prefetcher.Filter)
+	}
 	if err != nil {
 		return &outcome{err: err}
 	}
-	if r.cores > 0 {
+	if cell.Cores > 0 {
 		res, err := sim.RunCMP(sources, pf, cfg)
 		return &outcome{res: res, err: err}
 	}

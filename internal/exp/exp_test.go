@@ -5,7 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"ebcp/internal/prefetch"
+	"ebcp/internal/registry"
+	"ebcp/internal/spec"
 	"ebcp/internal/workload"
 )
 
@@ -289,20 +290,23 @@ func TestReportRenderAndValue(t *testing.T) {
 }
 
 // baselineReq is the no-prefetching cell for a benchmark.
-func baselineReq(bench workload.Params) cellReq {
-	return cellReq{
-		key:   "base/" + bench.Name,
-		bench: bench,
-		pf:    func() (prefetch.Prefetcher, error) { return prefetch.None{}, nil },
+func baselineReq(t *testing.T, bench workload.Params) cellReq {
+	t.Helper()
+	none, err := registry.Prefetcher("none")
+	if err != nil {
+		t.Fatal(err)
 	}
+	cell := spec.CellV1{Key: "base/{bench}", Prefetcher: spec.PrefetcherRefV1{Name: "none"}}
+	tpl := &cellTemplate{CellV1: cell, pf: none, id: cellIdentity(cell)}
+	return cellReq{label: "base/" + bench.Name, bench: bench, tpl: tpl}
 }
 
 func TestSessionMemoization(t *testing.T) {
 	s := NewSession(Options{Warm: 1e6, Measure: 1e6})
 	b := workload.SPECjbb2005()
-	s.resolve(baselineReq(b))
+	s.resolve(baselineReq(t, b))
 	runs := s.Runs()
-	s.resolve(baselineReq(b))
+	s.resolve(baselineReq(t, b))
 	if s.Runs() != runs {
 		t.Error("baseline should be memoized")
 	}

@@ -55,13 +55,14 @@ func (s *Session) forEach(n int, f func(int)) {
 // under a cancelled context is not stored: it fails with an
 // ErrCancelled-classified error and counts once per cell in Failures.
 func (s *Session) resolve(r cellReq) *outcome {
-	v, hit, err := s.opts.Cache.Do(s.ctx, s.cellKey(r), func() (any, int) {
+	key := s.cellKey(r)
+	v, hit, err := s.opts.Cache.Do(s.ctx, key, func() (any, int) {
 		o := s.simulate(r)
 		s.noteRun(r, o)
 		return o, o.cost()
 	})
 	if err != nil {
-		return s.skip(r.key, ebcperr.Cancelledf("exp: cell %s not simulated: %v", r.key, err))
+		return s.skip(key, ebcperr.Cancelledf("exp: cell %s not simulated: %v", r.label, err))
 	}
 	o := v.(*outcome)
 	s.statMu.Lock()
@@ -90,7 +91,7 @@ func (s *Session) skip(key string, err error) *outcome {
 // progress.
 func (s *Session) noteRun(r cellReq, o *outcome) {
 	metric, value := "CPI", 0.0
-	if r.cores > 0 {
+	if r.tpl.Cores > 0 {
 		metric, value = "IPC", o.res.AggregateIPC()
 	} else {
 		value = o.single().CPI()
@@ -104,7 +105,7 @@ func (s *Session) noteRun(r cellReq, o *outcome) {
 	s.statMu.Unlock()
 	if s.opts.Progress != nil {
 		s.progressMu.Lock()
-		s.opts.Progress(RunUpdate{Key: r.key, Metric: metric, Value: value, Runs: n, Err: o.err})
+		s.opts.Progress(RunUpdate{Key: r.label, Metric: metric, Value: value, Runs: n, Err: o.err})
 		s.progressMu.Unlock()
 	}
 }

@@ -15,9 +15,7 @@ import (
 	"sync"
 
 	"ebcp/internal/ebcperr"
-	"ebcp/internal/prefetch"
 	"ebcp/internal/registry"
-	"ebcp/internal/sim"
 	"ebcp/internal/spec"
 	"ebcp/internal/workload"
 )
@@ -38,8 +36,20 @@ func FromSpec(sp spec.SpecV1) (Experiment, error) {
 // compiledSpec is a spec with its registry references resolved.
 type compiledSpec struct {
 	sp      spec.SpecV1
+	names   []string                            // cell names, sorted
 	pfs     map[string]registry.PrefetcherEntry // cell name → contender
 	benches []workload.Params                   // sp.Benchmarks resolved; nil = session default
+
+	tplOnce sync.Once
+	tpls    map[string]*cellTemplate // cell name → template; built on first run
+}
+
+// cellTemplate is one spec cell with its contender resolved: what a
+// cell simulates for any benchmark, before a run binds the workload.
+type cellTemplate struct {
+	spec.CellV1
+	pf registry.PrefetcherEntry
+	id string // cellIdentity(CellV1): the template's part of every store key
 }
 
 func compileSpec(sp spec.SpecV1) (*compiledSpec, error) {
@@ -52,6 +62,7 @@ func compileSpec(sp spec.SpecV1) (*compiledSpec, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	c.names = names
 	for _, name := range names {
 		e, err := registry.Prefetcher(sp.Cells[name].Prefetcher.Name)
 		if err != nil {
@@ -67,6 +78,21 @@ func compileSpec(sp spec.SpecV1) (*compiledSpec, error) {
 		c.benches = append(c.benches, b)
 	}
 	return c, nil
+}
+
+// templates returns the spec's cell templates, building them and
+// rendering their identities on the first run rather than at compile
+// time: compiling a spec is on every request's set-up path, and the
+// canonical experiments share their compiled form across goroutines.
+func (c *compiledSpec) templates() map[string]*cellTemplate {
+	c.tplOnce.Do(func() {
+		c.tpls = make(map[string]*cellTemplate, len(c.sp.Cells))
+		for _, name := range c.names {
+			cell := c.sp.Cells[name]
+			c.tpls[name] = &cellTemplate{CellV1: cell, pf: c.pfs[name], id: cellIdentity(cell)}
+		}
+	})
+	return c.tpls
 }
 
 // benchmarks resolves the workload set for one run: the session's
@@ -110,51 +136,19 @@ func expandBench(tpl, bench string) string {
 	return strings.ReplaceAll(tpl, spec.BenchPlaceholder, bench)
 }
 
-// req instantiates a cell template for one benchmark.
-func (c *compiledSpec) req(name string, b workload.Params) cellReq {
-	cell := c.sp.Cells[name]
-	entry := c.pfs[name]
-	params := cell.Prefetcher.Params
-	r := cellReq{
-		key:   expandBench(cell.Key, b.Name),
-		bench: b,
-		cores: cell.Cores,
-		pf: func() (prefetch.Prefetcher, error) {
-			p, err := entry.New(params, cell.Cores)
-			if err != nil {
-				return nil, err
-			}
-			return registry.WrapFilter(p, cell.Prefetcher.Filter)
-		},
-	}
-	if cell.Sim != nil {
-		tw := *cell.Sim
-		r.mut = func(cfg *sim.Config) {
-			if tw.PBEntries != 0 {
-				cfg.PBEntries = tw.PBEntries
-			}
-			if tw.ReadGBps != 0 {
-				cfg.Mem.ReadGBps = tw.ReadGBps
-			}
-			if tw.WriteGBps != 0 {
-				cfg.Mem.WriteGBps = tw.WriteGBps
-			}
-		}
-	}
-	return r
-}
-
 // plan lists the run's cells, per benchmark in referencedCells order,
-// once per cell key.
+// once per label.
 func (c *compiledSpec) plan(benches []workload.Params) []cellReq {
 	var reqs []cellReq
 	seen := map[string]bool{}
 	names := c.referencedCells()
+	tpls := c.templates()
 	for _, b := range benches {
 		for _, n := range names {
-			if r := c.req(n, b); !seen[r.key] {
-				seen[r.key] = true
-				reqs = append(reqs, r)
+			t := tpls[n]
+			if label := expandBench(t.Key, b.Name); !seen[label] {
+				seen[label] = true
+				reqs = append(reqs, cellReq{label: label, bench: b, tpl: t})
 			}
 		}
 	}
@@ -191,7 +185,7 @@ func (c *compiledSpec) run(s *Session) *Report {
 	s.forEach(len(plan), func(i int) { outs[i] = s.resolve(plan[i]) })
 	tab := make(cellTable, len(plan))
 	for i, r := range plan {
-		tab[r.key] = outs[i]
+		tab[r.label] = outs[i]
 	}
 
 	for _, g := range sp.Rows {
@@ -210,7 +204,7 @@ func (c *compiledSpec) run(s *Session) *Report {
 	return rep
 }
 
-// cellTable is one run's resolved cells, by cell key.
+// cellTable is one run's resolved cells, by label.
 type cellTable map[string]*outcome
 
 // cell returns one instantiated cell's outcome.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ebcp/internal/ebcperr"
+	"ebcp/internal/metrics"
 	"ebcp/internal/registry"
 	"ebcp/internal/spec"
 	"ebcp/internal/workload"
@@ -34,12 +35,12 @@ func TestCanonicalSpecsMatchFiles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ent.Name(), err)
 		}
-		canon, err := spec.Canonical(sp)
-		if err != nil {
+		var canon bytes.Buffer
+		if err := metrics.WriteJSON(&canon, sp); err != nil {
 			t.Fatalf("%s: %v", ent.Name(), err)
 		}
-		if !bytes.Equal(data, canon) {
-			t.Errorf("%s is not in canonical encoding; re-encode it with spec.Canonical", ent.Name())
+		if !bytes.Equal(data, canon.Bytes()) {
+			t.Errorf("%s is not in canonical encoding; re-encode it with metrics.WriteJSON", ent.Name())
 		}
 	}
 	var ids []string

@@ -9,8 +9,11 @@ package metrics
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
+
+	"ebcp/internal/ebcperr"
 )
 
 func FuzzReportDecode(f *testing.F) {
@@ -22,6 +25,9 @@ func FuzzReportDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := DecodeReportV1(bytes.NewReader(data))
 		if err != nil {
+			if !errors.Is(err, ebcperr.ErrBadReport) {
+				t.Fatalf("rejection not ErrBadReport: %v", err)
+			}
 			return
 		}
 		var buf bytes.Buffer

@@ -2,7 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 
 	"ebcp/internal/ebcperr"
@@ -93,15 +93,34 @@ func WriteJSON(w io.Writer, v any) error {
 	return err
 }
 
-// DecodeReportV1 parses a report, rejecting unknown fields (schema
-// drift must fail loudly, not decode partially) and any schema string
-// other than SchemaV1.
-func DecodeReportV1(r io.Reader) (ReportV1, error) {
+// ReadJSON is the one JSON decoder every accepted document goes through
+// (reports, specs, requests, daemon stats, parameter blocks): it decodes
+// one value from r into v, rejecting unknown fields (schema drift must
+// fail loudly, not decode partially) and anything but whitespace after
+// the value (a second document or stray bytes are not part of the
+// first).
+func ReadJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errTrailingData
+	}
+	return nil
+}
+
+// errTrailingData is ReadJSON's rejection of bytes after the value;
+// callers classify it with the rest of their decode failures.
+var errTrailingData = errors.New("data after the JSON value")
+
+// DecodeReportV1 parses a report through ReadJSON, rejecting any schema
+// string other than SchemaV1. Every error matches ebcperr.ErrBadReport.
+func DecodeReportV1(r io.Reader) (ReportV1, error) {
 	var rep ReportV1
-	if err := dec.Decode(&rep); err != nil {
-		return ReportV1{}, fmt.Errorf("metrics: decoding report: %w", err)
+	if err := ReadJSON(r, &rep); err != nil {
+		return ReportV1{}, ebcperr.Wrap(ebcperr.ErrBadReport, "metrics: decoding report: %v", err)
 	}
 	if rep.Schema != SchemaV1 {
 		return ReportV1{}, ebcperr.Wrap(ebcperr.ErrBadReport, "metrics: unsupported report schema %q (want %q)", rep.Schema, SchemaV1)

@@ -2,9 +2,12 @@ package metrics
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+
+	"ebcp/internal/ebcperr"
 )
 
 // sampleReport builds a report exercising every ReportV1 branch: runs
@@ -111,8 +114,24 @@ func TestDecodeRejectsWrongSchema(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsGarbage: malformed input, unknown fields, a wrong
+// schema and data after the report are all ErrBadReport rejections.
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeReportV1(strings.NewReader("not json")); err == nil {
-		t.Error("garbage decoded cleanly")
+	for _, doc := range []string{
+		"not json",
+		`{"schema": "ebcp.report/v1", "bogus": 1}`,
+		`{"schema": "ebcp.report/v2"}`,
+		`{"schema": "ebcp.report/v1", "tool": "ebcpsim"}]]`,
+		`{"schema": "ebcp.report/v1"} {"schema": "ebcp.report/v1"}`,
+	} {
+		_, err := DecodeReportV1(strings.NewReader(doc))
+		if err == nil {
+			t.Errorf("%s decoded cleanly", doc)
+		} else if !errors.Is(err, ebcperr.ErrBadReport) {
+			t.Errorf("%s: error %v is not ErrBadReport", doc, err)
+		}
+	}
+	if _, err := DecodeReportV1(strings.NewReader("{\"schema\": \"ebcp.report/v1\"}\n\t \n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }

@@ -42,15 +42,15 @@ type Chain struct {
 type ChainConfig struct {
 	// Entries is the trigger-entry count of the correlation table
 	// (power of two; FIFO replacement).
-	Entries int
+	Entries int `json:"entries"`
 	// Successors bounds the successor list kept per trigger (1..64).
-	Successors int
+	Successors int `json:"successors"`
 	// Window is the miss-distance window: each off-chip miss trains the
 	// entries of the Window misses before it (1..64).
-	Window int
+	Window int `json:"window"`
 	// Degree is how many successors are issued per trigger or chain
 	// event (1..Successors).
-	Degree int
+	Degree int `json:"degree"`
 }
 
 // DefaultChainConfig is the tuned shape: a 64K-entry table keeping

@@ -40,15 +40,15 @@ type Filter struct {
 type FilterConfig struct {
 	// TableEntries is the hashed per-page counter-table size (power of
 	// two; tagless, so distinct pages may alias).
-	TableEntries int
+	TableEntries int `json:"table_entries"`
 	// ThresholdPct is the minimum used/issued percentage a page must
 	// sustain to keep issuing (0..100; 0 disables filtering entirely).
-	ThresholdPct int
+	ThresholdPct int `json:"threshold_pct"`
 	// Probe is how many issues a fresh page gets before the threshold
 	// applies (>= 1).
-	Probe int
+	Probe int `json:"probe"`
 	// Retry re-probes a rejected page after this many rejections (>= 1).
-	Retry int
+	Retry int `json:"retry"`
 }
 
 // DefaultFilterConfig is the tuned shape: a 4K-entry counter table, a

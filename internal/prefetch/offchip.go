@@ -55,19 +55,19 @@ const hermesFeatures = 5
 // HermesConfig shapes a Hermes predictor.
 type HermesConfig struct {
 	// TableBits is the log2 size of each feature's weight table (1..20).
-	TableBits int
+	TableBits int `json:"table_bits"`
 	// ActivationThreshold is the perceptron sum at or above which the
 	// access is predicted off-chip (positive).
-	ActivationThreshold int
+	ActivationThreshold int `json:"activation_threshold"`
 	// TrainingThreshold keeps training while |sum| is below it, even on
 	// correct predictions (the perceptron margin; positive).
-	TrainingThreshold int
+	TrainingThreshold int `json:"training_threshold"`
 	// EarlyCycles is the dispatch headroom: how many cycles before the
 	// hierarchy's miss determination the request launches (positive).
-	EarlyCycles uint64
+	EarlyCycles uint64 `json:"early_cycles"`
 	// HistoryBits is how many recent per-core outcomes feed the history
 	// features (1..64).
-	HistoryBits int
+	HistoryBits int `json:"history_bits"`
 }
 
 // DefaultHermesConfig is the tuned shape: 2K-entry weight tables, an

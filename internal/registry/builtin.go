@@ -12,50 +12,14 @@ import (
 	"ebcp/internal/prefetch"
 )
 
-// ebcpParams are the spec-settable knobs of the EBCP core. Every field
-// is a pointer so a spec can distinguish "absent — keep the tuned
-// default" from an explicit zero value (lru_writeback defaults to true,
-// so expressing false requires exactly this distinction).
-type ebcpParams struct {
-	TableEntries    *int    `json:"table_entries"`
-	TableMaxAddrs   *int    `json:"table_max_addrs"`
-	Degree          *int    `json:"degree"`
-	EMABEpochs      *int    `json:"emab_epochs"`
-	VirtualWindow   *uint64 `json:"virtual_window"`
-	Minus           *bool   `json:"minus"`
-	LRUWriteback    *bool   `json:"lru_writeback"`
-	NoVirtualEpochs *bool   `json:"no_virtual_epochs"`
-}
-
+// newEBCP decodes the parameter block straight over the tuned EBCP
+// configuration, so every tagged core.Config field is settable, an
+// explicit zero or false included (lru_writeback defaults to true). The
+// core count comes from the cell, never from the block.
 func newEBCP(params json.RawMessage, cores int) (prefetch.Prefetcher, error) {
-	var p ebcpParams
-	if err := decodeParams("ebcp", params, &p); err != nil {
-		return nil, err
-	}
 	cfg := core.DefaultConfig()
-	if p.TableEntries != nil {
-		cfg.TableEntries = *p.TableEntries
-	}
-	if p.TableMaxAddrs != nil {
-		cfg.TableMaxAddrs = *p.TableMaxAddrs
-	}
-	if p.Degree != nil {
-		cfg.Degree = *p.Degree
-	}
-	if p.EMABEpochs != nil {
-		cfg.EMABEpochs = *p.EMABEpochs
-	}
-	if p.VirtualWindow != nil {
-		cfg.VirtualWindow = *p.VirtualWindow
-	}
-	if p.Minus != nil {
-		cfg.Minus = *p.Minus
-	}
-	if p.LRUWriteback != nil {
-		cfg.LRUWriteback = *p.LRUWriteback
-	}
-	if p.NoVirtualEpochs != nil {
-		cfg.NoVirtualEpochs = *p.NoVirtualEpochs
+	if err := decodeParams("ebcp", params, &cfg); err != nil {
+		return nil, err
 	}
 	cfg.Cores = cores
 	return core.New(cfg)
@@ -67,106 +31,40 @@ type degreeParams struct {
 	Degree int `json:"degree"`
 }
 
-// chainParams parameterize the chaining correlation prefetcher. Zero
-// fields keep the tuned defaults (no knob has a meaningful zero).
-type chainParams struct {
-	Entries    int `json:"entries"`
-	Successors int `json:"successors"`
-	Window     int `json:"window"`
-	Degree     int `json:"degree"`
-}
-
+// newChain decodes the parameter block over the tuned chain shape; an
+// explicit zero replaces the default and meets NewChain's checks.
 func newChain(params json.RawMessage, _ int) (prefetch.Prefetcher, error) {
-	var p chainParams
-	if err := decodeParams("chain", params, &p); err != nil {
-		return nil, err
-	}
 	cfg := prefetch.DefaultChainConfig()
-	if p.Entries != 0 {
-		cfg.Entries = p.Entries
-	}
-	if p.Successors != 0 {
-		cfg.Successors = p.Successors
-	}
-	if p.Window != 0 {
-		cfg.Window = p.Window
-	}
-	if p.Degree != 0 {
-		cfg.Degree = p.Degree
+	if err := decodeParams("chain", params, &cfg); err != nil {
+		return nil, err
 	}
 	return prefetch.NewChain(cfg)
 }
 
-// hermesParams parameterize the perceptron off-chip predictor. Zero
-// fields keep the tuned defaults (no knob has a meaningful zero).
-type hermesParams struct {
-	TableBits           int    `json:"table_bits"`
-	ActivationThreshold int    `json:"activation_threshold"`
-	TrainingThreshold   int    `json:"training_threshold"`
-	EarlyCycles         uint64 `json:"early_cycles"`
-	HistoryBits         int    `json:"history_bits"`
-}
-
+// newHermes decodes the parameter block over the tuned Hermes shape; an
+// explicit zero replaces the default and meets NewHermes's checks.
 func newHermes(params json.RawMessage, cores int) (prefetch.Prefetcher, error) {
-	var p hermesParams
-	if err := decodeParams("hermes", params, &p); err != nil {
+	cfg := prefetch.DefaultHermesConfig()
+	if err := decodeParams("hermes", params, &cfg); err != nil {
 		return nil, err
 	}
-	cfg := prefetch.DefaultHermesConfig()
-	if p.TableBits != 0 {
-		cfg.TableBits = p.TableBits
-	}
-	if p.ActivationThreshold != 0 {
-		cfg.ActivationThreshold = p.ActivationThreshold
-	}
-	if p.TrainingThreshold != 0 {
-		cfg.TrainingThreshold = p.TrainingThreshold
-	}
-	if p.EarlyCycles != 0 {
-		cfg.EarlyCycles = p.EarlyCycles
-	}
-	if p.HistoryBits != 0 {
-		cfg.HistoryBits = p.HistoryBits
-	}
 	return prefetch.NewHermes(cfg, cores)
-}
-
-// filterParams parameterize the adaptive prefetch-filter wrapper (the
-// optional `filter` block of a spec's prefetcher reference). Pointer
-// fields distinguish "absent — keep the tuned default" from an explicit
-// zero: threshold_pct 0 meaningfully disables filtering.
-type filterParams struct {
-	TableEntries *int `json:"table_entries"`
-	ThresholdPct *int `json:"threshold_pct"`
-	Probe        *int `json:"probe"`
-	Retry        *int `json:"retry"`
 }
 
 // WrapFilter composes the adaptive prefetch filter over an already
 // constructed contender according to a spec's `filter` parameter block.
 // A nil block means "no filter" and returns pf unchanged; any non-nil
-// block (including `{}`, the tuned defaults) wraps. Unknown fields and
-// bad shapes are ErrInvalidConfig errors, like every parameter block.
+// block (including `{}`, the tuned defaults) wraps; its fields decode
+// over the tuned filter shape, so an explicit threshold_pct 0 disables
+// filtering. Unknown fields and bad shapes are ErrInvalidConfig errors,
+// like every parameter block.
 func WrapFilter(pf prefetch.Prefetcher, params json.RawMessage) (prefetch.Prefetcher, error) {
 	if params == nil {
 		return pf, nil
 	}
-	var p filterParams
-	if err := decodeParams("filter", params, &p); err != nil {
-		return nil, err
-	}
 	cfg := prefetch.DefaultFilterConfig()
-	if p.TableEntries != nil {
-		cfg.TableEntries = *p.TableEntries
-	}
-	if p.ThresholdPct != nil {
-		cfg.ThresholdPct = *p.ThresholdPct
-	}
-	if p.Probe != nil {
-		cfg.Probe = *p.Probe
-	}
-	if p.Retry != nil {
-		cfg.Retry = *p.Retry
+	if err := decodeParams("filter", params, &cfg); err != nil {
+		return nil, err
 	}
 	return prefetch.NewFilter(pf, cfg)
 }

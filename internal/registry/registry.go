@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"ebcp/internal/ebcperr"
+	"ebcp/internal/metrics"
 	"ebcp/internal/prefetch"
 )
 
@@ -59,21 +60,16 @@ func PrefetcherNames() []string {
 // block leaves out keeps its default, and an explicit value, zero
 // included, replaces it (and meets the constructor's checks). An absent
 // or empty block leaves *p as it is, so parameterless entries accept
-// both `"params": {}` and no params field at all. A block is one JSON
-// value: anything after it (possible in a block typed on ebcpsim's
-// command line, never in a decoded spec) is rejected like an unknown
-// field.
+// both `"params": {}` and no params field at all. The block goes
+// through metrics.ReadJSON, so unknown fields and anything after the
+// block (possible in a block typed on ebcpsim's command line, never in
+// a decoded spec) are rejected.
 func decodeParams(name string, params json.RawMessage, p any) error {
 	if len(params) == 0 {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(params))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(p); err != nil {
+	if err := metrics.ReadJSON(bytes.NewReader(params), p); err != nil {
 		return ebcperr.Invalidf("registry: prefetcher %q params: %v", name, err)
-	}
-	if len(bytes.TrimSpace(params[dec.InputOffset():])) > 0 {
-		return ebcperr.Invalidf("registry: prefetcher %q params: data after the parameter block", name)
 	}
 	return nil
 }

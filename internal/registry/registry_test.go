@@ -83,32 +83,39 @@ func TestUnknownNames(t *testing.T) {
 // like every other strict decoder in the repo, and so are bad values:
 // an explicit zero is not a default, it reaches the constructor.
 func TestStrictParams(t *testing.T) {
-	cases := []struct{ name, params string }{
-		{"ebcp", `{"degre": 6}`},
-		{"none", `{"degree": 6}`},
-		{"sms", `{"streams": 4}`},
-		{"solihin", `{"depth": 6, "width": 1, "entries": 4}`},
-		{"chain", `{"widow": 4}`},
-		{"chain", `{"entries": 1000}`},
-		{"hermes", `{"tablebits": 11}`},
-		{"hermes", `{"table_bits": 99}`},
-		{"ghb-small", `{"degree": 0}`},
-		{"tcp-large", `{"degree": 0}`},
-		{"stream", `{"streams": 0}`},
-		{"solihin", `{"width": 0}`},
-		{"ebcp", `x`},
-		{"ghb-small", `{"degree": 6} {"degree": 7}`},
-		{"none", `{} x`},
+	cases := []struct{ name, params, mention string }{
+		{"ebcp", `{"degre": 6}`, "unknown field"},
+		{"ebcp", `{"cores": 2}`, "unknown field"},
+		{"none", `{"degree": 6}`, "unknown field"},
+		{"sms", `{"streams": 4}`, "unknown field"},
+		{"solihin", `{"depth": 6, "width": 1, "entries": 4}`, "unknown field"},
+		{"chain", `{"widow": 4}`, "unknown field"},
+		{"chain", `{"entries": 1000}`, ""},
+		{"chain", `{"degree": 0}`, ""},
+		{"hermes", `{"tablebits": 11}`, "unknown field"},
+		{"hermes", `{"table_bits": 99}`, ""},
+		{"hermes", `{"table_bits": 0}`, ""},
+		{"ghb-small", `{"degree": 0}`, ""},
+		{"tcp-large", `{"degree": 0}`, ""},
+		{"stream", `{"streams": 0}`, ""},
+		{"solihin", `{"width": 0}`, ""},
+		{"ebcp", `x`, ""},
+		{"ghb-small", `{"degree": 6} {"degree": 7}`, "data after"},
+		{"none", `{} x`, "data after"},
 	}
 	for _, c := range cases {
 		e, err := Prefetcher(c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.New(json.RawMessage(c.params), 0); err == nil {
+		_, err = e.New(json.RawMessage(c.params), 0)
+		switch {
+		case err == nil:
 			t.Errorf("%s with params %s built; want rejection", c.name, c.params)
-		} else if !errors.Is(err, ebcperr.ErrInvalidConfig) {
+		case !errors.Is(err, ebcperr.ErrInvalidConfig):
 			t.Errorf("%s param error not ErrInvalidConfig: %v", c.name, err)
+		case !strings.Contains(err.Error(), c.mention):
+			t.Errorf("%s with params %s: error %q does not mention %q", c.name, c.params, err, c.mention)
 		}
 	}
 }

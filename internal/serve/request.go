@@ -7,6 +7,7 @@ import (
 
 	"ebcp/internal/ebcperr"
 	"ebcp/internal/exp"
+	"ebcp/internal/metrics"
 	"ebcp/internal/spec"
 	"ebcp/internal/workload"
 )
@@ -45,13 +46,12 @@ type RunRequestV1 struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// DecodeRunRequest parses a request body, rejecting unknown fields and
-// any schema other than RequestSchemaV1.
+// DecodeRunRequest parses a request body through metrics.ReadJSON
+// (unknown fields and trailing data are rejected), then any schema
+// other than RequestSchemaV1.
 func DecodeRunRequest(r io.Reader) (RunRequestV1, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var rq RunRequestV1
-	if err := dec.Decode(&rq); err != nil {
+	if err := metrics.ReadJSON(r, &rq); err != nil {
 		return RunRequestV1{}, ebcperr.Invalidf("serve: decoding request: %v", err)
 	}
 	if rq.Schema != RequestSchemaV1 {
@@ -62,15 +62,13 @@ func DecodeRunRequest(r io.Reader) (RunRequestV1, error) {
 
 // resolved is the experiment a request runs: a canonical id, or an
 // inline ebcp.spec/v1 document compiled through the registry. For
-// inline specs, sp is the decoded spec (its windows apply when the
-// request sets none of its own) and canon its canonical encoding — the
-// session digests canon into every cell cache key, because a
-// user-authored cell key string is only unique within its spec, unlike
-// canonical cells, which every invocation path shares.
+// inline specs, sp is the decoded spec: its windows apply when the
+// request sets none of its own, and its benchmark restriction survives
+// bench_scale. The store keys cells by content, so an inline spec's
+// cells share results with any other spec's equal cells.
 type resolved struct {
-	e     exp.Experiment
-	sp    spec.SpecV1
-	canon string
+	e  exp.Experiment
+	sp spec.SpecV1
 }
 
 // resolve produces the experiment this request runs.
@@ -87,16 +85,12 @@ func (rq RunRequestV1) resolve() (resolved, error) {
 	if err != nil {
 		return resolved{}, err
 	}
-	b, err := spec.Canonical(sp)
-	if err != nil {
-		return resolved{}, err
-	}
-	return resolved{e: e, sp: sp, canon: string(b)}, nil
+	return resolved{e: e, sp: sp}, nil
 }
 
 // validate checks the fields that do not need server configuration and
-// returns the resolved experiment, so a request is decoded, compiled
-// and canonicalized once.
+// returns the resolved experiment, so a request is decoded and compiled
+// once.
 func (rq RunRequestV1) validate() (resolved, error) {
 	switch {
 	case rq.Experiment == "" && len(rq.Spec) == 0:

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -186,7 +185,6 @@ func (s *Server) execute(j *job) {
 		return
 	}
 	opts.Cache = s.cache
-	opts.SpecJSON = j.res.canon
 	// An inline spec's windows apply only when the request sets none of
 	// its own — explicit warm_insts/measure_insts always win.
 	if j.rq.WarmInsts == 0 && sp.WarmInsts > 0 {
@@ -429,14 +427,13 @@ func writeJSONBody(w http.ResponseWriter, v any) {
 	_ = metrics.WriteJSON(w, v)
 }
 
-// DecodeStatsV1 strictly parses an ebcp.servestats/v1 document: unknown
-// fields and any other schema string are rejected, so monitoring
-// clients notice drift instead of reading half a document.
+// DecodeStatsV1 strictly parses an ebcp.servestats/v1 document through
+// metrics.ReadJSON: unknown fields, trailing data and any other schema
+// string are rejected, so monitoring clients notice drift instead of
+// reading half a document.
 func DecodeStatsV1(r io.Reader) (StatsV1, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var st StatsV1
-	if err := dec.Decode(&st); err != nil {
+	if err := metrics.ReadJSON(r, &st); err != nil {
 		return StatsV1{}, ebcperr.Wrap(ebcperr.ErrBadReport, "serve: decoding stats: %v", err)
 	}
 	if st.Schema != StatsSchemaV1 {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ebcp/internal/ebcperr"
 	"ebcp/internal/metrics"
 )
 
@@ -200,14 +203,15 @@ func TestInlineSpecRunsAndCaches(t *testing.T) {
 		t.Errorf("identical spec re-simulated: runs %d → %d, shared %d", firstRuns, st.SimRuns, st.SimShared)
 	}
 
-	// Same cell key strings, different contender parameters: the cache
-	// must keep them apart, so this simulates again.
+	// Same cell key strings, different contender parameters: the store
+	// keys cells by content, so the changed cell simulates again and the
+	// unchanged baseline is shared.
 	resp3, _ := post(t, ts.URL, specBody(inlineSpec(2)))
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("differing spec status = %d", resp3.StatusCode)
 	}
-	if st := s.Stats(); st.SimRuns == firstRuns {
-		t.Error("a semantically different spec reused another spec's cells")
+	if st := s.Stats(); st.SimRuns != firstRuns+1 {
+		t.Errorf("a spec differing in one cell ran %d new simulations, want 1 (the baseline is shared)", st.SimRuns-firstRuns)
 	}
 }
 
@@ -232,6 +236,7 @@ func TestRequestValidation(t *testing.T) {
 		{"negative timeout", `{"schema":"ebcp.runreq/v1","experiment":"table1","timeout_ms":-5}`, 400, "timeout_ms"},
 		{"retired load_corrtab", smallBody(`,"load_corrtab":"t.corrtab"`), 400, `unknown field \"load_corrtab\"`},
 		{"not json", `go away`, 400, "decoding request"},
+		{"second object after the request", smallBody("") + `{"schema":"ebcp.runreq/v1","experiment":"fig4"}`, 400, "data after"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -398,9 +403,16 @@ func TestMetricsEndpointShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	st, err := DecodeStatsV1(resp.Body)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := DecodeStatsV1(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("metrics body does not round-trip strictly: %v", err)
+	}
+	if _, err := DecodeStatsV1(bytes.NewReader(append(body, "x"...))); !errors.Is(err, ebcperr.ErrBadReport) {
+		t.Errorf("stats followed by stray bytes: err = %v, want ErrBadReport", err)
 	}
 	if st.Completed != 1 || st.RequestUS.Count != 1 {
 		t.Errorf("completed=%d request histogram count=%d, want 1/1", st.Completed, st.RequestUS.Count)

@@ -8,14 +8,15 @@
 // ad-hoc ones.
 //
 // The codec follows the repo's schema idiom (ebcp.report/v1): Decode
-// rejects unknown fields and wrong schema strings, Encode writes
-// through the shared metrics.WriteJSON encoder so canonical bytes
-// round-trip byte-for-byte, and Decode validates so no malformed spec
-// reaches the compiler (internal/exp.FromSpec).
+// reads through metrics.ReadJSON (unknown fields and trailing data are
+// rejected), rejects wrong schema strings and validates, so no
+// malformed spec reaches the compiler (internal/exp.FromSpec). A spec's
+// canonical bytes are what metrics.WriteJSON writes for it; the
+// committed spec files are stored that way and round-trip byte for
+// byte.
 package spec
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"regexp"
@@ -37,7 +38,7 @@ const SchemaV1 = "ebcp.spec/v1"
 // BenchPlaceholder is the substring of cell keys and per-benchmark row
 // labels that the compiler replaces with the workload name. Every cell
 // key must contain it: cells are instantiated once per benchmark, and a
-// key without the placeholder would collide across benchmarks.
+// key without the placeholder would name two benchmarks' cells alike.
 const BenchPlaceholder = "{bench}"
 
 // SpecV1 is one declarative experiment.
@@ -97,9 +98,11 @@ type ColumnsV1 struct {
 
 // CellV1 describes one simulation template.
 type CellV1 struct {
-	// Key is the cell's memo/cache identity; it must contain
-	// BenchPlaceholder and, by contract, uniquely describe benchmark ×
-	// prefetcher × system configuration.
+	// Key is the cell's label, unique within the spec: it names the
+	// cell in progress lines and in a run's plan, and must contain
+	// BenchPlaceholder. The result store identifies a cell by its
+	// content (prefetcher, cores, sim tweaks, workload), never by Key,
+	// so two specs may reuse one label for different cells.
 	Key string `json:"key"`
 	// Prefetcher names the contender (internal/registry) and its
 	// strict-decoded parameter block.
@@ -175,14 +178,13 @@ var metricsV1 = map[string]struct {
 // Validate rejects them.
 func MetricNeedsBaseline(metric string) bool { return metricsV1[metric].relative }
 
-// Decode parses a spec, rejecting unknown fields, wrong schema strings
-// and anything Validate rejects. Every error matches
+// Decode parses a spec through metrics.ReadJSON (unknown fields and
+// trailing data are rejected), then wrong schema strings and anything
+// Validate rejects. Every error matches
 // ebcperr.ErrInvalidConfig.
 func Decode(r io.Reader) (SpecV1, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var sp SpecV1
-	if err := dec.Decode(&sp); err != nil {
+	if err := metrics.ReadJSON(r, &sp); err != nil {
 		return SpecV1{}, ebcperr.Invalidf("spec: decoding: %v", err)
 	}
 	if sp.Schema != SchemaV1 {
@@ -192,25 +194,6 @@ func Decode(r io.Reader) (SpecV1, error) {
 		return SpecV1{}, err
 	}
 	return sp, nil
-}
-
-// Encode writes the spec through the shared encoder (two-space indent,
-// trailing newline): canonical bytes that round-trip byte-for-byte
-// through Decode + Encode.
-func Encode(w io.Writer, sp SpecV1) error {
-	return metrics.WriteJSON(w, sp)
-}
-
-// Canonical returns the canonical encoded form of a spec — what the
-// serving layer's content-hash cache key digests, so two differently
-// formatted but equal specs share cells and any semantic difference
-// keeps them apart.
-func Canonical(sp SpecV1) ([]byte, error) {
-	var b bytes.Buffer
-	if err := Encode(&b, sp); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
 }
 
 var idRe = regexp.MustCompile(`^[a-z0-9][a-z0-9_-]*$`)

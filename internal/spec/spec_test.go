@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ebcp/internal/ebcperr"
+	"ebcp/internal/metrics"
 )
 
 // validSweep is a fully featured sim spec: explicit columns, a
@@ -95,12 +96,20 @@ func TestDecodeValid(t *testing.T) {
 	}
 }
 
+// encoded returns a spec's canonical bytes, as metrics.WriteJSON
+// writes them.
+func encoded(sp SpecV1) ([]byte, error) {
+	var b bytes.Buffer
+	err := metrics.WriteJSON(&b, sp)
+	return b.Bytes(), err
+}
+
 // TestCanonicalRoundTrip: encoding is byte-stable — one canonicalization
 // pass reaches a fixed point, and decode(canonical) preserves the spec.
 func TestCanonicalRoundTrip(t *testing.T) {
 	for _, src := range []string{validSweep, validCMP} {
 		sp := decodeValid(t, src)
-		c1, err := Canonical(sp)
+		c1, err := encoded(sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +117,7 @@ func TestCanonicalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("canonical form fails to decode: %v\n%s", err, c1)
 		}
-		c2, err := Canonical(sp2)
+		c2, err := encoded(sp2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,10 +195,14 @@ func TestDecodeRejects(t *testing.T) {
 		{"unknown cell", func(d map[string]any) { row(d)["cells"] = []any{"d1", "ghost"} }, "unknown cell"},
 		{"relative metric without baseline", func(d map[string]any) { delete(cell(d, "d1"), "baseline") }, "baseline"},
 		{"unknown top-level field", func(d map[string]any) { d["seed"] = 1.0 }, "unknown field"},
+		{"data after the spec", nil, "data after"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			data := mutate(t, validSweep, c.edit)
+			data := []byte(validSweep + " garbage")
+			if c.edit != nil {
+				data = mutate(t, validSweep, c.edit)
+			}
 			_, err := Decode(bytes.NewReader(data))
 			if err == nil {
 				t.Fatalf("decoded despite %s", c.name)
@@ -252,7 +265,7 @@ func FuzzDecodeRobust(f *testing.F) {
 			}
 			return
 		}
-		c1, err := Canonical(sp)
+		c1, err := encoded(sp)
 		if err != nil {
 			t.Fatalf("accepted spec fails to encode: %v", err)
 		}
@@ -260,7 +273,7 @@ func FuzzDecodeRobust(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical form of accepted spec fails to decode: %v\n%s", err, c1)
 		}
-		c2, err := Canonical(sp2)
+		c2, err := encoded(sp2)
 		if err != nil {
 			t.Fatal(err)
 		}
